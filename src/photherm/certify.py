@@ -18,7 +18,6 @@ measured data alone.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -86,25 +85,6 @@ def _set_partitions(items: tuple[int, ...]):
         yield [[first]] + part
 
 
-def _species_exit_table(u: np.ndarray, input_occ, bunched_only: bool):
-    """Exit patterns and probabilities for one species entering input_occ.
-
-    With bunched_only the species is restricted to single-mode exits,
-    the signature of an intact multi-photon species; singletons always
-    exit in a single mode, so the flag is moot for them.
-    """
-    m = u.shape[0]
-    size = fock.total(input_occ)
-    outs = []
-    for s in fock.enumerate_basis(size, m):
-        if bunched_only and max(s) != size:
-            continue
-        p = fock.prob_indistinguishable(u, input_occ, s)
-        if p > 1e-300:
-            outs.append((s, p))
-    return outs
-
-
 def lambda_coefficients(n: int, m: int) -> list[tuple[tuple[int, ...], float]]:
     """Forbidden-pattern weight of each distinguishability class under the Fourier.
 
@@ -125,25 +105,30 @@ def lambda_coefficients(n: int, m: int) -> list[tuple[tuple[int, ...], float]]:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
     u = linalg.fourier(n, m)
     forb = set(forbidden_patterns(n, m, 1).patterns)
+    forbidden = np.fromiter((s in forb for s in fock.enumerate_basis(n, m)), dtype=bool)
+    exit_laws: dict[tuple[int, ...], np.ndarray] = {}
+
+    def exit_law(block: tuple[int, ...]) -> np.ndarray:
+        # a multi-photon species counts only when it exits bunched in one mode
+        if block not in exit_laws:
+            size = len(block)
+            occ = tuple(int(j in block) for j in range(m))
+            law = np.abs(fock._transfer(u, occ, bosonic=True)) ** 2
+            if size >= 2:
+                law *= np.fromiter((max(s) == size for s in fock.enumerate_basis(size, m)),
+                                   dtype=bool)
+            exit_laws[block] = law
+        return exit_laws[block]
+
     classes: dict[tuple[int, ...], list[float]] = {}
     for blocks in _set_partitions(tuple(range(n))):
         if len(blocks) < 2:
             continue
-        tables = []
-        for block in blocks:
-            occ = [0] * m
-            for mode in block:
-                occ[mode] = 1
-            tables.append(_species_exit_table(u, tuple(occ), len(block) >= 2))
-        weight = 0.0
-        for combo in itertools.product(*tables):
-            s = combo[0][0]
-            p = combo[0][1]
-            for t, q in combo[1:]:
-                s = tuple(a + b for a, b in zip(s, t))
-                p *= q
-            if s in forb:
-                weight += p
+        law, size = exit_law(tuple(blocks[0])), len(blocks[0])
+        for block in blocks[1:]:
+            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), m)
+            size += len(block)
+        weight = float(law[forbidden].sum())
         sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
         classes.setdefault(sizes, []).append(weight)
     out = []

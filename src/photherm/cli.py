@@ -138,7 +138,6 @@ class ExperimentConfig:
     model: object
     shots: int
     seed: int
-    threads: int
     app: apparatus.Apparatus | None
     eps1: float | None
     eps2: float | None
@@ -151,7 +150,7 @@ class ExperimentConfig:
             json.dumps(self.resolved, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def load_config(path, seed_override=None, threads: int = 1) -> ExperimentConfig:
+def load_config(path, seed_override=None) -> ExperimentConfig:
     """Parse and validate a config file; flag overrides are applied before hashing."""
     try:
         raw = json.loads(Path(path).read_text())
@@ -220,7 +219,6 @@ def load_config(path, seed_override=None, threads: int = 1) -> ExperimentConfig:
         "model": fock.model_tag(model),
         "shots": shots,
         "seed": seed,
-        "threads": threads,
         "apparatus": None if app is None else {
             "source": None if app.source is None else app.source.to_dict(),
             "detection": None if app.detection is None else app.detection.to_dict(),
@@ -231,8 +229,8 @@ def load_config(path, seed_override=None, threads: int = 1) -> ExperimentConfig:
         },
     }
     return ExperimentConfig(specs=tuple(specs), input_occ=input_occ, times=times,
-                            model=model, shots=shots, seed=seed, threads=threads,
-                            app=app, eps1=eps1, eps2=eps2, split=split,
+                            model=model, shots=shots, seed=seed, app=app,
+                            eps1=eps1, eps2=eps2, split=split,
                             epsilon_grid=grid, resolved=resolved)
 
 
@@ -252,7 +250,9 @@ def _prepare_run_dir(base, command: str, cfg: ExperimentConfig, force: bool) -> 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig):
     body = {"config": cfg.resolved, **payload}
-    path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
+    with path.open("w") as fh:
+        json.dump(body, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
@@ -280,18 +280,15 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
             u = hamiltonian.evolution(spec, t)
-            dist = fock.output_distribution(u, cfg.input_occ, cfg.model,
-                                            threads=cfg.threads)
-            exact = fock.output_distribution(u, cfg.input_occ,
-                                             fock.MODEL_INDISTINGUISHABLE,
-                                             threads=cfg.threads)
+            dist = fock.output_distribution(u, cfg.input_occ, cfg.model)
+            exact = fock.output_distribution(u, cfg.input_occ, fock.MODEL_INDISTINGUISHABLE)
             stem = f"evolve_{tag}_t{ti:03d}"
             _write_csv(run / f"{stem}.csv", "pattern,probability",
                        (f"{p},{q!r}" for p, q in dist.csv_rows()), cfg)
             _write_json(run / f"{stem}.json", {
                 "hamiltonian": spec.to_dict(), "t": t,
-                "distribution": json.loads(dist.to_json()),
-                "exact_reference": json.loads(exact.to_json()),
+                "distribution": dist.to_dict(),
+                "exact_reference": exact.to_dict(),
             }, cfg)
             _write_csv(run / f"{stem}_exact.csv", "pattern,probability",
                        (f"{p},{q!r}" for p, q in exact.csv_rows()), cfg)
@@ -311,8 +308,7 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
         tag = _spec_tag(cfg, si)
         for model in models:
             name = model if isinstance(model, str) else "mixture"
-            trace = gge.equilibration_trace(spec, cfg.input_occ, cfg.times, model,
-                                            threads=cfg.threads)
+            trace = gge.equilibration_trace(spec, cfg.input_occ, cfg.times, model)
             _write_csv(run / f"gge_{tag}_{name}_marginal.csv", "t,k,probability",
                        (f"{pt.t!r},{k},{float(p)!r}"
                         for pt in trace for k, p in enumerate(pt.marginal.probs)), cfg)
@@ -415,6 +411,39 @@ def cmd_selftest() -> int:
                default=0.0)
     report("fourier-suppressed-patterns", leak < 1e-12, f"max forbidden prob {leak:.3e}")
 
+    def splittings(out, sizes):
+        # every way to write out as an elementwise sum of patterns holding these photon numbers
+        if len(sizes) == 1:
+            yield (out,)
+            return
+        for head in itertools.product(*(range(c + 1) for c in out)):
+            if sum(head) == sizes[0]:
+                rest = tuple(o - h for o, h in zip(out, head))
+                for tail in splittings(rest, sizes[1:]):
+                    yield (head,) + tail
+
+    def species_law(u, part, out):
+        sizes = [fock.total(s) for s in part]
+        return sum(math.prod(fock.prob_indistinguishable(u, a, b) for a, b in zip(part, split))
+                   for split in splittings(out, sizes))
+
+    worst = 0.0
+    for k in range(3):
+        m = 4 + k % 2
+        u = linalg.haar_random(m, (202, k))
+        tail = (0,) * (m - 3)
+        r = (2, 1, 1) + tail
+        part = ((1, 1, 0) + tail, (1, 0, 1) + tail)
+        mix = fock.Mixture(((0.4, part), (0.6, (r,))))
+        laws = ((fock.MODEL_INDISTINGUISHABLE, lambda s: fock.prob_indistinguishable(u, r, s)),
+                (fock.MODEL_DISTINGUISHABLE, lambda s: fock.prob_distinguishable(u, r, s)),
+                (mix, lambda s: 0.4 * species_law(u, part, s)
+                 + 0.6 * fock.prob_indistinguishable(u, r, s)))
+        for model, law in laws:
+            dist = fock.output_distribution(u, r, model)
+            worst = max(worst, max(abs(p - law(s)) for s, p in zip(dist.basis, dist.probs)))
+    report("engine-vs-permanent", worst < 1e-12, f"max residual {worst:.3e}")
+
     lams = certify.lambda_coefficients(3, 4)
     targets = {(2, 1): 4.0 / 9.0, (1, 1, 1): 2.0 / 3.0}
     for sizes, lam in lams:
@@ -450,7 +479,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="parent directory for run outputs")
         p.add_argument("--force", action="store_true", help="replace an existing run directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for distributions")
     sub.add_parser("selftest", help="run the built-in oracle checks")
     args = parser.parse_args(argv)
 
@@ -463,7 +491,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config, seed_override=args.seed, threads=args.threads)
+        cfg = load_config(args.config, seed_override=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,20 +5,32 @@ basis order used by every distribution, sampler and state vector in the
 package is colexicographic: patterns sorted by the last mode count first.
 For one photon in two modes that reads [(1, 0), (0, 1)].
 
-Transition laws:
+Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
   distinguishable     P = perm(|M|^2) / prod_j s_j!
-  species mixture     sum over elementwise splittings of the output
+  species partition   sum over elementwise splittings of the output
                       pattern, one indistinguishable factor per species
 where M is the submatrix of the unitary with columns repeated by the
-input pattern r and rows by the output pattern s.
+input pattern r and rows by the output pattern s. permanent,
+prob_indistinguishable and prob_distinguishable evaluate these for one
+pattern with Ryser's formula; they are the oracle.
+
+Whole laws and state vectors come from one transition engine instead,
+after SLOS (Heurtel et al., arXiv:2206.10549). It applies one creation
+operator per input photon, in mode j_k, to the state of the photons
+before it:
+  psi_k[t] = sum_i U[i, j_k] sqrt(t_i) psi_{k-1}[t - e_i],
+and divides psi_n by sqrt(prod_j r_j!). Distinguishable photons take the
+same steps with |U[i, j_k]|^2 and no square root. A species partition is
+the pattern-space convolution of its species' indistinguishable laws,
+and a Mixture is the weighted sum of its components' laws. The cost is
+O(n m |basis|) array work in place of O(|basis| 2^n n) Python loops.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,27 +158,99 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     return float(permanent(np.abs(sub) ** 2).real / _occ_factorial(tuple(output_occ)))
 
 
-def _bounded_compositions(n: int, bounds: ModeOccupation):
-    """All tuples c with sum(c) == n and 0 <= c_j <= bounds_j."""
-    if len(bounds) == 1:
-        if 0 <= n <= bounds[0]:
-            yield (n,)
-        return
-    for first in range(min(n, bounds[0]) + 1):
-        for rest in _bounded_compositions(n - first, bounds[1:]):
-            yield (first,) + rest
+def _patterns(k: int, m: int) -> np.ndarray:
+    """enumerate_basis(k, m) as a (count, m) array of the narrowest unsigned dtype."""
+    return np.array(enumerate_basis(k, m), dtype=np.min_scalar_type(k)).reshape(-1, m)
 
 
-def _species_splittings(output_occ: ModeOccupation, totals: tuple[int, ...]):
-    """All ways to write the output pattern as an elementwise sum over species."""
-    if len(totals) == 1:
-        if total(output_occ) == totals[0]:
-            yield (output_occ,)
-        return
-    for head in _bounded_compositions(totals[0], output_occ):
-        remainder = tuple(o - h for o, h in zip(output_occ, head))
-        for rest in _species_splittings(remainder, totals[1:]):
-            yield (head,) + rest
+def _rank(patterns: np.ndarray, n: int) -> np.ndarray:
+    """Index of each row of patterns, n photons each, in enumerate_basis(n, m).
+
+    Counts, mode by mode from the last, the patterns that precede the row
+    within its block: those of the remaining photons whose count in that
+    mode is smaller.
+    """
+    m = patterns.shape[1]
+    comb = np.array([[math.comb(a, b) for b in range(m)] for a in range(n + m)],
+                    dtype=np.int64)
+    rank = np.zeros(patterns.shape[0], dtype=np.int64)
+    rest = np.full(patterns.shape[0], n, dtype=np.int64)
+    for j in range(m - 1, 0, -1):
+        c = patterns[:, j].astype(np.int64)
+        rank += comb[rest + j, j] - comb[rest - c + j, j]
+        rest -= c
+    return rank
+
+
+@lru_cache(maxsize=None)
+def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather map from level k - 1 to level k of the m-mode basis.
+
+    src[i, t] is the index of t - e_i at level k - 1, or the size of that
+    level (one zero slot appended to the source vector) where t_i = 0;
+    counts[i, t] is t_i. Both are read-only and shared by every caller.
+    """
+    pats = _patterns(k, m)
+    counts = np.ascontiguousarray(pats.T)
+    src = np.full(counts.shape, math.comb(k + m - 2, k - 1), dtype=np.int32)
+    for i in range(m):
+        rows = np.flatnonzero(counts[i])
+        lower = pats[rows]
+        lower[:, i] -= 1
+        src[i, rows] = _rank(lower, k - 1)
+    src.flags.writeable = counts.flags.writeable = False
+    return src, counts
+
+
+def _transfer(coupling: np.ndarray, input_occ: ModeOccupation, bosonic: bool) -> np.ndarray:
+    """The engine: push the input photons one at a time through coupling.
+
+    With bosonic, coupling is the unitary and the result holds the output
+    amplitudes; otherwise coupling is |U|^2 and the result holds the
+    distinguishable-photon law. Both are over the colex basis.
+    """
+    m = coupling.shape[0]
+    roots = np.sqrt(np.arange(total(input_occ) + 1))
+    vec = np.ones(1, dtype=coupling.dtype)
+    for k, j in enumerate(mode_assignment(input_occ), start=1):
+        src, counts = _creation_map(k, m)
+        padded = np.append(vec, 0.0)
+        vec = np.zeros(src.shape[1], dtype=coupling.dtype)
+        for i in np.flatnonzero(coupling[:, j]):
+            term = padded[src[i]] * coupling[i, j]
+            if bosonic:
+                term *= roots[counts[i]]
+            vec += term
+    if bosonic:
+        vec /= math.sqrt(_occ_factorial(input_occ))
+    return vec
+
+
+@lru_cache(maxsize=None)
+def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
+    """Level-(a + b) index of s + t for every pattern s of level a and t of level b, row-major."""
+    sums = (_patterns(a, m)[:, None, :].astype(np.min_scalar_type(a + b))
+            + _patterns(b, m)[None, :, :]).reshape(-1, m)
+    out = _rank(sums, a + b).astype(np.int32)
+    out.flags.writeable = False
+    return out
+
+
+def _convolve(p: np.ndarray, a: int, q: np.ndarray, b: int, m: int) -> np.ndarray:
+    """Law of s + t for independent s ~ p on level a and t ~ q on level b."""
+    return np.bincount(_pair_rank(a, b, m), weights=np.outer(p, q).ravel(),
+                       minlength=math.comb(a + b + m - 1, a + b))
+
+
+def _species_law(u: np.ndarray, partition: SpeciesPartition) -> np.ndarray:
+    """Output law of a species partition: convolution of the per-species laws."""
+    m = u.shape[0]
+    law, size = None, 0
+    for species in partition:
+        p = np.abs(_transfer(u, species, bosonic=True)) ** 2
+        law = p if law is None else _convolve(law, size, p, total(species), m)
+        size += total(species)
+    return law
 
 
 def check_partition(partition, m: int) -> SpeciesPartition:
@@ -192,25 +276,16 @@ def prob_species(u: np.ndarray, partition, output_occ) -> float:
     sum over all elementwise splittings of the output pattern with one
     indistinguishable factor per species. One species reduces to
     prob_indistinguishable; all single-photon species reduce to
-    prob_distinguishable.
+    prob_distinguishable. Read from the engine's law of the partition.
     """
     u = np.asarray(u, dtype=complex)
     m = u.shape[0]
     partition = check_partition(partition, m)
     output_occ = _check_occupation(output_occ, m, "output pattern")
-    totals = tuple(total(s) for s in partition)
-    if sum(totals) != total(output_occ):
-        raise ValueError(
-            f"partition holds {sum(totals)} photons, output pattern {total(output_occ)}")
-    p = 0.0
-    for split in _species_splittings(output_occ, totals):
-        term = 1.0
-        for species_in, species_out in zip(partition, split):
-            term *= prob_indistinguishable(u, species_in, species_out)
-            if term == 0.0:
-                break
-        p += term
-    return p
+    n = sum(total(s) for s in partition)
+    if n != total(output_occ):
+        raise ValueError(f"partition holds {n} photons, output pattern {total(output_occ)}")
+    return float(_species_law(u, partition)[_rank(np.array([output_occ]), n)[0]])
 
 
 @dataclass(frozen=True)
@@ -266,12 +341,14 @@ class FockDistribution:
         except ValueError:
             return 0.0
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "basis": [list(occ) for occ in self.basis],
             "probs": [float(p) for p in self.probs],
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FockDistribution":
@@ -318,14 +395,15 @@ def model_tag(model):
     return {"species": [list(p) for p in model]}
 
 
-def output_distribution(u: np.ndarray, input_occ, model=MODEL_INDISTINGUISHABLE,
-                        threads: int = 1) -> FockDistribution:
+def output_distribution(u: np.ndarray, input_occ,
+                        model=MODEL_INDISTINGUISHABLE) -> FockDistribution:
     """Full output distribution of an input pattern through a unitary.
 
     model selects the transition law: "indistinguishable",
     "distinguishable", a species partition, or a Mixture of partitions.
-    threads > 1 evaluates output patterns in a thread pool; results are
-    assembled in canonical order either way.
+    Every law comes from the transition engine (see the module
+    docstring) in one pass over the basis; the per-pattern permanent
+    formulas define the same values and serve as the oracle.
     """
     u = np.asarray(u, dtype=complex)
     from . import linalg
@@ -333,26 +411,18 @@ def output_distribution(u: np.ndarray, input_occ, model=MODEL_INDISTINGUISHABLE,
         raise ValueError("transfer matrix is not unitary within tolerance")
     m = u.shape[0]
     input_occ = _check_occupation(input_occ, m, "input pattern")
-    n = total(input_occ)
-    basis = enumerate_basis(n, m)
     kind, mixture = _resolve_model(model, input_occ, m)
 
     if kind == MODEL_INDISTINGUISHABLE:
-        one = lambda s: prob_indistinguishable(u, input_occ, s)
+        probs = np.abs(_transfer(u, input_occ, bosonic=True)) ** 2
     elif kind == MODEL_DISTINGUISHABLE:
-        one = lambda s: prob_distinguishable(u, input_occ, s)
+        probs = _transfer(np.abs(u) ** 2, input_occ, bosonic=False)
     else:
-        one = lambda s: sum(w * prob_species(u, part, s) for w, part in mixture.components)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            probs = np.fromiter(pool.map(one, basis), dtype=float, count=len(basis))
-    else:
-        probs = np.fromiter((one(s) for s in basis), dtype=float, count=len(basis))
+        probs = sum(w * _species_law(u, part) for w, part in mixture.components)
     s = probs.sum()
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"output probabilities sum to {s!r}; unitarity loss?")
-    return FockDistribution(basis, probs / s)
+    return FockDistribution(enumerate_basis(total(input_occ), m), probs / s)
 
 
 def sample(dist: FockDistribution, count: int, seed) -> list[ModeOccupation]:
@@ -369,20 +439,16 @@ def sample(dist: FockDistribution, count: int, seed) -> list[ModeOccupation]:
 def state_vector(u: np.ndarray, input_occ) -> np.ndarray:
     """Output amplitudes of an input pattern over the canonical basis.
 
-    Amplitude on pattern s is perm(M) / sqrt(prod_j r_j! s_j!); the
-    squared moduli reproduce the indistinguishable distribution.
+    By definition the amplitude on pattern s is perm(M) / sqrt(prod_j
+    r_j! s_j!); the transition engine builds all of them at once, and
+    their squared moduli are the indistinguishable distribution.
     """
     u = np.asarray(u, dtype=complex)
     from . import linalg
     if not linalg.is_unitary(u):
         raise ValueError("transfer matrix is not unitary within tolerance")
     m = u.shape[0]
-    input_occ = _check_occupation(input_occ, m, "input pattern")
-    basis = enumerate_basis(total(input_occ), m)
-    rfac = _occ_factorial(input_occ)
-    amps = np.empty(len(basis), dtype=complex)
-    for i, s in enumerate(basis):
-        amps[i] = permanent(submatrix(u, input_occ, s)) / math.sqrt(rfac * _occ_factorial(s))
+    amps = _transfer(u, _check_occupation(input_occ, m, "input pattern"), bosonic=True)
     norm = float(np.sum(np.abs(amps) ** 2))
     if abs(norm - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"state vector norm {norm!r} deviates from 1")

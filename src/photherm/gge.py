@@ -109,8 +109,7 @@ class TracePoint:
 
 
 def equilibration_trace(spec: hamiltonian.HamiltonianSpec, input_occ, times,
-                        model=fock.MODEL_INDISTINGUISHABLE, mode: int = 0,
-                        threads: int = 1) -> list[TracePoint]:
+                        model=fock.MODEL_INDISTINGUISHABLE, mode: int = 0) -> list[TracePoint]:
     """Single-mode marginal and its distance to the stationary reference over time."""
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
     n = fock.total(input_occ)
@@ -118,7 +117,7 @@ def equilibration_trace(spec: hamiltonian.HamiltonianSpec, input_occ, times,
     out = []
     for t in times:
         u = hamiltonian.evolution(spec, float(t))
-        dist = fock.output_distribution(u, input_occ, model, threads=threads)
+        dist = fock.output_distribution(u, input_occ, model)
         marg = marginal(dist, mode)
         out.append(TracePoint(float(t), marg, tvd(marg, ref)))
     return out

@@ -20,3 +20,82 @@ def naive_permanent(a) -> complex:
             p *= a[i, j]
         total += p
     return total
+
+
+def _bounded_compositions(n: int, bounds):
+    """All tuples c with sum(c) == n and 0 <= c_j <= bounds_j."""
+    if len(bounds) == 1:
+        if 0 <= n <= bounds[0]:
+            yield (n,)
+        return
+    for first in range(min(n, bounds[0]) + 1):
+        for rest in _bounded_compositions(n - first, bounds[1:]):
+            yield (first,) + rest
+
+
+def _species_splittings(output_occ, totals):
+    """All ways to write the output pattern as an elementwise sum over species."""
+    if len(totals) == 1:
+        if sum(output_occ) == totals[0]:
+            yield (tuple(output_occ),)
+        return
+    for head in _bounded_compositions(totals[0], output_occ):
+        remainder = tuple(o - h for o, h in zip(output_occ, head))
+        for rest in _species_splittings(remainder, totals[1:]):
+            yield (head,) + rest
+
+
+def oracle_prob_species(u, partition, output_occ) -> float:
+    """Species-partition law as the splitting sum of per-species Ryser probabilities."""
+    from photherm import fock
+    totals = tuple(sum(s) for s in partition)
+    p = 0.0
+    for split in _species_splittings(tuple(output_occ), totals):
+        term = 1.0
+        for species_in, species_out in zip(partition, split):
+            term *= fock.prob_indistinguishable(u, species_in, species_out)
+            if term == 0.0:
+                break
+        p += term
+    return p
+
+
+def seed_lambda_coefficients(n: int, m: int) -> dict:
+    """Class weights by the per-pattern exit-table product loop: sizes -> placement weights."""
+    from photherm import certify, fock, linalg
+
+    def exit_table(u, input_occ, bunched_only):
+        size = sum(input_occ)
+        outs = []
+        for s in fock.enumerate_basis(size, m):
+            if bunched_only and max(s) != size:
+                continue
+            p = fock.prob_indistinguishable(u, input_occ, s)
+            if p > 1e-300:
+                outs.append((s, p))
+        return outs
+
+    u = linalg.fourier(n, m)
+    forb = set(certify.forbidden_patterns(n, m, 1).patterns)
+    classes: dict = {}
+    for blocks in certify._set_partitions(tuple(range(n))):
+        if len(blocks) < 2:
+            continue
+        tables = []
+        for block in blocks:
+            occ = [0] * m
+            for mode in block:
+                occ[mode] = 1
+            tables.append(exit_table(u, tuple(occ), len(block) >= 2))
+        weight = 0.0
+        for combo in itertools.product(*tables):
+            s = combo[0][0]
+            p = combo[0][1]
+            for t, q in combo[1:]:
+                s = tuple(a + b for a, b in zip(s, t))
+                p *= q
+            if s in forb:
+                weight += p
+        sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+        classes.setdefault(sizes, []).append(weight)
+    return classes

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import seed_lambda_coefficients
 from photherm import certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -55,6 +56,15 @@ def test_lambda_capacity_and_validation():
         certify.lambda_coefficients(7, 7)
     with pytest.raises(ValueError):
         certify.lambda_coefficients(3, 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lambda_matches_seed_product_loop(n):
+    seed = seed_lambda_coefficients(n, n + 1)
+    lams = certify.lambda_coefficients(n, n + 1)
+    assert [sizes for sizes, _ in lams] == sorted(seed, key=lambda c: (len(c), c))
+    for sizes, lam in lams:
+        assert abs(lam - float(np.mean(seed[sizes]))) < 1e-12
 
 
 def test_lambda_monte_carlo_agrees():

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_permanent
+from conftest import naive_permanent, oracle_prob_species
 from photherm import fock, linalg
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -150,14 +152,12 @@ def test_fourier_allowed_support():
             assert p < 1e-12
 
 
-def test_output_distribution_models_and_threads():
+def test_output_distribution_models():
     u = linalg.haar_random(4, 55)
     r = (1, 1, 1, 0)
     ind = fock.output_distribution(u, r, fock.MODEL_INDISTINGUISHABLE)
     dist = fock.output_distribution(u, r, fock.MODEL_DISTINGUISHABLE)
     assert np.max(np.abs(ind.probs - dist.probs)) > 1e-3
-    threaded = fock.output_distribution(u, r, fock.MODEL_INDISTINGUISHABLE, threads=4)
-    assert np.array_equal(ind.probs, threaded.probs)
     part = ((1, 1, 0, 0), (0, 0, 1, 0))
     mix = fock.Mixture(((0.25, part), (0.75, (r,))))
     blended = fock.output_distribution(u, r, mix)
@@ -218,3 +218,72 @@ def test_state_vector_squares_to_distribution():
     amps0 = fock.state_vector(np.eye(4, dtype=complex), r)
     basis = fock.enumerate_basis(3, 4)
     assert abs(amps0[basis.index(r)] - 1.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# Transition engine against the single-pattern Ryser oracle
+
+ENGINE_TOL = 1e-12
+
+
+@st.composite
+def transfer_cases(draw, min_photons=0):
+    """Haar unitary on m <= 6 modes and an input of n <= 5 photons, modes drawn freely."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(min_photons, 5))
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    u = linalg.haar_random(m, draw(st.integers(0, 2**32 - 1)))
+    return u, tuple(modes.count(j) for j in range(m))
+
+
+@st.composite
+def species_cases(draw):
+    """A transfer case plus its photons split into 1..n labelled species."""
+    u, occ = draw(transfer_cases(min_photons=1))
+    photons = fock.mode_assignment(occ)
+    labels = draw(st.lists(st.integers(0, len(photons) - 1),
+                           min_size=len(photons), max_size=len(photons)))
+    species = {}
+    for mode, label in zip(photons, labels):
+        species.setdefault(label, [0] * len(occ))[mode] += 1
+    return u, occ, tuple(tuple(s) for _, s in sorted(species.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(transfer_cases())
+@example((linalg.haar_random(3, 1), (0, 0, 0)))
+@example((linalg.haar_random(5, 2), (3, 0, 2, 0, 0)))
+def test_engine_matches_ryser(case):
+    u, r = case
+    ind = fock.output_distribution(u, r, fock.MODEL_INDISTINGUISHABLE)
+    dis = fock.output_distribution(u, r, fock.MODEL_DISTINGUISHABLE)
+    amps = fock.state_vector(u, r)
+    assert ind.basis == dis.basis == fock.enumerate_basis(sum(r), len(r))
+    rfac = math.prod(math.factorial(c) for c in r)
+    for i, s in enumerate(ind.basis):
+        assert abs(ind.probs[i] - fock.prob_indistinguishable(u, r, s)) < ENGINE_TOL
+        assert abs(dis.probs[i] - fock.prob_distinguishable(u, r, s)) < ENGINE_TOL
+        sfac = math.prod(math.factorial(c) for c in s)
+        want = fock.permanent(fock.submatrix(u, r, s)) / math.sqrt(rfac * sfac)
+        assert abs(amps[i] - want) < ENGINE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(species_cases(), st.integers(0, 10**6))
+@example((linalg.haar_random(4, 3), (2, 1, 1, 0), ((1, 1, 0, 0), (1, 0, 1, 0))), 0)
+def test_engine_species_and_mixtures_match_splitting_oracle(case, pick):
+    u, r, part = case
+    basis = fock.enumerate_basis(sum(r), len(r))
+    oracle = [oracle_prob_species(u, part, s) for s in basis]
+    law = fock.output_distribution(u, r, part).probs
+    assert np.max(np.abs(law - oracle)) < ENGINE_TOL
+    pick %= len(basis)
+    assert abs(fock.prob_species(u, part, basis[pick]) - oracle[pick]) < ENGINE_TOL
+    # blended with the one-species and all-singleton partitions of the same input
+    singletons = tuple(tuple(int(j == mode) for j in range(len(r)))
+                       for mode in fock.mode_assignment(r))
+    mix = fock.Mixture(((0.5, part), (0.3, (r,)), (0.2, singletons)))
+    want = [0.5 * p + 0.3 * fock.prob_indistinguishable(u, r, s)
+            + 0.2 * fock.prob_distinguishable(u, r, s)
+            for p, s in zip(oracle, basis)]
+    assert np.max(np.abs(fock.output_distribution(u, r, mix).probs - want)) < ENGINE_TOL
