@@ -309,13 +309,21 @@ class Mixture:
 
 @dataclass(frozen=True)
 class FockDistribution:
-    """Probability distribution over the canonical n-photon basis of m modes."""
+    """Probability distribution over the canonical n-photon basis of m modes.
+
+    The basis must be enumerate_basis(n, m) in order; the cached tuple is stored.
+    """
 
     basis: tuple[ModeOccupation, ...]
     probs: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(tuple(int(x) for x in occ) for occ in self.basis)
+        if not len(self.basis):
+            raise ValueError("basis is empty")
+        first = tuple(self.basis[0])
+        basis = enumerate_basis(int(sum(first)), len(first))
+        if tuple(map(tuple, self.basis)) != basis:
+            raise ValueError("basis is not the canonical colex basis of its photon and mode count")
         probs = np.asarray(self.probs, dtype=float)
         if len(basis) != probs.shape[0] or probs.ndim != 1:
             raise ValueError("basis and probability vector lengths differ")

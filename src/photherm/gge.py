@@ -88,19 +88,6 @@ def tvd(p, q) -> float:
     return float(0.5 * np.sum(np.abs(pv - qv)))
 
 
-def momentum_occupations(occ) -> np.ndarray:
-    """Mean occupation of each collective Fourier mode for a product input pattern.
-
-    For a Fock product state the cross terms <b_x† b_y> vanish, so every
-    Fourier mode carries the same mean n/m. These are the conserved
-    charges that pin the stationary reference; the vector is returned in
-    full for interface symmetry.
-    """
-    occ = fock._check_occupation(occ)
-    m = len(occ)
-    return np.full(m, fock.total(occ) / m)
-
-
 @dataclass(frozen=True)
 class TracePoint:
     t: float

@@ -99,3 +99,26 @@ def seed_lambda_coefficients(n: int, m: int) -> dict:
         sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
         classes.setdefault(sizes, []).append(weight)
     return classes
+
+
+def seed_qpnr_detect(pattern, det, rng) -> set:
+    """Fired channel ids of one shot by the per-photon loop: routing first, then dark counts."""
+    fired = set()
+    u = rng.random(sum(pattern)) if sum(pattern) else ()
+    i = 0
+    for mode, count in enumerate(pattern):
+        wp, wq, wr = det.weights[mode]
+        c1, c2, c3 = wp, wp + wq, wp + wq + wr
+        for _ in range(count):
+            x = u[i]
+            i += 1
+            if x < c1:
+                fired.add(3 * mode)
+            elif x < c2:
+                fired.add(3 * mode + 1)
+            elif x < c3:
+                fired.add(3 * mode + 2)
+    if det.dark_count_prob > 0.0:
+        dark = rng.random(3 * len(det.weights)) < det.dark_count_prob
+        fired.update(int(c) for c in np.nonzero(dark)[0])
+    return fired

@@ -145,3 +145,18 @@ def test_seed_list_rejected_for_hopping(tmp_path, capsys):
                                               "seeds": [1, 2]})
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "long_range" in capsys.readouterr().err
+
+
+def test_certify_lossy_detection_with_source(tmp_path):
+    """Blinding a shot whose photons were all lost used to crash the stream."""
+    weights = [[1 / 6] * 3] * 4
+    cfg = write_config(tmp_path, times=[1.0], shots=500, seed=3, input=[1, 1, 1, 0],
+                       apparatus={"source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+                                  "detection": {"weights": weights}})
+    trees = []
+    for out in ("a", "b"):
+        assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        run = next((tmp_path / out).iterdir())
+        trees.append(read_tree(run))
+    assert set(trees[0]) == {"certify_h_t000.json", "certify_h_t000_convergence.csv"}
+    assert trees[0] == trees[1]

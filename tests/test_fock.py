@@ -199,6 +199,16 @@ def test_distribution_helpers():
         fock.FockDistribution(((1, 0), (0, 1)), np.array([0.6, 0.6]))
 
 
+def test_distribution_requires_canonical_basis():
+    """A reordered or truncated basis raises; a valid one is replaced by the cached tuple."""
+    with pytest.raises(ValueError, match="canonical"):
+        fock.FockDistribution(((0, 1), (1, 0)), np.array([0.25, 0.75]))
+    with pytest.raises(ValueError, match="canonical"):
+        fock.FockDistribution(((1, 0),), np.array([1.0]))
+    clone = fock.FockDistribution([[1, 0], [0, 1]], [0.25, 0.75])
+    assert clone.basis is fock.enumerate_basis(1, 2)
+
+
 def test_sample_reproducible():
     dist = fock.FockDistribution(((1, 0), (0, 1)), np.array([0.3, 0.7]))
     a = fock.sample(dist, 1000, 8)

@@ -70,12 +70,6 @@ def test_tvd_accepts_wrapped_distributions():
     assert abs(gge.tvd(start, ref) - 259 / 343) < 1e-12
 
 
-def test_momentum_occupations_uniform():
-    occ = gge.momentum_occupations(INPUT)
-    assert np.allclose(occ, 0.75, atol=1e-15)
-    assert occ.shape == (4,)
-
-
 def test_equilibration_trace_reaches_below_start():
     times = np.linspace(0.0, 1.5, 16)
     trace = gge.equilibration_trace(RING, INPUT, times)
