@@ -539,9 +539,9 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
 
 
 def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
-                     det: DetectionModel | None, shots: int, rng, target) -> list:
-    """Post-selected reconstructed patterns of one measurement setting."""
-    return list(map(tuple, _event_stream(total_u, model, src, det, shots, rng, target).tolist()))
+                     det: DetectionModel | None, shots: int, rng, target) -> np.ndarray:
+    """Post-selected reconstructed patterns of one measurement setting, a (shots, m) array."""
+    return _event_stream(total_u, model, src, det, shots, rng, target)
 
 
 def distinguishability_mixture(src: SourceModel, input_occ=(1, 1, 1, 0)) -> fock.Mixture:

@@ -155,9 +155,8 @@ def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[fl
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     u = linalg.fourier(n, m)
-    forb = set(forbidden_patterns(n, m, 1).patterns)
     rng = np.random.default_rng(seed)
-    total = np.zeros((shots, m), dtype=np.int64)
+    total = np.zeros((shots, m), dtype=np.min_scalar_type(n))
     bunched = np.ones(shots, dtype=bool)
     mode = 0
     for size in sizes:
@@ -166,24 +165,56 @@ def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[fl
             occ[j] = 1
         mode += size
         dist = fock.output_distribution(u, tuple(occ), fock.MODEL_INDISTINGUISHABLE)
-        draws = np.asarray(fock.sample(dist, shots, rng), dtype=np.int64)
+        draws = fock.sample(dist, shots, rng)
         total += draws
         if size >= 2:
             bunched &= draws.max(axis=1) == size
-    hits = bunched & np.fromiter(
-        (tuple(row) in forb for row in total), dtype=bool, count=shots)
+    hits = bunched & forbidden_hits(total, forbidden_patterns(n, m, 1))
     freq = float(hits.mean())
     return freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / shots)
 
 
+def revival_hits(samples, target) -> np.ndarray:
+    """Boolean mask of the samples (rows of a (k, m) pattern array) equal to target."""
+    target = [int(x) for x in target]
+    samples = np.asarray(samples).reshape(len(samples), len(target))
+    hit = np.ones(len(samples), dtype=bool)
+    for j, count in enumerate(target):
+        hit &= samples[:, j] == count
+    return hit
+
+
+def forbidden_hits(samples, fs: ForbiddenSet) -> np.ndarray:
+    """Boolean mask of the samples (rows of a (k, fs.m) count array) in fs.patterns.
+
+    Each row is read as a mixed-radix key whose digit in mode j runs up
+    to one past the largest count any forbidden pattern holds there;
+    larger counts share that top digit, so such rows match nothing.
+    """
+    samples = np.asarray(samples).reshape(len(samples), fs.m)
+    if not fs.patterns:
+        return np.zeros(len(samples), dtype=bool)
+    pats = np.array(fs.patterns, dtype=np.int64)
+    radix = pats.max(axis=0) + 2
+    if math.prod(radix.tolist()) > np.iinfo(np.int64).max:
+        raise ValueError(f"forbidden patterns over {fs.m} modes are too wide to key")
+
+    def keys(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(rows), dtype=np.int64)
+        for j, r in enumerate(radix):
+            out *= r
+            out += np.minimum(rows[:, j], r - 1)
+        return out
+
+    return np.isin(keys(samples), keys(pats))
+
+
 def estimate_p1(samples, target) -> tuple[float, int]:
     """Fraction of samples exactly equal to the target pattern, plus the sample count."""
-    target = tuple(int(x) for x in target)
     k = len(samples)
     if k == 0:
         raise ValueError("no samples")
-    hits = sum(1 for s in samples if tuple(s) == target)
-    return hits / k, k
+    return int(np.count_nonzero(revival_hits(samples, target))) / k, k
 
 
 def estimate_p2(samples, fs: ForbiddenSet) -> tuple[float, int]:
@@ -191,9 +222,7 @@ def estimate_p2(samples, fs: ForbiddenSet) -> tuple[float, int]:
     k = len(samples)
     if k == 0:
         raise ValueError("no samples")
-    forb = set(fs.patterns)
-    hits = sum(1 for s in samples if tuple(s) in forb)
-    return hits / k, k
+    return int(np.count_nonzero(forbidden_hits(samples, fs))) / k, k
 
 
 def chebyshev_delta(variance: float, k: int, epsilon: float) -> float:
@@ -301,8 +330,8 @@ def witness_threshold(u: np.ndarray, input_occ, split: int = 1) -> float:
 
 def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
                             shots: int, seed, app: apparatus.Apparatus | None = None,
-                            input_occ=None) -> tuple[list, list]:
-    """Post-selected output patterns for both measurement settings.
+                            input_occ=None) -> tuple[np.ndarray, np.ndarray]:
+    """Post-selected output patterns for both measurement settings, two (shots, m) arrays.
 
     Setting 1 programs the evolution followed by its inverse; setting 2
     additionally applies the Fourier transform on the occupied modes.

@@ -3,8 +3,10 @@
 Each run reads one JSON config, resolves defaults and flag overrides,
 and writes its files into a directory named by the hash of the resolved
 config, so identical configs land in identical directories with
-byte-identical contents. Existing run directories are never overwritten
-without --force.
+byte-identical contents. Each run is built in a temporary sibling
+directory and moved into place only when it is complete, so a failed run
+leaves no directory behind. Existing run directories are never
+overwritten without --force.
 
 Exit codes: 0 success, 1 config validation error, 2 I/O error,
 3 selftest failure.
@@ -16,6 +18,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 from dataclasses import dataclass
@@ -195,6 +198,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         cert = raw["certification"]
         _expect(isinstance(cert, dict), "config.certification",
                 f"expected an object, got {cert!r}")
+        n = fock.total(input_occ)
+        top = min(certify.LAMBDA_MAX_PHOTONS, m)
+        _expect(2 <= n <= top, "config.input",
+                f"certification needs 2..{top} photons on {m} modes, got {n}")
         eps1 = _get_number(cert, "eps1", "config.certification", required=True)
         eps2 = _get_number(cert, "eps2", "config.certification", required=True)
         for name, eps in (("eps1", eps1), ("eps2", eps2)):
@@ -238,13 +245,25 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
 # Output plumbing
 
 
-def _prepare_run_dir(base, command: str, cfg: ExperimentConfig, force: bool) -> Path:
+def _build_run_dir(base, command: str, cfg: ExperimentConfig, force: bool, build) -> Path:
+    """Run build(cfg, directory) in a temporary sibling, then move it to <command>-<digest>.
+
+    A failed build leaves no directory behind; with force an existing run
+    directory is replaced only once the new one is complete.
+    """
     run = Path(base) / f"{command}-{cfg.digest()}"
-    if run.exists():
-        if not force:
-            raise OSError(f"run directory {run} exists; pass --force to overwrite")
-        shutil.rmtree(run)
-    run.mkdir(parents=True)
+    if run.exists() and not force:
+        raise OSError(f"run directory {run} exists; pass --force to overwrite")
+    partial = run.with_name(f".{run.name}.{os.getpid()}.partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
+    try:
+        build(cfg, partial)
+        if run.exists():
+            shutil.rmtree(run)
+        os.replace(partial, run)
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
     return run
 
 
@@ -350,17 +369,17 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
             }, cfg)
 
             rows = []
+            hits1 = certify.revival_hits(s1, cfg.input_occ)
+            hits2 = certify.forbidden_hits(s2, fs)
             per = max(1, cfg.shots // CONVERGENCE_BATCHES)
-            for b in range(1, CONVERGENCE_BATCHES + 1):
-                cut = min(cfg.shots, b * per)
-                bp1, bk1 = certify.estimate_p1(s1[:cut], cfg.input_occ)
-                bp2, bk2 = certify.estimate_p2(s2[:cut], fs)
-                part = certify.fidelity_bound(bp1, bk1, bp2, bk2, lambdas,
+            cuts = [b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < cfg.shots]
+            for cut in cuts + [cfg.shots]:
+                bp1 = int(np.count_nonzero(hits1[:cut])) / cut
+                bp2 = int(np.count_nonzero(hits2[:cut])) / cut
+                part = certify.fidelity_bound(bp1, cut, bp2, cut, lambdas,
                                               cfg.eps1, cfg.eps2, witness=thresh)
                 rows.append(f"{cut},{1.0 / math.sqrt(cut)!r},{bp1!r},{bp2!r},"
                             f"{part.f_lower!r}")
-                if cut == cfg.shots:
-                    break
             _write_csv(run / f"{stem}_convergence.csv",
                        "samples,inv_sqrt_samples,p1,p2,f_lower", rows, cfg)
 
@@ -455,6 +474,16 @@ def cmd_selftest() -> int:
         report(f"class-weight-sampled-{label}", dev < 3 * sigma,
                f"estimate {est:.4f} dev {dev:.4f} (3 sigma {3 * sigma:.4f})")
 
+    dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0),
+                                    fock.MODEL_DISTINGUISHABLE)
+    rows = fock.sample(dist, 5000, 31)
+    target, fs = (1, 1, 1, 0), certify.forbidden_patterns(3, 4)
+    shots, forb = [tuple(r) for r in rows.tolist()], set(fs.patterns)
+    want = (shots.count(target) / len(shots), sum(s in forb for s in shots) / len(shots))
+    got = (certify.estimate_p1(rows, target)[0], certify.estimate_p2(rows, fs)[0])
+    report("estimators-vs-membership", got == want,
+           f"p1 {got[0]:.4f} p2 {got[1]:.4f} over {len(shots)} shots")
+
     ref = gge.gge_marginal(3, 4)
     err = max(abs(ref.probs[0] - 4 / 7), abs(ref.probs[1] - 12 / 49),
               abs(ref.probs[2] - 36 / 343))
@@ -496,14 +525,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    build = {"evolve": cmd_evolve, "gge": cmd_gge, "certify": cmd_certify}[args.command]
     try:
-        run = _prepare_run_dir(args.out, args.command, cfg, args.force)
-        if args.command == "evolve":
-            cmd_evolve(cfg, run)
-        elif args.command == "gge":
-            cmd_gge(cfg, run)
-        else:
-            cmd_certify(cfg, run)
+        run = _build_run_dir(args.out, args.command, cfg, args.force, build)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -433,15 +433,19 @@ def output_distribution(u: np.ndarray, input_occ,
     return FockDistribution(enumerate_basis(total(input_occ), m), probs / s)
 
 
-def sample(dist: FockDistribution, count: int, seed) -> list[ModeOccupation]:
-    """Draw occupation patterns i.i.d. from a distribution, reproducible per seed."""
+def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:
+    """Draw occupation patterns i.i.d. from a distribution, reproducible per seed.
+
+    Returns a (count, m) array of the narrowest unsigned dtype that holds
+    the photon number, one pattern per row.
+    """
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(dist.probs)
     idx = np.searchsorted(cum, rng.random(count), side="right")
     idx = np.minimum(idx, len(dist.basis) - 1)
-    return [dist.basis[i] for i in idx]
+    return _patterns(total(dist.basis[0]), dist.m)[idx]
 
 
 def state_vector(u: np.ndarray, input_occ) -> np.ndarray:

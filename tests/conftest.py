@@ -122,3 +122,23 @@ def seed_qpnr_detect(pattern, det, rng) -> set:
         dark = rng.random(3 * len(det.weights)) < det.dark_count_prob
         fired.update(int(c) for c in np.nonzero(dark)[0])
     return fired
+
+
+def seed_estimate_p1(samples, target) -> tuple[float, int]:
+    """Revival fraction by the per-shot tuple comparison loop."""
+    target = tuple(int(x) for x in target)
+    k = len(samples)
+    if k == 0:
+        raise ValueError("no samples")
+    hits = sum(1 for s in samples if tuple(s) == target)
+    return hits / k, k
+
+
+def seed_estimate_p2(samples, fs) -> tuple[float, int]:
+    """Forbidden fraction by the per-shot set-membership loop."""
+    k = len(samples)
+    if k == 0:
+        raise ValueError("no samples")
+    forb = set(fs.patterns)
+    hits = sum(1 for s in samples if tuple(s) in forb)
+    return hits / k, k

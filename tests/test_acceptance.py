@@ -94,7 +94,7 @@ def test_criterion_06_noiseless_revival_bound():
     shots = 100_000
     s1, s2 = certify.collect_setting_samples(RING, 1.0, fock.MODEL_INDISTINGUISHABLE,
                                              shots, seed=6)
-    assert all(occ == INPUT for occ in s1)
+    assert np.array_equal(s1, np.tile(INPUT, (shots, 1)))
     p1, k1 = certify.estimate_p1(s1, INPUT)
     p2, k2 = certify.estimate_p2(s2, certify.forbidden_patterns(3, 4))
     assert p1 == 1.0

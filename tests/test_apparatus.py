@@ -269,7 +269,7 @@ def test_simulate_setting_noiseless_revival():
     rng = np.random.default_rng(6)
     got = apparatus.simulate_setting(total, fock.MODEL_INDISTINGUISHABLE, None, None,
                                      200, rng, target=(1, 1, 1, 0))
-    assert got == [(1, 1, 1, 0)] * 200
+    assert np.array_equal(got, np.tile((1, 1, 1, 0), (200, 1)))
 
 
 def test_event_stream_guard():

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import seed_lambda_coefficients
+from conftest import seed_estimate_p1, seed_estimate_p2, seed_lambda_coefficients
 from photherm import certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -71,6 +73,70 @@ def test_lambda_monte_carlo_agrees():
     for sizes, lam in certify.lambda_coefficients(3, 4):
         est, sigma = certify.lambda_monte_carlo(3, 4, sizes, 20_000, seed=3)
         assert abs(est - lam) < 4 * sigma
+
+
+def test_lambda_monte_carlo_fixed_seed_values():
+    """The draws and the forbidden mask reproduce the per-shot membership loop's values."""
+    cases = {(3, 4, (2, 1), 5000, 3): (0.4428, 0.007024644617345421),
+             (3, 4, (1, 1, 1), 5000, 3): (0.6698, 0.0066508339326734065),
+             (4, 5, (2, 2), 4000, 11): (0.1205, 0.005147323333539481),
+             (4, 5, (2, 1, 1), 4000, 11): (0.37725, 0.007663752956287148)}
+    for (n, m, sizes, shots, seed), want in cases.items():
+        assert certify.lambda_monte_carlo(n, m, sizes, shots, seed=seed) == want
+
+
+@st.composite
+def estimator_cases(draw):
+    """A forbidden set (any period), a target and rows mixing the awkward kinds."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(n, n + 2))
+    period = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    fs = certify.forbidden_patterns(n, m, period)
+    tail = (0,) * (m - n)
+    ideal = st.sampled_from([p + tail for p in fock.enumerate_basis(n, n)])
+    free = st.lists(st.integers(0, 2 * n), min_size=m, max_size=m).map(tuple)
+
+    @st.composite
+    def beyond_n(draw_row):
+        # an ideal pattern with one or two photons moved into, or added to, modes past n
+        row = list(draw_row(ideal))
+        if m > n:
+            src = draw_row(st.integers(0, n - 1))
+            moved = draw_row(st.integers(1, 2))
+            if draw_row(st.booleans()):
+                moved = min(moved, row[src])
+                row[src] -= moved
+            row[draw_row(st.integers(n, m - 1))] += moved
+        return tuple(row)
+
+    @st.composite
+    def wrong_total(draw_row):
+        row = list(draw_row(ideal))
+        j = draw_row(st.integers(0, m - 1))
+        row[j] = max(0, row[j] + draw_row(st.sampled_from([-1, 1, 2])))
+        return tuple(row)
+
+    rows = draw(st.lists(st.one_of(ideal, free, beyond_n(), wrong_total()), max_size=60))
+    target = draw(st.one_of(ideal, free))
+    return fs, target, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(estimator_cases())
+# counts above a mode's forbidden maximum: unclipped, their keys would equal (2,0,1,0)'s
+@example((certify.forbidden_patterns(3, 4), (1, 1, 1, 0), [(2, 0, 0, 2), (2, 0, 4, 0)]))
+def test_array_estimators_match_per_shot_loops(case):
+    fs, target, rows = case
+    samples = np.array(rows, dtype=np.uint8).reshape(len(rows), fs.m)
+    if not rows:
+        for estimate in (lambda s: certify.estimate_p1(s, target),
+                         lambda s: certify.estimate_p2(s, fs)):
+            with pytest.raises(ValueError, match="no samples"):
+                estimate(samples)
+        return
+    assert certify.estimate_p1(samples, target) == seed_estimate_p1(rows, target)
+    assert certify.estimate_p2(samples, fs) == seed_estimate_p2(rows, fs)
+    assert certify.estimate_p2(rows, fs) == seed_estimate_p2(rows, fs)
 
 
 def test_estimate_p1():
@@ -179,8 +245,8 @@ def test_witness_threshold_local_unitary_invariance():
 def test_collect_setting_samples_noiseless():
     s1, s2 = certify.collect_setting_samples(RING, 0.7, fock.MODEL_INDISTINGUISHABLE,
                                              500, seed=4)
-    assert len(s1) == len(s2) == 500
-    assert all(occ == (1, 1, 1, 0) for occ in s1)
+    assert s1.shape == s2.shape == (500, 4)
+    assert np.array_equal(s1, np.tile((1, 1, 1, 0), (500, 1)))
     p2, _ = certify.estimate_p2(s2, certify.forbidden_patterns(3, 4))
     assert p2 == 0.0
 

@@ -160,3 +160,50 @@ def test_certify_lossy_detection_with_source(tmp_path):
         trees.append(read_tree(run))
     assert set(trees[0]) == {"certify_h_t000.json", "certify_h_t000_convergence.csv"}
     assert trees[0] == trees[1]
+
+
+def test_certify_convergence_ends_at_all_shots(tmp_path):
+    cfg = write_config(tmp_path, times=[1.0], shots=1000, model="distinguishable")
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    res = json.loads((run / "certify_h_t000.json").read_text())["result"]
+    rows = (run / "certify_h_t000_convergence.csv").read_text().splitlines()[3:]
+    assert [int(r.split(",")[0]) for r in rows] == [62 * b for b in range(1, 17)] + [1000]
+    _, _, p1, p2, f_lower = (float(x) for x in rows[-1].split(","))
+    assert (p1, p2, f_lower) == (res["p1"], res["p2"], res["f_lower"])
+
+
+@pytest.mark.parametrize("overrides", [
+    {"input": [1, 0, 0, 0]},
+    {"hamiltonian": {"kind": "hopping", "modes": 8}},
+    {"input": [3, 2, 0, 0]},
+])
+def test_certify_rejects_unsupported_photon_numbers(tmp_path, capsys, overrides):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config.input" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write_config(tmp_path, times=[1.0])
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 1
+
+
+def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+
+    def broken(cfg, run):
+        (run / "half.csv").write_text("x\n")
+        raise OSError("disk full")
+
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    run = next(out.iterdir())
+    before = read_tree(run)
+    monkeypatch.setattr(cli, "cmd_evolve", broken)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out), "--force"]) == 2
+    assert list(out.iterdir()) == [run]
+    assert read_tree(run) == before
+    assert cli.main(["certify", "--config", str(write_config(tmp_path, certification=None)),
+                     "--out", str(out)]) == 1
+    assert list(out.iterdir()) == [run]

@@ -213,8 +213,9 @@ def test_sample_reproducible():
     dist = fock.FockDistribution(((1, 0), (0, 1)), np.array([0.3, 0.7]))
     a = fock.sample(dist, 1000, 8)
     b = fock.sample(dist, 1000, 8)
-    assert a == b
-    freq = sum(1 for occ in a if occ == (0, 1)) / 1000
+    assert a.shape == (1000, 2)
+    assert np.array_equal(a, b)
+    freq = np.count_nonzero((a == (0, 1)).all(axis=1)) / 1000
     assert abs(freq - 0.7) < 0.05
 
 
