@@ -176,6 +176,15 @@ class Apparatus:
         return self.source is None and self.detection is None and self.mesh_jitter == 0.0
 
 
+def _check_source_input(input_occ) -> fock.ModeOccupation:
+    """The input a source run must name: one photon in each of the first three modes."""
+    input_occ = fock._check_occupation(input_occ)
+    if len(input_occ) < 3 or input_occ[:3] != (1, 1, 1) or fock.total(input_occ) != 3:
+        raise ValueError(f"the source heralds one photon in each of the first three modes, "
+                         f"not the input {input_occ}")
+    return input_occ
+
+
 def _pair_counts(src: SourceModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
     # geometric pair-number law of a two-mode squeezer, vectorized
     p = 1.0 - src.squeezing**2
@@ -464,14 +473,17 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     """Reconstructed patterns (shots, m) of post-selected events, in the order they occur.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
-    target photon number. Without a source the target pattern itself is
-    injected every shot; without a detection model an ideal balanced
-    multiplexer stands in. By-product inputs brighter than
+    target photon number. A source requires the target it heralds, one
+    photon in each of the first three modes. Without a source the target
+    pattern itself is injected every shot; without a detection model an
+    ideal balanced multiplexer stands in. By-product inputs brighter than
     INTERFERENCE_PHOTON_CAP route their photons independently (see the
     module docstring).
     """
     m = total_u.shape[0]
     target = fock._check_occupation(target, m, "target pattern")
+    if src is not None:
+        _check_source_input(target)
     n = fock.total(target)
     det_eff = det if det is not None else DetectionModel.ideal(m)
     blinding_active = src is not None and det is not None
@@ -553,10 +565,8 @@ def distinguishability_mixture(src: SourceModel, input_occ=(1, 1, 1, 0)) -> fock
     pair itself splits with weight v_same, and residual weight goes to
     fully distinguishable photons.
     """
-    input_occ = fock._check_occupation(input_occ)
+    input_occ = _check_source_input(input_occ)
     m = len(input_occ)
-    if m < 3 or input_occ[:3] != (1, 1, 1) or fock.total(input_occ) != 3:
-        raise ValueError("mixture map is defined for one photon in each of the first three modes")
     v_same = src.visibility(0, 1)
     v_cross = 0.5 * (src.visibility(0, 2) + src.visibility(1, 2))
     tail = (0,) * (m - 3)

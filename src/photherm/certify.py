@@ -19,7 +19,8 @@ measured data alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from . import apparatus, fock, hamiltonian, linalg
 LAMBDA_MAX_PHOTONS = 6
 LAMBDA_PLACEMENT_TOL = 1e-12
 DEFAULT_VARIANCE = 0.25
+CONVERGENCE_BATCHES = 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,7 @@ class ForbiddenSet:
                      if p + tail not in forb)
 
 
+@lru_cache(maxsize=None)
 def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
     """Suppressed output patterns for a period-p input of n photons under fourier(n, m).
 
@@ -58,6 +61,7 @@ def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
     p * sum(mode_assignment(s)) is nonzero mod n (1-based mode numbers).
     Patterns placing photons beyond mode n cannot arise from the ideal
     input, the apparatus filter handles them; they are not enumerated.
+    Cached; the returned set is frozen.
     """
     if n < 2:
         raise ValueError(f"need at least 2 photons, got {n}")
@@ -85,7 +89,8 @@ def _set_partitions(items: tuple[int, ...]):
         yield [[first]] + part
 
 
-def lambda_coefficients(n: int, m: int) -> list[tuple[tuple[int, ...], float]]:
+@lru_cache(maxsize=None)
+def lambda_coefficients(n: int, m: int) -> tuple[tuple[tuple[int, ...], float], ...]:
     """Forbidden-pattern weight of each distinguishability class under the Fourier.
 
     Photons sit one per mode on the first n modes. Every way of grouping
@@ -95,9 +100,9 @@ def lambda_coefficients(n: int, m: int) -> list[tuple[tuple[int, ...], float]]:
     bunched in a single output mode; singleton species are free. For the
     all-singleton class this is the full distinguishable forbidden
     weight. Within a class the weight is independent of which modes host
-    which species (checked to 1e-12). Returns (sizes, lambda) pairs
-    ordered by species count, e.g. for n = 3:
-    [((2, 1), 4/9), ((1, 1, 1), 2/3)].
+    which species (checked to 1e-12). Returns a tuple of (sizes, lambda)
+    pairs ordered by species count, e.g. for n = 3:
+    (((2, 1), 4/9), ((1, 1, 1), 2/3)). Cached per (n, m).
     """
     if not 2 <= n <= LAMBDA_MAX_PHOTONS:
         raise ValueError(f"photon number {n} outside supported range 2..{LAMBDA_MAX_PHOTONS}")
@@ -138,7 +143,7 @@ def lambda_coefficients(n: int, m: int) -> list[tuple[tuple[int, ...], float]]:
             raise AssertionError(
                 f"forbidden weight of class {sizes} varies with placement: {vals}")
         out.append((sizes, float(np.mean(vals))))
-    return out
+    return tuple(out)
 
 
 def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[float, float]:
@@ -244,7 +249,11 @@ def chebyshev_delta(variance: float, k: int, epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Everything needed to audit one certification run."""
+    """Everything needed to audit one certification run.
+
+    convergence holds (samples, p1, p2, f_lower) rows over growing prefixes
+    of the samples, ending at all of them; to_dict leaves it out.
+    """
 
     p1: float
     p2: float
@@ -259,10 +268,10 @@ class CertificationResult:
     lambdas: tuple = field(default=())
     witness_threshold: float | None = None
     entangled: bool | None = None
-    inputs: dict | None = None
+    convergence: tuple = field(default=())
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "p1": self.p1, "p2": self.p2, "k1": self.k1, "k2": self.k2,
             "epsilon1": self.epsilon1, "epsilon2": self.epsilon2,
             "epsilon": self.epsilon, "delta": self.delta,
@@ -271,9 +280,6 @@ class CertificationResult:
             "witness_threshold": self.witness_threshold,
             "entangled": self.entangled,
         }
-        if self.inputs is not None:
-            d["inputs"] = self.inputs
-        return d
 
 
 def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
@@ -281,11 +287,11 @@ def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
                    witness: float | None = None) -> CertificationResult:
     """Assemble the certified fidelity lower bound from the two estimates.
 
-    lambdas may be the list returned by lambda_coefficients or a bare
-    sequence of weights; only the minimum enters the bound. The combined
-    confidence is reported as the product eps1 * eps2.
+    lambdas holds (sizes, lambda) pairs as returned by lambda_coefficients;
+    only the minimum enters the bound. The combined confidence is
+    reported as the product eps1 * eps2.
     """
-    vals = [lam if isinstance(lam, float) else float(lam[1]) for lam in lambdas]
+    vals = [float(lam) for _, lam in lambdas]
     if not vals or min(vals) <= 0:
         raise ValueError("need at least one positive forbidden-pattern weight")
     for name, p in (("p1", p1), ("p2", p2)):
@@ -295,11 +301,10 @@ def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
     d1 = chebyshev_delta(variance, k1, eps1)
     d2 = chebyshev_delta(variance, k2, eps2)
     f_lower = p1 - p2 / lam_min - d1 - d2
-    pairs = tuple(lam if not isinstance(lam, float) else ((), lam) for lam in lambdas)
     return CertificationResult(
         p1=p1, p2=p2, k1=k1, k2=k2, epsilon1=eps1, epsilon2=eps2,
         epsilon=eps1 * eps2, delta=d1 + d2, f_lower=f_lower, lambda_min=lam_min,
-        lambdas=pairs, witness_threshold=witness,
+        lambdas=tuple(lambdas), witness_threshold=witness,
         entangled=None if witness is None else bool(f_lower > witness))
 
 
@@ -366,9 +371,13 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
 
 def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed,
             eps1: float, eps2: float, app: apparatus.Apparatus | None = None,
-            split: int = 1, input_occ=None,
-            variance: float = DEFAULT_VARIANCE) -> CertificationResult:
-    """Run both settings and return the assembled certification record."""
+            split: int = 1, input_occ=None) -> CertificationResult:
+    """Run both settings and return the certification record with its convergence trace.
+
+    p1 and p2 are read off one hit mask per setting, as are the trace's
+    prefixes: CONVERGENCE_BATCHES equal batches, then all shots, whose
+    row equals the record.
+    """
     m = spec.modes
     if input_occ is None:
         input_occ = (1,) * (m - 1) + (0,)
@@ -376,15 +385,16 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
     n = fock.total(input_occ)
     samples1, samples2 = collect_setting_samples(
         spec, t, model, shots, seed, app, input_occ)
-    p1, k1 = estimate_p1(samples1, input_occ)
-    p2, k2 = estimate_p2(samples2, forbidden_patterns(n, m))
+    hits1 = revival_hits(samples1, input_occ)
+    hits2 = forbidden_hits(samples2, forbidden_patterns(n, m))
     lambdas = lambda_coefficients(n, m)
     thresh = witness_threshold(hamiltonian.evolution(spec, t), input_occ, split)
-    result = fidelity_bound(p1, k1, p2, k2, lambdas, eps1, eps2,
-                            variance=variance, witness=thresh)
-    inputs = {
-        "hamiltonian": spec.to_dict(), "t": t, "model": fock.model_tag(model),
-        "shots": shots, "seed": seed, "eps1": eps1, "eps2": eps2,
-        "split": split, "input": list(input_occ),
-    }
-    return CertificationResult(**{**result.__dict__, "inputs": inputs})
+    per = max(1, shots // CONVERGENCE_BATCHES)
+    cuts = [b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
+    trace = []
+    for cut in cuts + [shots]:
+        p1 = int(np.count_nonzero(hits1[:cut])) / cut
+        p2 = int(np.count_nonzero(hits2[:cut])) / cut
+        result = fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
+        trace.append((cut, p1, p2, result.f_lower))
+    return replace(result, convergence=tuple(trace))

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__, apparatus, certify, fock, gge, hamiltonian, linalg
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
-CONVERGENCE_BATCHES = 16
 
 
 class ConfigError(ValueError):
@@ -190,6 +189,11 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     app = None
     if raw.get("apparatus") is not None:
         app = _parse_apparatus(raw["apparatus"], "config.apparatus")
+        if app.source is not None:
+            try:
+                apparatus._check_source_input(input_occ)
+            except ValueError as exc:
+                raise ConfigError(f"config.input: {exc}") from None
 
     eps1 = eps2 = None
     split = 1
@@ -339,26 +343,16 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
     """Certification records per time step plus the batch convergence trace."""
     if cfg.eps1 is None:
         raise ConfigError("config.certification: required for the certify command")
-    n = fock.total(cfg.input_occ)
-    m = cfg.specs[0].modes
-    lambdas = certify.lambda_coefficients(n, m)
-    fs = certify.forbidden_patterns(n, m)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
             seed = _derived_seed(cfg, si, ti)
-            s1, s2 = certify.collect_setting_samples(
-                spec, t, cfg.model, cfg.shots, seed, cfg.app, cfg.input_occ)
-            p1, k1 = certify.estimate_p1(s1, cfg.input_occ)
-            p2, k2 = certify.estimate_p2(s2, fs)
-            thresh = certify.witness_threshold(hamiltonian.evolution(spec, t),
-                                               cfg.input_occ, cfg.split)
-            res = certify.fidelity_bound(p1, k1, p2, k2, lambdas,
-                                         cfg.eps1, cfg.eps2, witness=thresh)
+            res = certify.certify(spec, t, cfg.model, cfg.shots, seed, cfg.eps1, cfg.eps2,
+                                  cfg.app, cfg.split, cfg.input_occ)
             grid = []
             for eps in cfg.epsilon_grid:
-                g = certify.fidelity_bound(p1, k1, p2, k2, lambdas, eps, eps,
-                                           witness=thresh)
+                g = certify.fidelity_bound(res.p1, res.k1, res.p2, res.k2, res.lambdas,
+                                           eps, eps, witness=res.witness_threshold)
                 grid.append({"epsilon_label": eps, "epsilon_product": eps * eps,
                              "delta": g.delta, "f_lower": g.f_lower,
                              "entangled": g.entangled})
@@ -367,21 +361,10 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
                 "hamiltonian": spec.to_dict(), "t": t, "derived_seed": seed,
                 "result": res.to_dict(), "epsilon_grid": grid,
             }, cfg)
-
-            rows = []
-            hits1 = certify.revival_hits(s1, cfg.input_occ)
-            hits2 = certify.forbidden_hits(s2, fs)
-            per = max(1, cfg.shots // CONVERGENCE_BATCHES)
-            cuts = [b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < cfg.shots]
-            for cut in cuts + [cfg.shots]:
-                bp1 = int(np.count_nonzero(hits1[:cut])) / cut
-                bp2 = int(np.count_nonzero(hits2[:cut])) / cut
-                part = certify.fidelity_bound(bp1, cut, bp2, cut, lambdas,
-                                              cfg.eps1, cfg.eps2, witness=thresh)
-                rows.append(f"{cut},{1.0 / math.sqrt(cut)!r},{bp1!r},{bp2!r},"
-                            f"{part.f_lower!r}")
             _write_csv(run / f"{stem}_convergence.csv",
-                       "samples,inv_sqrt_samples,p1,p2,f_lower", rows, cfg)
+                       "samples,inv_sqrt_samples,p1,p2,f_lower",
+                       (f"{k},{1.0 / math.sqrt(k)!r},{p1!r},{p2!r},{f_lower!r}"
+                        for k, p1, p2, f_lower in res.convergence), cfg)
 
 
 def cmd_selftest() -> int:
@@ -483,6 +466,15 @@ def cmd_selftest() -> int:
     got = (certify.estimate_p1(rows, target)[0], certify.estimate_p2(rows, fs)[0])
     report("estimators-vs-membership", got == want,
            f"p1 {got[0]:.4f} p2 {got[1]:.4f} over {len(shots)} shots")
+
+    res = certify.certify(hamiltonian.HamiltonianSpec(kind="hopping", modes=4), 1.0,
+                          fock.MODEL_INDISTINGUISHABLE, 2000, 17, 0.8, 0.9)
+    want = (1.0 - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.8)
+            - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.9))
+    ok = (res.p1 == 1.0 and res.p2 == 0.0 and res.f_lower == want
+          and res.convergence[-1] == (2000, res.p1, res.p2, res.f_lower))
+    report("certify-record", ok, f"p1 {res.p1} p2 {res.p2} f_lower {res.f_lower:.6f} "
+           f"over {len(res.convergence)} trace rows")
 
     ref = gge.gge_marginal(3, 4)
     err = max(abs(ref.probs[0] - 4 / 7), abs(ref.probs[1] - 12 / 49),

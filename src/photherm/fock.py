@@ -29,7 +29,6 @@ O(n m |basis|) array work in place of O(|basis| 2^n n) Python loops.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -268,26 +267,6 @@ def partition_input(partition: SpeciesPartition) -> ModeOccupation:
     return tuple(int(x) for x in np.sum(np.asarray(partition, dtype=int), axis=0))
 
 
-def prob_species(u: np.ndarray, partition, output_occ) -> float:
-    """Transition probability for photons split into mutually distinguishable species.
-
-    Photons within one species are indistinguishable, photons of
-    different species carry orthogonal internal labels, so the law is a
-    sum over all elementwise splittings of the output pattern with one
-    indistinguishable factor per species. One species reduces to
-    prob_indistinguishable; all single-photon species reduce to
-    prob_distinguishable. Read from the engine's law of the partition.
-    """
-    u = np.asarray(u, dtype=complex)
-    m = u.shape[0]
-    partition = check_partition(partition, m)
-    output_occ = _check_occupation(output_occ, m, "output pattern")
-    n = sum(total(s) for s in partition)
-    if n != total(output_occ):
-        raise ValueError(f"partition holds {n} photons, output pattern {total(output_occ)}")
-    return float(_species_law(u, partition)[_rank(np.array([output_occ]), n)[0]])
-
-
 @dataclass(frozen=True)
 class Mixture:
     """Convex combination of species partitions modelling partial distinguishability."""
@@ -354,15 +333,6 @@ class FockDistribution:
             "basis": [list(occ) for occ in self.basis],
             "probs": [float(p) for p in self.probs],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FockDistribution":
-        payload = json.loads(text)
-        return cls(tuple(tuple(occ) for occ in payload["basis"]),
-                   np.asarray(payload["probs"], dtype=float))
 
     def csv_rows(self):
         """(pattern, probability) rows; the pattern column joins counts with '|'."""

@@ -280,6 +280,20 @@ def test_event_stream_guard():
                                 src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
 
 
+def test_source_requires_one_photon_in_each_of_the_first_three_modes():
+    src = apparatus.SourceModel()
+    rng = np.random.default_rng(2)
+    for target in ((1, 1, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 1), (1, 1)):
+        u = np.eye(len(target), dtype=complex)
+        with pytest.raises(ValueError, match="first three modes"):
+            apparatus.simulate_setting(u, fock.MODEL_INDISTINGUISHABLE, src, None, 10, rng,
+                                       target=target)
+    # without a source the target itself is injected, whatever it is
+    out = apparatus.simulate_setting(np.eye(5, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
+                                     None, None, 10, rng, target=(1, 1, 0, 0, 0))
+    assert np.array_equal(out, np.tile((1, 1, 0, 0, 0), (10, 1)))
+
+
 def test_distinguishability_mixture_weights():
     src = apparatus.SourceModel()
     mix = apparatus.distinguishability_mixture(src)

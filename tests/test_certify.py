@@ -50,7 +50,7 @@ def test_lambda_constants():
 def test_lambda_two_photons():
     # one distinguishable pair on the balanced splitter: classical coincidence rate
     lams = certify.lambda_coefficients(2, 2)
-    assert lams == [((1, 1), pytest.approx(0.5, abs=1e-12))]
+    assert lams == (((1, 1), pytest.approx(0.5, abs=1e-12)),)
 
 
 def test_lambda_capacity_and_validation():
@@ -209,7 +209,7 @@ def test_fidelity_bound_validation():
     with pytest.raises(ValueError):
         certify.fidelity_bound(0.5, 100, 0.1, 100, [], 0.9, 0.9)
     with pytest.raises(ValueError):
-        certify.fidelity_bound(1.5, 100, 0.1, 100, [0.5], 0.9, 0.9)
+        certify.fidelity_bound(1.5, 100, 0.1, 100, [((1, 1), 0.5)], 0.9, 0.9)
 
 
 def test_witness_threshold_product_state():
@@ -258,7 +258,21 @@ def test_certify_noiseless_entangled():
     assert res.f_lower == pytest.approx(1.0 - res.delta)
     assert res.f_lower > res.witness_threshold
     assert res.entangled is True
-    assert res.inputs["shots"] == 4000
+
+
+def test_certify_convergence_is_the_prefix_estimates():
+    res = certify.certify(RING, 1.0, fock.MODEL_DISTINGUISHABLE, shots=1000,
+                          seed=8, eps1=0.8, eps2=0.9)
+    assert [row[0] for row in res.convergence] == [62 * b for b in range(1, 17)] + [1000]
+    assert res.convergence[-1] == (1000, res.p1, res.p2, res.f_lower)
+    s1, s2 = certify.collect_setting_samples(RING, 1.0, fock.MODEL_DISTINGUISHABLE,
+                                             1000, seed=8)
+    lams, fs = certify.lambda_coefficients(3, 4), certify.forbidden_patterns(3, 4)
+    for k, p1, p2, f_lower in res.convergence:
+        assert (p1, k) == certify.estimate_p1(s1[:k], (1, 1, 1, 0))
+        assert (p2, k) == certify.estimate_p2(s2[:k], fs)
+        assert f_lower == certify.fidelity_bound(p1, k, p2, k, lams, 0.8, 0.9).f_lower
+    assert "convergence" not in res.to_dict()
 
 
 def test_certify_product_state_not_entangled():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from photherm import cli
+from photherm import apparatus, certify, cli, fock
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -171,6 +171,43 @@ def test_certify_convergence_ends_at_all_shots(tmp_path):
     assert [int(r.split(",")[0]) for r in rows] == [62 * b for b in range(1, 17)] + [1000]
     _, _, p1, p2, f_lower = (float(x) for x in rows[-1].split(","))
     assert (p1, p2, f_lower) == (res["p1"], res["p2"], res["f_lower"])
+
+
+HARDWARE = {
+    "input": [1, 1, 1, 0],
+    "model": fock.model_tag(apparatus.distinguishability_mixture(apparatus.SourceModel())),
+    "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+                  "detection": {"weights": [[0.3, 0.3, 0.3]] * 4},
+                  "mesh_jitter": 0.05},
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    HARDWARE,
+    {"hamiltonian": {"kind": "long_range", "modes": 5, "seed": 4}, "input": [1, 1, 1, 1, 0],
+     "certification": {"eps1": 0.8, "eps2": 0.85, "split": 2, "epsilon_grid": [0.6]}},
+])
+def test_certify_cli_writes_the_library_record(tmp_path, overrides):
+    config = write_config(tmp_path, times=[0.7], shots=600, **overrides)
+    assert cli.main(["certify", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    cfg = cli.load_config(config)
+    res = certify.certify(cfg.specs[0], 0.7, cfg.model, cfg.shots, cli._derived_seed(cfg, 0, 0),
+                          cfg.eps1, cfg.eps2, cfg.app, cfg.split, cfg.input_occ)
+    assert json.loads((run / "certify_h_t000.json").read_text())["result"] == res.to_dict()
+    rows = (run / "certify_h_t000_convergence.csv").read_text().splitlines()[3:]
+    trace = [(int(k), float(p1), float(p2), float(f)) for k, _, p1, p2, f in
+             (r.split(",") for r in rows)]
+    assert trace == list(res.convergence)
+
+
+def test_certify_rejects_input_the_source_cannot_herald(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, hamiltonian={"kind": "hopping", "modes": 5},
+                       input=[1, 1, 0, 0, 0], apparatus=HARDWARE["apparatus"])
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config.input" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -115,28 +116,29 @@ def test_species_reduces_to_both_limits():
     r = (1, 1, 1, 0)
     one_species = ((1, 1, 1, 0),)
     singletons = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
-    for out in fock.enumerate_basis(3, 4):
-        assert abs(fock.prob_species(u, one_species, out)
-                   - fock.prob_indistinguishable(u, r, out)) < 1e-12
-        assert abs(fock.prob_species(u, singletons, out)
-                   - fock.prob_distinguishable(u, r, out)) < 1e-12
+    one = fock.output_distribution(u, fock.partition_input(one_species), one_species)
+    single = fock.output_distribution(u, fock.partition_input(singletons), singletons)
+    for out, p_one, p_single in zip(fock.enumerate_basis(3, 4), one.probs, single.probs):
+        assert abs(p_one - fock.prob_indistinguishable(u, r, out)) < 1e-12
+        assert abs(p_single - fock.prob_distinguishable(u, r, out)) < 1e-12
 
 
 def test_species_normalizes():
+    # output_distribution raises when the engine's law misses 1 by more than PROB_SUM_TOL
     u = linalg.haar_random(4, 14)
     part = ((1, 1, 0, 0), (0, 0, 1, 0))
-    s = sum(fock.prob_species(u, part, out) for out in fock.enumerate_basis(3, 4))
+    s = fock.output_distribution(u, fock.partition_input(part), part).probs.sum()
     assert abs(s - 1.0) < 1e-9
 
 
 def test_species_validation():
     u = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):
-        fock.prob_species(u, (), (1, 1, 1, 0))
+        fock.output_distribution(u, (1, 1, 1, 0), ())
     with pytest.raises(ValueError):
-        fock.prob_species(u, ((0, 0, 0, 0), (1, 1, 1, 0)), (1, 1, 1, 0))
+        fock.output_distribution(u, (1, 1, 1, 0), ((0, 0, 0, 0), (1, 1, 1, 0)))
     with pytest.raises(ValueError):
-        fock.prob_species(u, ((1, 0, 0, 0),), (1, 1, 0, 0))
+        fock.output_distribution(u, (1, 1, 0, 0), ((1, 0, 0, 0),))
 
 
 def test_fourier_allowed_support():
@@ -181,11 +183,12 @@ def test_mixture_weight_validation():
 def test_distribution_json_round_trip_is_bit_exact():
     u = linalg.haar_random(4, 91)
     dist = fock.output_distribution(u, (1, 1, 1, 0))
-    text = dist.to_json()
-    clone = fock.FockDistribution.from_json(text)
+    payload = json.loads(json.dumps(dist.to_dict(), sort_keys=True))
+    clone = fock.FockDistribution(tuple(map(tuple, payload["basis"])),
+                                  np.asarray(payload["probs"]))
     assert clone.basis == dist.basis
     assert np.array_equal(clone.probs, dist.probs)
-    assert clone.to_json() == text
+    assert clone.to_dict() == payload
 
 
 def test_distribution_helpers():
@@ -280,16 +283,14 @@ def test_engine_matches_ryser(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(species_cases(), st.integers(0, 10**6))
-@example((linalg.haar_random(4, 3), (2, 1, 1, 0), ((1, 1, 0, 0), (1, 0, 1, 0))), 0)
-def test_engine_species_and_mixtures_match_splitting_oracle(case, pick):
+@given(species_cases())
+@example((linalg.haar_random(4, 3), (2, 1, 1, 0), ((1, 1, 0, 0), (1, 0, 1, 0))))
+def test_engine_species_and_mixtures_match_splitting_oracle(case):
     u, r, part = case
     basis = fock.enumerate_basis(sum(r), len(r))
     oracle = [oracle_prob_species(u, part, s) for s in basis]
-    law = fock.output_distribution(u, r, part).probs
+    law = fock.output_distribution(u, fock.partition_input(part), part).probs
     assert np.max(np.abs(law - oracle)) < ENGINE_TOL
-    pick %= len(basis)
-    assert abs(fock.prob_species(u, part, basis[pick]) - oracle[pick]) < ENGINE_TOL
     # blended with the one-species and all-singleton partitions of the same input
     singletons = tuple(tuple(int(j == mode) for j in range(len(r)))
                        for mode in fock.mode_assignment(r))
