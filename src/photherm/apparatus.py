@@ -501,8 +501,7 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
                 implied = fock.partition_input(mix.components[0][1])
                 # by-products carry no calibrated species structure
                 use_model = mix if implied == occ else fock.MODEL_INDISTINGUISHABLE
-            dist = fock.output_distribution(total_u, occ, use_model)
-            laws[occ] = (fock._patterns(fock.total(occ), m), np.cumsum(dist.probs))
+            laws[occ] = fock.output_distribution(total_u, occ, use_model)
         return laws[occ]
 
     kept = []
@@ -534,9 +533,7 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
             if occ.sum() > INTERFERENCE_PHOTON_CAP:
                 true[rows] = _scatter(inputs[rows], total_u, rng)
             else:
-                pats, cum = law(tuple(occ.tolist()))
-                idx = np.searchsorted(cum, rng.random(rows.size), side="right")
-                true[rows] = pats[np.minimum(idx, len(pats) - 1)]
+                true[rows] = fock.sample(law(tuple(occ.tolist())), rows.size, rng)
         fired = qpnr_detect(true, det_eff, rng)
         keep = fired.sum(axis=1) == n
         fired, true = fired[keep], true[keep]

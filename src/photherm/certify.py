@@ -44,14 +44,6 @@ class ForbiddenSet:
     def __post_init__(self):
         object.__setattr__(self, "patterns", tuple(tuple(p) for p in self.patterns))
 
-    @property
-    def allowed(self) -> tuple[fock.ModeOccupation, ...]:
-        """Complement of the forbidden patterns among first-n-mode patterns."""
-        forb = set(self.patterns)
-        tail = (0,) * (self.m - self.n)
-        return tuple(p + tail for p in fock.enumerate_basis(self.n, self.n)
-                     if p + tail not in forb)
-
 
 @lru_cache(maxsize=None)
 def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:

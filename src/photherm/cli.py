@@ -170,8 +170,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     _expect(isinstance(times_raw, list) and times_raw, "config.times",
             f"expected a non-empty list, got {times_raw!r}")
     for i, t in enumerate(times_raw):
-        _expect(isinstance(t, (int, float)) and not isinstance(t, bool),
-                f"config.times[{i}]", f"expected a number, got {t!r}")
+        _expect(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t),
+                f"config.times[{i}]", f"expected a finite number, got {t!r}")
     times = tuple(float(t) for t in times_raw)
 
     if "input" in raw:
@@ -298,23 +298,19 @@ def _derived_seed(cfg: ExperimentConfig, *branch: int) -> int:
 
 
 def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
-    """Exact output distributions per Hamiltonian and time, with the ideal reference."""
+    """Exact output laws per Hamiltonian and time, with the ideal reference, one CSV per law."""
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
             u = hamiltonian.evolution(spec, t)
             dist = fock.output_distribution(u, cfg.input_occ, cfg.model)
-            exact = fock.output_distribution(u, cfg.input_occ, fock.MODEL_INDISTINGUISHABLE)
+            exact = (dist if cfg.model == fock.MODEL_INDISTINGUISHABLE else
+                     fock.output_distribution(u, cfg.input_occ, fock.MODEL_INDISTINGUISHABLE))
             stem = f"evolve_{tag}_t{ti:03d}"
-            _write_csv(run / f"{stem}.csv", "pattern,probability",
-                       (f"{p},{q!r}" for p, q in dist.csv_rows()), cfg)
-            _write_json(run / f"{stem}.json", {
-                "hamiltonian": spec.to_dict(), "t": t,
-                "distribution": dist.to_dict(),
-                "exact_reference": exact.to_dict(),
-            }, cfg)
-            _write_csv(run / f"{stem}_exact.csv", "pattern,probability",
-                       (f"{p},{q!r}" for p, q in exact.csv_rows()), cfg)
+            _write_json(run / f"{stem}.json", {"hamiltonian": spec.to_dict(), "t": t}, cfg)
+            for path, law in ((run / f"{stem}.csv", dist), (run / f"{stem}_exact.csv", exact)):
+                _write_csv(path, "pattern,probability",
+                           (f"{p},{q!r}" for p, q in law.csv_rows()), cfg)
 
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:

@@ -157,9 +157,12 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     return float(permanent(np.abs(sub) ** 2).real / _occ_factorial(tuple(output_occ)))
 
 
+@lru_cache(maxsize=None)
 def _patterns(k: int, m: int) -> np.ndarray:
-    """enumerate_basis(k, m) as a (count, m) array of the narrowest unsigned dtype."""
-    return np.array(enumerate_basis(k, m), dtype=np.min_scalar_type(k)).reshape(-1, m)
+    """enumerate_basis(k, m) as a read-only (count, m) array of the narrowest unsigned dtype."""
+    out = np.array(enumerate_basis(k, m), dtype=np.min_scalar_type(k)).reshape(-1, m)
+    out.flags.writeable = False
+    return out
 
 
 def _rank(patterns: np.ndarray, n: int) -> np.ndarray:
@@ -327,12 +330,6 @@ class FockDistribution:
             return float(self.probs[self.basis.index(occ)])
         except ValueError:
             return 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": [list(occ) for occ in self.basis],
-            "probs": [float(p) for p in self.probs],
-        }
 
     def csv_rows(self):
         """(pattern, probability) rows; the pattern column joins counts with '|'."""

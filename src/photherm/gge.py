@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import fock, hamiltonian
 
@@ -137,6 +136,7 @@ def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ,
     search = past[0] + np.argmin(vals[past[0]:])
     lo = ts[max(search - 1, 0)]
     hi = ts[min(search + 1, len(ts) - 1)]
+    from scipy.optimize import minimize_scalar  # here, so importing the package skips it
     res = minimize_scalar(dist_to_start, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})
     return float(res.x)

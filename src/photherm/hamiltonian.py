@@ -34,6 +34,8 @@ class HamiltonianSpec:
             raise ValueError(f"unknown hamiltonian kind {self.kind!r}, expected one of {KINDS}")
         if self.modes < 2:
             raise ValueError(f"need at least 2 modes, got {self.modes}")
+        if not isinstance(self.periodic, bool):
+            raise ValueError(f"periodic must be true or false, got {self.periodic!r}")
         if self.kind == "long_range" and self.seed is None:
             raise ValueError("long_range hamiltonian requires a seed")
         if self.kind == "explicit":

@@ -17,7 +17,8 @@ RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
 
 def test_forbidden_set_three_photons():
     fs = certify.forbidden_patterns(3, 4)
-    assert set(fs.allowed) == {(1, 1, 1, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)}
+    allowed = {p + (0,) for p in fock.enumerate_basis(3, 3)} - set(fs.patterns)
+    assert allowed == {(1, 1, 1, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)}
     assert len(fs.patterns) == 6
     assert (2, 1, 0, 0) in fs.patterns
     # criterion by hand: (2,1,0,0) -> 1-based assignment (1,1,2), sum 4, 4 mod 3 != 0

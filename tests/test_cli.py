@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from photherm import apparatus, certify, cli, fock
+from photherm import apparatus, certify, cli, fock, hamiltonian
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -43,10 +47,39 @@ def test_evolve_outputs_and_reference(tmp_path):
     body = json.loads((runs[0] / "evolve_h_t001.json").read_text())
     assert body["config"]["seed"] == 11
     assert body["t"] == 1.0
-    assert "distribution" in body and "exact_reference" in body
+    assert set(body) == {"config", "hamiltonian", "t"}
     first_csv = (runs[0] / "evolve_h_t001.csv").read_text().splitlines()
     assert first_csv[0].startswith("# config-digest:")
     assert first_csv[2] == "pattern,probability"
+
+
+@pytest.mark.parametrize("model", ["distinguishable", "indistinguishable"])
+def test_evolve_csvs_hold_the_exact_laws(tmp_path, model):
+    """Each CSV parses back to the engine's law bit for bit; the JSON holds no copy."""
+    config = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 5, "seed": 3},
+                          input=[1, 1, 1, 0, 0], times=[0.3, 1.1], model=model)
+    assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    cfg = cli.load_config(config)
+    for ti, t in enumerate(cfg.times):
+        u = hamiltonian.evolution(cfg.specs[0], t)
+        for suffix, law in (("", model), ("_exact", fock.MODEL_INDISTINGUISHABLE)):
+            rows = [line.split(",") for line in
+                    (run / f"evolve_h_t{ti:03d}{suffix}.csv").read_text().splitlines()[3:]]
+            parsed = fock.FockDistribution(
+                tuple(tuple(int(c) for c in p.split("|")) for p, _ in rows),
+                np.array([float(q) for _, q in rows]))
+            want = fock.output_distribution(u, cfg.input_occ, law)
+            assert parsed.basis == want.basis
+            assert np.array_equal(parsed.probs, want.probs)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, photherm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -71,6 +104,21 @@ def test_config_validation_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, times=[0.5, "x"])
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "config.times[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"times": [0.5, float("nan")]}, "config.times[1]"),
+    ({"times": [float("inf")]}, "config.times[0]"),
+    ({"hamiltonian": {"kind": "hopping", "modes": 4, "periodic": "no"}}, "config.hamiltonian"),
+])
+def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, overrides, path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_certify_requires_certification_block(tmp_path, capsys):

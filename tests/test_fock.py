@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -178,17 +177,6 @@ def test_mixture_weight_validation():
         fock.Mixture(((0.5, part),))
     with pytest.raises(ValueError):
         fock.Mixture(((-0.2, part), (1.2, part)))
-
-
-def test_distribution_json_round_trip_is_bit_exact():
-    u = linalg.haar_random(4, 91)
-    dist = fock.output_distribution(u, (1, 1, 1, 0))
-    payload = json.loads(json.dumps(dist.to_dict(), sort_keys=True))
-    clone = fock.FockDistribution(tuple(map(tuple, payload["basis"])),
-                                  np.asarray(payload["probs"]))
-    assert clone.basis == dist.basis
-    assert np.array_equal(clone.probs, dist.probs)
-    assert clone.to_dict() == payload
 
 
 def test_distribution_helpers():
