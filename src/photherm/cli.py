@@ -40,14 +40,23 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _number(v, path: str) -> float:
+    """A JSON number as a finite float; bools, non-numbers and huge integers are rejected."""
+    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
+            path, f"expected a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer too large for a float") from None
+    _expect(math.isfinite(v), path, f"expected a finite number, got {v!r}")
+    return v
+
+
 def _get_number(d: dict, key: str, path: str, default=None, required=False):
     if key not in d:
         _expect(not required, f"{path}.{key}", "missing required value")
         return default
-    v = d[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    return _number(d[key], f"{path}.{key}")
 
 
 def _get_int(d: dict, key: str, path: str, default=None, required=False, minimum=None):
@@ -68,21 +77,28 @@ def _occupation(v, path: str) -> tuple:
     return tuple(v)
 
 
+def _species_list(v, path: str) -> tuple:
+    _expect(isinstance(v, list), path, f"expected a list of patterns, got {v!r}")
+    return tuple(_occupation(s, f"{path}[{i}]") for i, s in enumerate(v))
+
+
 def _parse_model(v, path: str):
     if isinstance(v, str):
         _expect(v in (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE),
                 path, f"unknown model name {v!r}")
         return v
     if isinstance(v, dict) and "species" in v:
-        return tuple(_occupation(s, f"{path}.species[{i}]") for i, s in enumerate(v["species"]))
+        return _species_list(v["species"], f"{path}.species")
     if isinstance(v, dict) and "mixture" in v:
+        _expect(isinstance(v["mixture"], list), f"{path}.mixture",
+                f"expected a list of [weight, species-list], got {v['mixture']!r}")
         comps = []
         for i, item in enumerate(v["mixture"]):
             _expect(isinstance(item, list) and len(item) == 2,
                     f"{path}.mixture[{i}]", "expected [weight, species-list]")
             w, part = item
-            comps.append((float(w), tuple(_occupation(s, f"{path}.mixture[{i}][1][{j}]")
-                                          for j, s in enumerate(part))))
+            comps.append((_number(w, f"{path}.mixture[{i}][0]"),
+                          _species_list(part, f"{path}.mixture[{i}][1]")))
         try:
             return fock.Mixture(tuple(comps))
         except ValueError as exc:
@@ -93,6 +109,9 @@ def _parse_model(v, path: str):
 def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     d = dict(d)
+    if "coupling" in d:
+        # checked, not converted: an integer coupling keeps its resolved form and digest
+        _number(d["coupling"], f"{path}.coupling")
     seeds = d.pop("seeds", None)
     if seeds is not None:
         _expect("seed" not in d, f"{path}.seeds", "give either seed or seeds, not both")
@@ -160,6 +179,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"config: invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "config", "top level must be an object")
 
     specs = _parse_hamiltonians(raw.get("hamiltonian"), "config.hamiltonian")
@@ -169,10 +190,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     times_raw = raw.get("times", [0.0])
     _expect(isinstance(times_raw, list) and times_raw, "config.times",
             f"expected a non-empty list, got {times_raw!r}")
-    for i, t in enumerate(times_raw):
-        _expect(isinstance(t, (int, float)) and not isinstance(t, bool) and math.isfinite(t),
-                f"config.times[{i}]", f"expected a finite number, got {t!r}")
-    times = tuple(float(t) for t in times_raw)
+    times = tuple(_number(t, f"config.times[{i}]") for i, t in enumerate(times_raw))
 
     if "input" in raw:
         input_occ = _occupation(raw["input"], "config.input")
@@ -181,6 +199,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         input_occ = (1,) * (m - 1) + (0,)
 
     model = _parse_model(raw.get("model", fock.MODEL_INDISTINGUISHABLE), "config.model")
+    try:
+        fock._resolve_model(model, input_occ, m)
+    except ValueError as exc:
+        raise ConfigError(f"config.model: {exc}") from None
     shots = _get_int(raw, "shots", "config", default=1000, minimum=1)
     seed = _get_int(raw, "seed", "config", default=0)
     if seed_override is not None:
@@ -217,7 +239,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         grid_raw = cert.get("epsilon_grid", list(DEFAULT_EPSILON_GRID))
         _expect(isinstance(grid_raw, list) and grid_raw, "config.certification.epsilon_grid",
                 f"expected a non-empty list, got {grid_raw!r}")
-        grid = tuple(float(e) for e in grid_raw)
+        grid = tuple(_number(e, f"config.certification.epsilon_grid[{i}]")
+                     for i, e in enumerate(grid_raw))
         for i, e in enumerate(grid):
             _expect(0.0 < e < 1.0, f"config.certification.epsilon_grid[{i}]",
                     f"must lie in (0, 1), got {e}")
@@ -392,9 +415,14 @@ def cmd_selftest() -> int:
         worst = max(worst, abs(fock.permanent(a) - naive_permanent(a)))
     report("permanent-vs-naive-sum", worst < 1e-12, f"max residual {worst:.3e}")
 
+    # Haar draws, then two degenerate spectra in a Haar basis:
+    # F4 (eigenvalue 1 twice) and diag(1, 1, -1, -i, i)
+    unitaries = [linalg.haar_random(5, (101, k)) for k in range(5)]
+    for d in (linalg.fourier(4), np.diag([1, 1, -1, -1j, 1j]).astype(complex)):
+        w = linalg.haar_random(len(d), 103)
+        unitaries.append(w @ d @ w.conj().T)
     worst = 0.0
-    for k in range(5):
-        u = linalg.haar_random(5, (101, k))
+    for u in unitaries:
         h = linalg.logm_unitary(u)
         worst = max(worst, float(np.max(np.abs(linalg.expm_hermitian(h) - u))))
     report("unitary-log-exp-round-trip", worst < 1e-12, f"max residual {worst:.3e}")

@@ -114,8 +114,8 @@ def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ,
                     samples: int = 240, mode: int = 0) -> float:
     """Scan for the first revival of the initial single-mode marginal.
 
-    Coarse grid on (0, t_max], then a bounded scalar minimization of the
-    distance to the t=0 marginal around the best grid point.
+    Coarse grid on (0, t_max], then a golden-section search, to 1e-12 in t,
+    of the distance to the t=0 marginal around the best grid point.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
 
@@ -134,9 +134,17 @@ def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ,
     if past.size == 0:
         raise ValueError("marginal never departs from its initial value on the scanned grid")
     search = past[0] + np.argmin(vals[past[0]:])
-    lo = ts[max(search - 1, 0)]
-    hi = ts[min(search + 1, len(ts) - 1)]
-    from scipy.optimize import minimize_scalar  # here, so importing the package skips it
-    res = minimize_scalar(dist_to_start, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+    a, b = ts[max(search - 1, 0)], ts[min(search + 1, len(ts) - 1)]
+    g = (5.0 ** 0.5 - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = dist_to_start(c), dist_to_start(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = dist_to_start(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = dist_to_start(d)
+    return float(0.5 * (a + b))

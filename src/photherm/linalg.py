@@ -7,7 +7,6 @@ throughout the package.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
 
 UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
@@ -50,15 +49,21 @@ def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def logm_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """Hermitian generator h with exp(-i h) == u, principal branch.
 
-    Eigenphases are taken in (-pi, pi]. The Schur form of a unitary is
-    diagonal, which keeps the eigenbasis orthonormal even for clustered
-    eigenvalues.
+    Eigenphases are taken in (-pi, pi]. A unitary is normal (Golub & Van
+    Loan, Matrix Computations, 7.1), so eigenvectors of distinct eigenvalues
+    are orthogonal, and QR of the eigenvectors orthonormalizes each eigenspace
+    within itself. Raises ValueError if Q^dagger u Q is not diagonal within tol.
     """
     u = _require_square(u)
     if not is_unitary(u, tol):
         raise ValueError("input is not unitary within tolerance")
-    t, q = schur(u, output="complex")
-    theta = -np.angle(np.diagonal(t))
+    _, v = np.linalg.eig(u)
+    q, _ = np.linalg.qr(v)
+    t = q.conj().T @ u @ q
+    d = np.diagonal(t)
+    if np.max(np.abs(t - np.diag(d))) > tol:
+        raise ValueError("eigenvectors do not diagonalize the unitary within tolerance")
+    theta = -np.angle(d)
     theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
     h = (q * theta) @ q.conj().T
     return 0.5 * (h + h.conj().T)

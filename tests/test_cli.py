@@ -74,12 +74,29 @@ def test_evolve_csvs_hold_the_exact_laws(tmp_path, model):
             assert np.array_equal(parsed.probs, want.probs)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
+SCIPY_FREE = """
+import json, sys, tempfile
+from pathlib import Path
+sys.modules["scipy"] = None  # any scipy import now fails
+import numpy as np
+from photherm import cli, gge, hamiltonian
+assert not [k for k, v in sys.modules.items() if k.split(".")[0] == "scipy" and v is not None]
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps({"hamiltonian": {"kind": "long_range", "modes": 4, "seed": 5},
+                                  "times": [0.7]}))
+    assert cli.main(["evolve", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+ring = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
+t_rec = gge.recurrence_time(ring, (1, 1, 1, 0), t_max=4.0, samples=160)
+assert abs(t_rec - np.pi / 2) < 1e-6, t_rec
+"""
+
+
+def test_cli_runs_without_scipy():
+    """With scipy unimportable, a long-range evolve and a recurrence scan still run."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, photherm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    subprocess.run([sys.executable, "-c", SCIPY_FREE], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -106,17 +123,51 @@ def test_config_validation_exit_code(tmp_path, capsys):
     assert "config.times[1]" in capsys.readouterr().err
 
 
+HUGE = 10**400  # a valid JSON integer that no float can hold
+RING_INPUT = [1, 1, 1, 0]
+
+
 @pytest.mark.parametrize("overrides, path", [
     ({"times": [0.5, float("nan")]}, "config.times[1]"),
     ({"times": [float("inf")]}, "config.times[0]"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4, "periodic": "no"}}, "config.hamiltonian"),
+    ({"times": [HUGE]}, "config.times[0]"),
+    ({"certification": {"eps1": HUGE, "eps2": 0.9}}, "config.certification.eps1"),
+    ({"certification": {"eps1": 0.9, "eps2": True}}, "config.certification.eps2"),
+    ({"certification": {"eps1": 0.9, "eps2": 0.9, "epsilon_grid": ["a"]}},
+     "config.certification.epsilon_grid[0]"),
+    ({"apparatus": {"mesh_jitter": HUGE}}, "config.apparatus.mesh_jitter"),
+    ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": float("nan")}},
+     "config.hamiltonian.coupling"),
+    ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": "1"}},
+     "config.hamiltonian.coupling"),
+    ({"model": {"mixture": [["0.5", [RING_INPUT]], [0.5, [RING_INPUT]]]}},
+     "config.model.mixture[0][0]"),
+    ({"model": {"mixture": [[True, [RING_INPUT]]]}}, "config.model.mixture[0][0]"),
+    ({"model": {"species": [[1, 0, 0, 0], [0, 1, 0, 0]]}}, "config.model"),
+    ({"model": {"species": []}}, "config.model"),
+    ({"model": {"species": 5}}, "config.model.species"),
+    ({"model": {"mixture": [[1.0, 3]]}}, "config.model.mixture[0][1]"),
 ])
 def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, overrides, path):
+    """Each malformed value exits 1 at its JSON path, with no traceback and no run directory."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **overrides)
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert path in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_rejects_integer_literal_past_the_digit_limit(tmp_path, capsys):
+    """json.loads raises a plain ValueError on such a literal; it must still be a config error."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"hamiltonian": {"kind": "hopping", "modes": 4}, "times": [' + "9" * 5000 + "]}")
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config: invalid JSON" in err
     assert "Traceback" not in err
     assert not out.exists()
 

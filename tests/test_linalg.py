@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photherm import linalg
 
@@ -71,10 +73,61 @@ def test_logm_eigenphases_principal_branch():
 
 
 def test_logm_degenerate_eigenvalues():
-    """A reflection has a doubly degenerate eigenvalue; the Schur basis must stay orthonormal."""
+    """A reflection has a doubly degenerate eigenvalue; its QR'd eigenvectors stay orthonormal."""
     u = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
     h = linalg.logm_unitary(u)
     assert np.max(np.abs(linalg.expm_hermitian(h) - u)) < 1e-12
+
+
+def schur_logm(u):
+    """Principal generator from scipy's complex Schur form, the oracle for logm_unitary."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    theta = -np.angle(np.diagonal(t))
+    theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
+    h = (q * theta) @ q.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+@st.composite
+def spectra(draw):
+    """Eigenphases on m = 2..12 modes, in runs of exact repeats or 1e-9 clusters, some at +-pi."""
+    m = draw(st.integers(2, 12))
+    phases = []
+    while len(phases) < m:
+        base = draw(st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([np.pi, -np.pi])))
+        step = draw(st.sampled_from([0.0, 1e-9]))
+        phases += [base + step * j for j in range(draw(st.integers(1, m - len(phases))))]
+    return np.array(phases), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra())
+@example((np.array([np.pi, -np.pi, 0.5, 0.5, 0.5 + 1e-9]), 0))
+@example((np.zeros(6), 1))
+def test_logm_matches_schur_oracle(case):
+    phases, seed = case
+    w = linalg.haar_random(len(phases), seed)
+    u = (w * np.exp(1j * phases)) @ w.conj().T
+    h = linalg.logm_unitary(u)
+    assert np.max(np.abs(linalg.expm_hermitian(h) - u)) < 1e-12
+    gen = np.linalg.eigvalsh(h)
+    assert np.all(gen > -np.pi - 1e-12) and np.all(gen <= np.pi + 1e-12)
+    # at the branch cut either side is a principal log, so only away from it must they agree
+    if np.min(np.pi - np.abs(np.angle(np.exp(1j * phases)))) >= 1e-6:
+        assert np.max(np.abs(h - schur_logm(u))) < 1e-13
+
+
+def test_logm_rejects_eigenvectors_that_do_not_diagonalize(monkeypatch):
+    """If eig hands back mixed eigenvectors, the residual check raises instead of returning h."""
+    eig = np.linalg.eig
+
+    def mixed(a):
+        w, v = eig(a)
+        return w, v @ linalg.haar_random(len(w), 5)
+
+    monkeypatch.setattr(np.linalg, "eig", mixed)
+    with pytest.raises(ValueError, match="diagonalize"):
+        linalg.logm_unitary(linalg.haar_random(4, 3))
 
 
 def test_logm_rejects_non_unitary():
