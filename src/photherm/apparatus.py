@@ -467,6 +467,19 @@ def _scatter(inputs: np.ndarray, u: np.ndarray, rng) -> np.ndarray:
     return np.bincount(cell // m * m + out, minlength=k * m).reshape(k, m)
 
 
+def _group_rows(j1: np.ndarray, j2: np.ndarray) -> list[np.ndarray]:
+    """Shot indices of each distinct (j1, j2), groups in ascending (j1, j2) order, shots in order.
+
+    The source input (j1, j1, j2, 0, ...) sorts as (j1, j2), so these are
+    the groups and order of np.unique over the input rows, from one
+    stable argsort of a 1-D key.
+    """
+    key = j1 * (int(j2.max(initial=0)) + 1) + j2
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    return np.split(order, starts) if order.size else []
+
+
 def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
                   det: DetectionModel | None, shots: int, rng, target,
                   max_attempts: int | None = None) -> np.ndarray:
@@ -507,33 +520,33 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     kept = []
     produced = attempts = 0
     batch = 8192
+    tail = (0,) * (m - 3)
     while produced < shots:
         if attempts >= max_attempts:
             raise RuntimeError(
                 f"collected {produced}/{shots} events after {attempts} source attempts; "
                 "acceptance rate too low")
-        # source shots; only heralded ones that carry photons go on
+        # source shots; heralded ones go on, grouped by input in ascending (j1, j2) order
         if src is None:
-            inputs = np.tile(target, (min(batch, shots - produced), 1))
-            attempts += len(inputs)
+            count = min(batch, shots - produced)
+            attempts += count
+            groups = [(target, np.arange(count))]
         else:
             j1, j2 = _pair_counts(src, batch, rng)
             attempts += batch
             p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
             heralded = rng.random(batch) < p_herald
-            inputs = np.zeros((int(heralded.sum()), m), dtype=np.int64)
-            inputs[:, 0] = inputs[:, 1] = j1[heralded]
-            inputs[:, 2] = j2[heralded]
-        inputs = inputs[inputs.any(axis=1)]
+            j1, j2 = j1[heralded], j2[heralded]
+            count = j1.size
+            groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
+                      for rows in _group_rows(j1, j2)]
         # one true output pattern per shot, drawn from the cached law of its input
-        true = np.empty_like(inputs)
-        distinct, which = np.unique(inputs, axis=0, return_inverse=True)
-        for i, occ in enumerate(distinct):
-            rows = np.flatnonzero(which.ravel() == i)
-            if occ.sum() > INTERFERENCE_PHOTON_CAP:
-                true[rows] = _scatter(inputs[rows], total_u, rng)
+        true = np.empty((count, m), dtype=np.int64)
+        for occ, rows in groups:
+            if fock.total(occ) > INTERFERENCE_PHOTON_CAP:
+                true[rows] = _scatter(np.tile(occ, (rows.size, 1)), total_u, rng)
             else:
-                true[rows] = fock.sample(law(tuple(occ.tolist())), rows.size, rng)
+                true[rows] = fock.sample(law(occ), rows.size, rng)
         fired = qpnr_detect(true, det_eff, rng)
         keep = fired.sum(axis=1) == n
         fired, true = fired[keep], true[keep]
