@@ -526,7 +526,8 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
             raise RuntimeError(
                 f"collected {produced}/{shots} events after {attempts} source attempts; "
                 "acceptance rate too low")
-        # source shots; heralded ones go on, grouped by input in ascending (j1, j2) order
+        # source shots; heralded ones that can pass post-selection go on,
+        # grouped by input in ascending (j1, j2) order
         if src is None:
             count = min(batch, shots - produced)
             attempts += count
@@ -535,8 +536,11 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
             j1, j2 = _pair_counts(src, batch, rng)
             attempts += batch
             p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
-            heralded = rng.random(batch) < p_herald
-            j1, j2 = j1[heralded], j2[heralded]
+            go = rng.random(batch) < p_herald
+            if det_eff.dark_count_prob == 0.0:
+                # each photon fires at most one channel, so fewer than n photons never give n clicks
+                go &= 2 * j1 + j2 >= n
+            j1, j2 = j1[go], j2[go]
             count = j1.size
             groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
                       for rows in _group_rows(j1, j2)]
