@@ -216,6 +216,13 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
                 apparatus._check_source_input(input_occ)
             except ValueError as exc:
                 raise ConfigError(f"config.input: {exc}") from None
+        det, n = app.detection, fock.total(input_occ)
+        if det is not None:
+            _expect(det.modes == m, "config.apparatus.detection.weights",
+                    f"expected channel weights for {m} modes, got {det.modes}")
+            live = sum(w > 0.0 for row in det.weights for w in row)
+            _expect(det.dark_count_prob > 0.0 or live >= n, "config.apparatus.detection",
+                    f"{live} channels with positive weight and no dark counts never give {n} clicks")
 
     eps1 = eps2 = None
     split = 1
@@ -387,14 +394,11 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
 
 
 def cmd_selftest() -> int:
-    """Oracle suite printed as pass/fail lines; returns the count of failures."""
-    failures = 0
+    """Oracle suite printed as pass/fail lines; returns the count of failures.
 
-    def report(name: str, ok: bool, detail: str):
-        nonlocal failures
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-
+    A check that raises prints a FAIL line naming the exception, and the
+    remaining checks still run.
+    """
     import itertools
 
     def naive_permanent(a):
@@ -407,35 +411,39 @@ def cmd_selftest() -> int:
             out += term
         return out
 
-    rng = np.random.default_rng(20_240_101)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        a = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
-        worst = max(worst, abs(fock.permanent(a) - naive_permanent(a)))
-    report("permanent-vs-naive-sum", worst < 1e-12, f"max residual {worst:.3e}")
+    def permanent():
+        rng = np.random.default_rng(20_240_101)
+        worst = 0.0
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            a = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
+            worst = max(worst, abs(fock.permanent(a) - naive_permanent(a)))
+        return worst < 1e-12, f"max residual {worst:.3e}"
 
-    # Haar draws, then two degenerate spectra in a Haar basis:
-    # F4 (eigenvalue 1 twice) and diag(1, 1, -1, -i, i)
-    unitaries = [linalg.haar_random(5, (101, k)) for k in range(5)]
-    for d in (linalg.fourier(4), np.diag([1, 1, -1, -1j, 1j]).astype(complex)):
-        w = linalg.haar_random(len(d), 103)
-        unitaries.append(w @ d @ w.conj().T)
-    worst = 0.0
-    for u in unitaries:
-        h = linalg.logm_unitary(u)
-        worst = max(worst, float(np.max(np.abs(linalg.expm_hermitian(h) - u))))
-    report("unitary-log-exp-round-trip", worst < 1e-12, f"max residual {worst:.3e}")
+    def log_exp():
+        # Haar draws, then two degenerate spectra in a Haar basis:
+        # F4 (eigenvalue 1 twice) and diag(1, 1, -1, -i, i)
+        unitaries = [linalg.haar_random(5, (101, k)) for k in range(5)]
+        for d in (linalg.fourier(4), np.diag([1, 1, -1, -1j, 1j]).astype(complex)):
+            w = linalg.haar_random(len(d), 103)
+            unitaries.append(w @ d @ w.conj().T)
+        worst = 0.0
+        for u in unitaries:
+            h = linalg.logm_unitary(u)
+            worst = max(worst, float(np.max(np.abs(linalg.expm_hermitian(h) - u))))
+        return worst < 1e-12, f"max residual {worst:.3e}"
 
-    bs = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-    hom = fock.prob_indistinguishable(bs, (1, 1), (1, 1))
-    report("two-photon-coincidence-suppression", hom < 1e-14, f"residual {hom:.3e}")
+    def hom():
+        bs = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+        p = fock.prob_indistinguishable(bs, (1, 1), (1, 1))
+        return p < 1e-14, f"residual {p:.3e}"
 
-    dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0))
-    allowed = {(1, 1, 1, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)}
-    leak = max((p for occ, p in zip(dist.basis, dist.probs) if occ not in allowed),
-               default=0.0)
-    report("fourier-suppressed-patterns", leak < 1e-12, f"max forbidden prob {leak:.3e}")
+    def fourier_support():
+        dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0))
+        allowed = {(1, 1, 1, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)}
+        leak = max((p for occ, p in zip(dist.basis, dist.probs) if occ not in allowed),
+                   default=0.0)
+        return leak < 1e-12, f"max forbidden prob {leak:.3e}"
 
     def splittings(out, sizes):
         # every way to write out as an elementwise sum of patterns holding these photon numbers
@@ -453,58 +461,83 @@ def cmd_selftest() -> int:
         return sum(math.prod(fock.prob_indistinguishable(u, a, b) for a, b in zip(part, split))
                    for split in splittings(out, sizes))
 
-    worst = 0.0
-    for k in range(3):
-        m = 4 + k % 2
-        u = linalg.haar_random(m, (202, k))
-        tail = (0,) * (m - 3)
-        r = (2, 1, 1) + tail
-        part = ((1, 1, 0) + tail, (1, 0, 1) + tail)
-        mix = fock.Mixture(((0.4, part), (0.6, (r,))))
-        laws = ((fock.MODEL_INDISTINGUISHABLE, lambda s: fock.prob_indistinguishable(u, r, s)),
-                (fock.MODEL_DISTINGUISHABLE, lambda s: fock.prob_distinguishable(u, r, s)),
-                (mix, lambda s: 0.4 * species_law(u, part, s)
-                 + 0.6 * fock.prob_indistinguishable(u, r, s)))
-        for model, law in laws:
-            dist = fock.output_distribution(u, r, model)
-            worst = max(worst, max(abs(p - law(s)) for s, p in zip(dist.basis, dist.probs)))
-    report("engine-vs-permanent", worst < 1e-12, f"max residual {worst:.3e}")
+    def engine():
+        worst = 0.0
+        for k in range(3):
+            m = 4 + k % 2
+            u = linalg.haar_random(m, (202, k))
+            tail = (0,) * (m - 3)
+            r = (2, 1, 1) + tail
+            part = ((1, 1, 0) + tail, (1, 0, 1) + tail)
+            mix = fock.Mixture(((0.4, part), (0.6, (r,))))
+            laws = ((fock.MODEL_INDISTINGUISHABLE, lambda s: fock.prob_indistinguishable(u, r, s)),
+                    (fock.MODEL_DISTINGUISHABLE, lambda s: fock.prob_distinguishable(u, r, s)),
+                    (mix, lambda s: 0.4 * species_law(u, part, s)
+                     + 0.6 * fock.prob_indistinguishable(u, r, s)))
+            for model, law in laws:
+                dist = fock.output_distribution(u, r, model)
+                worst = max(worst, max(abs(p - law(s)) for s, p in zip(dist.basis, dist.probs)))
+        return worst < 1e-12, f"max residual {worst:.3e}"
 
-    lams = certify.lambda_coefficients(3, 4)
-    targets = {(2, 1): 4.0 / 9.0, (1, 1, 1): 2.0 / 3.0}
-    for sizes, lam in lams:
-        err = abs(lam - targets[sizes])
+    def class_weight(sizes, target):
+        def exact():
+            lam = dict(certify.lambda_coefficients(3, 4))[sizes]
+            err = abs(lam - target)
+            return err < 1e-12, f"lambda {lam:.12f} err {err:.3e}"
+
+        def sampled():
+            lam = dict(certify.lambda_coefficients(3, 4))[sizes]
+            est, sigma = certify.lambda_monte_carlo(3, 4, sizes, 20_000, seed=5)
+            dev = abs(est - lam)
+            return dev < 3 * sigma, f"estimate {est:.4f} dev {dev:.4f} (3 sigma {3 * sigma:.4f})"
+
         label = "+".join(str(s) for s in sizes)
-        report(f"class-weight-exact-{label}", err < 1e-12, f"lambda {lam:.12f} err {err:.3e}")
-        est, sigma = certify.lambda_monte_carlo(3, 4, sizes, 20_000, seed=5)
-        dev = abs(est - lam)
-        report(f"class-weight-sampled-{label}", dev < 3 * sigma,
-               f"estimate {est:.4f} dev {dev:.4f} (3 sigma {3 * sigma:.4f})")
+        return [(f"class-weight-exact-{label}", exact), (f"class-weight-sampled-{label}", sampled)]
 
-    dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0),
-                                    fock.MODEL_DISTINGUISHABLE)
-    rows = fock.sample(dist, 5000, 31)
-    target, fs = (1, 1, 1, 0), certify.forbidden_patterns(3, 4)
-    shots, forb = [tuple(r) for r in rows.tolist()], set(fs.patterns)
-    want = (shots.count(target) / len(shots), sum(s in forb for s in shots) / len(shots))
-    got = (certify.estimate_p1(rows, target)[0], certify.estimate_p2(rows, fs)[0])
-    report("estimators-vs-membership", got == want,
-           f"p1 {got[0]:.4f} p2 {got[1]:.4f} over {len(shots)} shots")
+    def estimators():
+        dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0),
+                                        fock.MODEL_DISTINGUISHABLE)
+        rows = fock.sample(dist, 5000, 31)
+        target, fs = (1, 1, 1, 0), certify.forbidden_patterns(3, 4)
+        shots, forb = [tuple(r) for r in rows.tolist()], set(fs.patterns)
+        want = (shots.count(target) / len(shots), sum(s in forb for s in shots) / len(shots))
+        got = (certify.estimate_p1(rows, target)[0], certify.estimate_p2(rows, fs)[0])
+        return got == want, f"p1 {got[0]:.4f} p2 {got[1]:.4f} over {len(shots)} shots"
 
-    res = certify.certify(hamiltonian.HamiltonianSpec(kind="hopping", modes=4), 1.0,
-                          fock.MODEL_INDISTINGUISHABLE, 2000, 17, 0.8, 0.9)
-    want = (1.0 - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.8)
-            - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.9))
-    ok = (res.p1 == 1.0 and res.p2 == 0.0 and res.f_lower == want
-          and res.convergence[-1] == (2000, res.p1, res.p2, res.f_lower))
-    report("certify-record", ok, f"p1 {res.p1} p2 {res.p2} f_lower {res.f_lower:.6f} "
-           f"over {len(res.convergence)} trace rows")
+    def certify_record():
+        res = certify.certify(hamiltonian.HamiltonianSpec(kind="hopping", modes=4), 1.0,
+                              fock.MODEL_INDISTINGUISHABLE, 2000, 17, 0.8, 0.9)
+        want = (1.0 - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.8)
+                - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.9))
+        ok = (res.p1 == 1.0 and res.p2 == 0.0 and res.f_lower == want
+              and res.convergence[-1] == (2000, res.p1, res.p2, res.f_lower))
+        return ok, (f"p1 {res.p1} p2 {res.p2} f_lower {res.f_lower:.6f} "
+                    f"over {len(res.convergence)} trace rows")
 
-    ref = gge.gge_marginal(3, 4)
-    err = max(abs(ref.probs[0] - 4 / 7), abs(ref.probs[1] - 12 / 49),
-              abs(ref.probs[2] - 36 / 343))
-    report("stationary-marginal-values", err < 1e-12, f"max err {err:.3e}")
+    def stationary():
+        ref = gge.gge_marginal(3, 4)
+        err = max(abs(ref.probs[0] - 4 / 7), abs(ref.probs[1] - 12 / 49),
+                  abs(ref.probs[2] - 36 / 343))
+        return err < 1e-12, f"max err {err:.3e}"
 
+    checks = [("permanent-vs-naive-sum", permanent),
+              ("unitary-log-exp-round-trip", log_exp),
+              ("two-photon-coincidence-suppression", hom),
+              ("fourier-suppressed-patterns", fourier_support),
+              ("engine-vs-permanent", engine),
+              *class_weight((2, 1), 4.0 / 9.0),
+              *class_weight((1, 1, 1), 2.0 / 3.0),
+              ("estimators-vs-membership", estimators),
+              ("certify-record", certify_record),
+              ("stationary-marginal-values", stationary)]
+    failures = 0
+    for name, check in checks:
+        try:
+            ok, detail = check()
+        except Exception as exc:  # a broken oracle path is one failed check, not a crash
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        failures += not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
     return failures
 
 

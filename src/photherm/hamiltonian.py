@@ -38,6 +38,9 @@ class HamiltonianSpec:
             raise ValueError(f"periodic must be true or false, got {self.periodic!r}")
         if self.kind == "long_range" and self.seed is None:
             raise ValueError("long_range hamiltonian requires a seed")
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                                      or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.kind == "explicit":
             if self.matrix is None:
                 raise ValueError("explicit hamiltonian requires a matrix")

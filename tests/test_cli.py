@@ -36,6 +36,20 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
+    def broken(u, tol=1e-10):
+        raise ValueError("eigenvectors do not diagonalize the unitary")
+
+    monkeypatch.setattr(cli.linalg, "logm_unitary", broken)
+    assert cli.main(["selftest"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert ("FAIL  unitary-log-exp-round-trip  "
+            "ValueError: eigenvectors do not diagonalize the unitary") in lines
+    assert sum(line.startswith("FAIL") for line in lines) == 1
+    assert any(line.startswith("PASS  stationary-marginal-values") for line in lines)
+    assert lines[-1] == "1 check(s) failed"
+
+
 def test_evolve_outputs_and_reference(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -306,6 +320,29 @@ def test_certify_rejects_input_the_source_cannot_herald(tmp_path, capsys):
                        input=[1, 1, 0, 0, 0], apparatus=HARDWARE["apparatus"])
     assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
     assert "config.input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _detection(weights):
+    return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "detection": {"weights": weights}}}
+
+
+@pytest.mark.parametrize("overrides, path", [
+    (_detection([[0.3, 0.3, 0.3]] * 3), "config.apparatus.detection.weights"),
+    (_detection([[0.0, 0.0, 0.0]] * 4), "config.apparatus.detection"),
+    (_detection([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+     "config.apparatus.detection"),
+    ({"hamiltonian": {"kind": "long_range", "modes": 4, "seed": -1}}, "config.hamiltonian"),
+    ({"hamiltonian": {"kind": "long_range", "modes": 4, "seeds": [3, -2]}}, "config.hamiltonian"),
+])
+def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overrides, path):
+    """Each config exits 1 at load time, before any event is simulated."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}:" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

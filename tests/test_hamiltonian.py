@@ -15,6 +15,9 @@ def test_spec_validation():
         hamiltonian.HamiltonianSpec(kind="hopping", modes=1)
     with pytest.raises(ValueError):
         hamiltonian.HamiltonianSpec(kind="long_range", modes=4)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            hamiltonian.HamiltonianSpec(kind="long_range", modes=4, seed=seed)
     with pytest.raises(ValueError):
         hamiltonian.HamiltonianSpec(kind="explicit", modes=2)
     with pytest.raises(ValueError):
