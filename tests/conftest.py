@@ -142,3 +142,92 @@ def seed_estimate_p2(samples, fs) -> tuple[float, int]:
     forb = set(fs.patterns)
     hits = sum(1 for s in samples if tuple(s) in forb)
     return hits / k, k
+
+
+def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
+                      det: DetectionModel | None, shots: int, rng, target,
+                      max_attempts: int | None = None) -> np.ndarray:
+    """Event stream that samples, detects and groups every heralded shot.
+
+    The body of apparatus._event_stream before it skipped shots that
+    cannot give n clicks and before it grouped shots on a 1-D key.
+    Reconstructed patterns (shots, m) of post-selected events, in the
+    order they occur.
+
+    Post-selection keeps heralded shots with exactly n clicks, n the
+    target photon number. A source requires the target it heralds, one
+    photon in each of the first three modes. Without a source the target
+    pattern itself is injected every shot; without a detection model an
+    ideal balanced multiplexer stands in. By-product inputs brighter than
+    INTERFERENCE_PHOTON_CAP route their photons independently (see the
+    module docstring).
+    """
+    from photherm import fock
+    from photherm.apparatus import (INTERFERENCE_PHOTON_CAP, DetectionModel, _blind_corrupt,
+                                    _check_source_input, _pair_counts, _scatter,
+                                    blinding_probability, pattern_from_clicks, qpnr_detect)
+    m = total_u.shape[0]
+    target = fock._check_occupation(target, m, "target pattern")
+    if src is not None:
+        _check_source_input(target)
+    n = fock.total(target)
+    det_eff = det if det is not None else DetectionModel.ideal(m)
+    blinding_active = src is not None and det is not None
+    survival = blinding_probability(src.pump_power, det_eff) if blinding_active else 1.0
+    if max_attempts is None:
+        max_attempts = max(10_000_000, 20_000 * shots)
+
+    laws: dict = {}
+
+    def law(occ):
+        if occ not in laws:
+            use_model = model
+            if not isinstance(model, str):
+                mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
+                implied = fock.partition_input(mix.components[0][1])
+                # by-products carry no calibrated species structure
+                use_model = mix if implied == occ else fock.MODEL_INDISTINGUISHABLE
+            laws[occ] = fock.output_distribution(total_u, occ, use_model)
+        return laws[occ]
+
+    kept = []
+    produced = attempts = 0
+    batch = 8192
+    while produced < shots:
+        if attempts >= max_attempts:
+            raise RuntimeError(
+                f"collected {produced}/{shots} events after {attempts} source attempts; "
+                "acceptance rate too low")
+        # source shots; only heralded ones that carry photons go on
+        if src is None:
+            inputs = np.tile(target, (min(batch, shots - produced), 1))
+            attempts += len(inputs)
+        else:
+            j1, j2 = _pair_counts(src, batch, rng)
+            attempts += batch
+            p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
+            heralded = rng.random(batch) < p_herald
+            inputs = np.zeros((int(heralded.sum()), m), dtype=np.int64)
+            inputs[:, 0] = inputs[:, 1] = j1[heralded]
+            inputs[:, 2] = j2[heralded]
+        inputs = inputs[inputs.any(axis=1)]
+        # one true output pattern per shot, drawn from the cached law of its input
+        true = np.empty_like(inputs)
+        distinct, which = np.unique(inputs, axis=0, return_inverse=True)
+        for i, occ in enumerate(distinct):
+            rows = np.flatnonzero(which.ravel() == i)
+            if occ.sum() > INTERFERENCE_PHOTON_CAP:
+                true[rows] = _scatter(inputs[rows], total_u, rng)
+            else:
+                true[rows] = fock.sample(law(tuple(occ.tolist())), rows.size, rng)
+        fired = qpnr_detect(true, det_eff, rng)
+        keep = fired.sum(axis=1) == n
+        fired, true = fired[keep], true[keep]
+        # blinding keeps the click total, so blinding only kept shots leaves the law unchanged
+        if survival < 1.0:
+            hit = np.flatnonzero((true == target).all(axis=1))
+            hit = hit[rng.random(hit.size) > survival]
+            fired[hit] = _blind_corrupt(fired[hit], det_eff, rng)
+        kept.append(pattern_from_clicks(fired, m))
+        produced += len(fired)
+    return np.concatenate(kept)[:shots]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_qpnr_detect
+from conftest import seed_event_stream, seed_qpnr_detect
 from photherm import apparatus, fock, hamiltonian, linalg
 
 
@@ -278,6 +278,46 @@ def test_event_stream_guard():
     with pytest.raises(RuntimeError):
         apparatus._event_stream(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
                                 src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
+
+
+@pytest.mark.parametrize("case", [
+    # (squeezing, model, with source): a mixture on the heralded input, and a bright
+    # source whose by-products pass INTERFERENCE_PHOTON_CAP
+    (0.45, "mixture", True),
+    (0.75, fock.MODEL_INDISTINGUISHABLE, True),
+    (0.45, fock.MODEL_DISTINGUISHABLE, False),
+])
+def test_event_stream_with_dark_counts_matches_seed_stream(case):
+    """With dark counts every heralded shot can pass, so the draws are the seed stream's."""
+    squeezing, model, with_source = case
+    src = apparatus.SourceModel(squeezing=squeezing, heralding_efficiency=0.9)
+    if model == "mixture":
+        model = apparatus.distinguishability_mixture(src)
+    det = apparatus.DetectionModel.uniform(4, loss=0.1, dark_count_prob=0.01)
+    u = linalg.haar_random(4, 41)
+    args = (u, model, src if with_source else None, det, 400)
+    got = apparatus._event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+    want = seed_event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+    assert got.shape == (400, 4)
+    assert np.array_equal(got, want)
+
+
+def test_event_stream_without_dark_counts_keeps_the_seed_law():
+    """Skipping shots with fewer than n photons changes the draws, not the post-selected law."""
+    src = apparatus.SourceModel(squeezing=0.45, heralding_efficiency=0.9)
+    model = apparatus.distinguishability_mixture(src)
+    det = apparatus.DetectionModel.uniform(4, loss=0.1)
+    u = linalg.haar_random(4, 42)
+    shots = 20_000
+    got = apparatus._event_stream(u, model, src, det, shots, np.random.default_rng(3),
+                                  (1, 1, 1, 0))
+    want = seed_event_stream(u, model, src, det, shots, np.random.default_rng(4), (1, 1, 1, 0))
+    basis = fock.enumerate_basis(3, 4)
+    a, b = (np.bincount(fock._rank(x, 3), minlength=len(basis)) for x in (got, want))
+    pooled = (a + b) / (2 * shots)
+    sigma = np.sqrt(pooled * (1 - pooled) * 2 / shots)
+    assert np.all(np.abs(a - b) / shots <= 5 * sigma)
+    assert a[basis.index((1, 1, 1, 0))] > 1000
 
 
 def test_source_requires_one_photon_in_each_of_the_first_three_modes():
