@@ -21,7 +21,7 @@ cached law of its input, detects, post-selects on the target click total
 n, blinds, and reconstructs. With no dark counts each photon fires at
 most one channel, so a heralded shot with fewer than n photons
 (2 j1 + j2 < n) can never give n clicks. The stream skips those shots
-before drawing their outputs, which is about 91 % of heralded shots at
+before drawing their outputs, which is about 90 % of heralded shots at
 squeezing 0.3. Post-selection would reject every one of them, and every
 later draw acts only on kept shots, so the law of the post-selected
 events is unchanged. With dark counts every heralded shot is kept.

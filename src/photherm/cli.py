@@ -222,7 +222,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
                     f"expected channel weights for {m} modes, got {det.modes}")
             live = sum(w > 0.0 for row in det.weights for w in row)
             _expect(det.dark_count_prob > 0.0 or live >= n, "config.apparatus.detection",
-                    f"{live} channels with positive weight and no dark counts never give {n} clicks")
+                    f"{live} channels with positive weight and no dark counts "
+                    f"never give {n} clicks")
 
     eps1 = eps2 = None
     split = 1
@@ -486,9 +487,8 @@ def cmd_selftest() -> int:
             return err < 1e-12, f"lambda {lam:.12f} err {err:.3e}"
 
         def sampled():
-            lam = dict(certify.lambda_coefficients(3, 4))[sizes]
             est, sigma = certify.lambda_monte_carlo(3, 4, sizes, 20_000, seed=5)
-            dev = abs(est - lam)
+            dev = abs(est - target)
             return dev < 3 * sigma, f"estimate {est:.4f} dev {dev:.4f} (3 sigma {3 * sigma:.4f})"
 
         label = "+".join(str(s) for s in sizes)
