@@ -15,16 +15,20 @@ and renormalizing undoes the multiplexing bias.
 
 Click data is a boolean array fired of shape (shots, 3m): column
 3 * mode + slot is one channel, and a shot's click total is its row sum.
-The event stream works on batches of source shots: it draws pair
-numbers and heralds, draws each kept shot's true output pattern from the
-cached law of its input, detects, post-selects on the target click total
-n, blinds, and reconstructs. With no dark counts each photon fires at
-most one channel, so a heralded shot with fewer than n photons
-(2 j1 + j2 < n) can never give n clicks. The stream skips those shots
-before drawing their outputs, which is about 90 % of heralded shots at
-squeezing 0.3. Post-selection would reject every one of them, and every
-later draw acts only on kept shots, so the law of the post-selected
-events is unchanged. With dark counts every heralded shot is kept.
+The event stream draws only useful source shots. A useful shot is
+heralded and, with no dark counts, carries 2 j1 + j2 >= n photons: each
+photon then fires at most one channel, so a shot with fewer photons can
+never give n clicks. With dark counts every heralded shot is useful. The
+chance q that one source attempt gives a useful shot has a closed form,
+so each block of the stream spends ceil(wanted / q) attempts, keeps
+Binomial(attempts, q) useful shots and draws their pair numbers straight
+from their law given usefulness; no other attempt is drawn. At squeezing
+0.3 and heralding efficiency 0.9, 8.2 % of attempts are heralded and
+0.8 % are useful. The stream then draws each useful shot's true output
+pattern from the cached law of its input, detects, post-selects on the
+target click total n, blinds, and reconstructs. Post-selection would
+reject every skipped shot, and every later draw acts only on useful
+shots, so the law of the post-selected events is unchanged.
 
 By-products of more than INTERFERENCE_PHOTON_CAP photons skip their
 interference law and route each photon independently through |U|^2.
@@ -182,6 +186,10 @@ class Apparatus:
         return self.source is None and self.detection is None and self.mesh_jitter == 0.0
 
 
+class AcceptanceError(RuntimeError):
+    """The event stream spent its source-attempt budget before it collected the shots."""
+
+
 def _check_source_input(input_occ) -> fock.ModeOccupation:
     """The input a source run must name: one photon in each of the first three modes."""
     input_occ = fock._check_occupation(input_occ)
@@ -189,12 +197,6 @@ def _check_source_input(input_occ) -> fock.ModeOccupation:
         raise ValueError(f"the source heralds one photon in each of the first three modes, "
                          f"not the input {input_occ}")
     return input_occ
-
-
-def _pair_counts(src: SourceModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    # geometric pair-number law of a two-mode squeezer, vectorized
-    p = 1.0 - src.squeezing**2
-    return rng.geometric(p, size=count) - 1, rng.geometric(p, size=count) - 1
 
 
 def _route(patterns: np.ndarray, edges: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -473,6 +475,62 @@ def _scatter(inputs: np.ndarray, u: np.ndarray, rng) -> np.ndarray:
     return np.bincount(cell // m * m + out, minlength=k * m).reshape(k, m)
 
 
+def _pair_floor(j2: np.ndarray, n: int, floor: bool):
+    # fewest crystal-1 pairs a useful shot with j2 crystal-2 pairs needs: 2 j1 + j2 >= n
+    return np.maximum(0, (n - j2 + 1) // 2) if floor else 0
+
+
+def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
+    """Chance per source attempt of a useful shot, split by j2; q is their sum.
+
+    A useful shot is heralded and, when floor is set (no dark counts),
+    carries 2 j1 + j2 >= n photons. Each crystal emits j pairs with
+    probability (1 - r) r^j, r = lambda^2, and the herald fires with
+    probability 1 - (1 - eta)^j2. Entry j < n is the useful mass at
+    j2 = j, where crystal 1 must emit at least a(j) pairs, r^a(j). The
+    tail j2 >= n needs no floor; its mass r^n - (1 - r) s^n / (1 - s),
+    s = r (1 - eta), splits by the first idler photon the herald sees:
+    one of the first n (entry n, r^n - s^n) or a later one (entry n + 1,
+    eta r s^n / (1 - s)). Raises ValueError if q is 0.
+    """
+    r = src.squeezing**2
+    miss = 1.0 - src.heralding_efficiency
+    s = r * miss
+    j = np.arange(n)
+    fixed = (1.0 - r) * r**j * (1.0 - miss**j) * r**_pair_floor(j, n, floor)
+    weights = np.append(fixed, [r**n * (1.0 - miss**n), (1.0 - miss) * r * s**n / (1.0 - s)])
+    if not weights.sum() > 0.0:
+        raise ValueError(f"a source with squeezing {src.squeezing} and heralding efficiency "
+                         f"{src.heralding_efficiency} never heralds a shot that can give "
+                         f"{n} clicks")
+    return weights
+
+
+def _useful_shots(src: SourceModel, n: int, floor: bool, want: int, budget: int,
+                  rng) -> tuple[int, np.ndarray, np.ndarray]:
+    """Source attempts spent and pair counts (j1, j2) of the useful shots among them.
+
+    Spends min(budget, ceil(want / q)) attempts, of which Binomial(spent, q)
+    are useful (see _useful_weights). Their j2 comes from its law given
+    usefulness: a fixed value below n, or in the tail n + Geometric(r),
+    plus 1 + Geometric(s) when the herald saw a photon after the n-th.
+    j1 = a(j2) + Geometric(r) is exact because the geometric law is
+    memoryless.
+    """
+    weights = _useful_weights(src, n, floor)
+    q = float(weights.sum())
+    r = src.squeezing**2
+    s = r * (1.0 - src.heralding_efficiency)
+    spent = math.ceil(min(budget, want / q))
+    count = int(rng.binomial(spent, q))
+    j2 = rng.choice(weights.size, size=count, p=weights / q)
+    tail, late = j2 >= n, j2 > n
+    j2[tail] = n + rng.geometric(1.0 - r, int(tail.sum())) - 1
+    j2[late] += rng.geometric(1.0 - s, int(late.sum()))
+    j1 = rng.geometric(1.0 - r, count) - 1 + _pair_floor(j2, n, floor)
+    return spent, j1, j2
+
+
 def _group_rows(j1: np.ndarray, j2: np.ndarray) -> list[np.ndarray]:
     """Shot indices of each distinct (j1, j2), groups in ascending (j1, j2) order, shots in order.
 
@@ -497,7 +555,9 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     pattern itself is injected every shot; without a detection model an
     ideal balanced multiplexer stands in. By-product inputs brighter than
     INTERFERENCE_PHOTON_CAP route their photons independently (see the
-    module docstring).
+    module docstring). Raises ValueError before any draw if the source
+    never gives a shot that can pass, and AcceptanceError once
+    max_attempts source attempts are spent.
     """
     m = total_u.shape[0]
     target = fock._check_occupation(target, m, "target pattern")
@@ -509,6 +569,9 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     survival = blinding_probability(src.pump_power, det_eff) if blinding_active else 1.0
     if max_attempts is None:
         max_attempts = max(10_000_000, 20_000 * shots)
+    # with no dark counts each photon fires at most one channel, so fewer than n photons
+    # never give n clicks
+    floor = det_eff.dark_count_prob == 0.0
 
     laws: dict = {}
 
@@ -529,24 +592,18 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     tail = (0,) * (m - 3)
     while produced < shots:
         if attempts >= max_attempts:
-            raise RuntimeError(
+            raise AcceptanceError(
                 f"collected {produced}/{shots} events after {attempts} source attempts; "
                 "acceptance rate too low")
-        # source shots; heralded ones that can pass post-selection go on,
-        # grouped by input in ascending (j1, j2) order
+        # source shots that can pass post-selection, grouped by input in ascending (j1, j2) order
+        want = min(batch, shots - produced)
         if src is None:
-            count = min(batch, shots - produced)
+            count = want
             attempts += count
             groups = [(target, np.arange(count))]
         else:
-            j1, j2 = _pair_counts(src, batch, rng)
-            attempts += batch
-            p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
-            go = rng.random(batch) < p_herald
-            if det_eff.dark_count_prob == 0.0:
-                # each photon fires at most one channel, so fewer than n photons never give n clicks
-                go &= 2 * j1 + j2 >= n
-            j1, j2 = j1[go], j2[go]
+            spent, j1, j2 = _useful_shots(src, n, floor, want, max_attempts - attempts, rng)
+            attempts += spent
             count = j1.size
             groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
                       for rows in _group_rows(j1, j2)]

@@ -8,8 +8,9 @@ directory and moved into place only when it is complete, so a failed run
 leaves no directory behind. Existing run directories are never
 overwritten without --force.
 
-Exit codes: 0 success, 1 config validation error, 2 I/O error,
-3 selftest failure.
+Exit codes: 0 success, 1 config validation error or a source whose
+acceptance is too low to collect the shots, 2 I/O error, 3 selftest
+failure.
 """
 
 from __future__ import annotations
@@ -211,12 +212,16 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     app = None
     if raw.get("apparatus") is not None:
         app = _parse_apparatus(raw["apparatus"], "config.apparatus")
+        det, n = app.detection, fock.total(input_occ)
         if app.source is not None:
             try:
                 apparatus._check_source_input(input_occ)
             except ValueError as exc:
                 raise ConfigError(f"config.input: {exc}") from None
-        det, n = app.detection, fock.total(input_occ)
+            try:
+                apparatus._useful_weights(app.source, n, det is None or det.dark_count_prob == 0.0)
+            except ValueError as exc:
+                raise ConfigError(f"config.apparatus.source: {exc}") from None
         if det is not None:
             _expect(det.modes == m, "config.apparatus.detection.weights",
                     f"expected channel weights for {m} modes, got {det.modes}")
@@ -577,7 +582,7 @@ def main(argv=None) -> int:
     build = {"evolve": cmd_evolve, "gge": cmd_gge, "certify": cmd_certify}[args.command]
     try:
         run = _build_run_dir(args.out, args.command, cfg, args.force, build)
-    except ConfigError as exc:
+    except (ConfigError, apparatus.AcceptanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

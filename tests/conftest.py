@@ -144,13 +144,28 @@ def seed_estimate_p2(samples, fs) -> tuple[float, int]:
     return hits / k, k
 
 
+def seed_pair_counts(src: SourceModel, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Pair numbers (j1, j2) of count source attempts: the geometric law of each crystal."""
+    p = 1.0 - src.squeezing**2
+    return rng.geometric(p, size=count) - 1, rng.geometric(p, size=count) - 1
+
+
+def seed_heralded_pairs(src: SourceModel, attempts: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Pair numbers of the heralded shots among attempts, drawn attempt by attempt."""
+    j1, j2 = seed_pair_counts(src, attempts, rng)
+    p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
+    heralded = rng.random(attempts) < p_herald
+    return j1[heralded], j2[heralded]
+
+
 def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
                       det: DetectionModel | None, shots: int, rng, target,
                       max_attempts: int | None = None) -> np.ndarray:
     """Event stream that samples, detects and groups every heralded shot.
 
     The body of apparatus._event_stream before it skipped shots that
-    cannot give n clicks and before it grouped shots on a 1-D key.
+    cannot give n clicks, before it grouped shots on a 1-D key and before
+    it drew only useful source shots instead of every attempt.
     Reconstructed patterns (shots, m) of post-selected events, in the
     order they occur.
 
@@ -164,7 +179,7 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
     """
     from photherm import fock
     from photherm.apparatus import (INTERFERENCE_PHOTON_CAP, DetectionModel, _blind_corrupt,
-                                    _check_source_input, _pair_counts, _scatter,
+                                    _check_source_input, _scatter,
                                     blinding_probability, pattern_from_clicks, qpnr_detect)
     m = total_u.shape[0]
     target = fock._check_occupation(target, m, "target pattern")
@@ -203,13 +218,11 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
             inputs = np.tile(target, (min(batch, shots - produced), 1))
             attempts += len(inputs)
         else:
-            j1, j2 = _pair_counts(src, batch, rng)
+            j1, j2 = seed_heralded_pairs(src, batch, rng)
             attempts += batch
-            p_herald = 1.0 - (1.0 - src.heralding_efficiency) ** j2
-            heralded = rng.random(batch) < p_herald
-            inputs = np.zeros((int(heralded.sum()), m), dtype=np.int64)
-            inputs[:, 0] = inputs[:, 1] = j1[heralded]
-            inputs[:, 2] = j2[heralded]
+            inputs = np.zeros((j1.size, m), dtype=np.int64)
+            inputs[:, 0] = inputs[:, 1] = j1
+            inputs[:, 2] = j2
         inputs = inputs[inputs.any(axis=1)]
         # one true output pattern per shot, drawn from the cached law of its input
         true = np.empty_like(inputs)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_event_stream, seed_qpnr_detect
+from conftest import seed_event_stream, seed_heralded_pairs, seed_pair_counts, seed_qpnr_detect
 from photherm import apparatus, fock, hamiltonian, linalg
 
 
@@ -27,10 +27,10 @@ def test_source_model_validation():
 
 
 def test_pair_number_law():
-    """Crystal pair counts follow the squeezed-vacuum geometric law (1-x) x^j."""
+    """The per-attempt oracle's pair counts follow the squeezed-vacuum geometric law (1-x) x^j."""
     src = apparatus.SourceModel(squeezing=0.45)
     rng = np.random.default_rng(2)
-    j1, _ = apparatus._pair_counts(src, 400_000, rng)
+    j1, _ = seed_pair_counts(src, 400_000, rng)
     x = 0.45**2
     for j in range(4):
         expect = (1.0 - x) * x**j
@@ -275,9 +275,20 @@ def test_simulate_setting_noiseless_revival():
 def test_event_stream_guard():
     src = apparatus.SourceModel(squeezing=1e-4, heralding_efficiency=1e-3)
     rng = np.random.default_rng(1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(apparatus.AcceptanceError):
         apparatus._event_stream(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
                                 src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
+
+
+def assert_same_pattern_law(got, want):
+    """Per-pattern frequencies of two equal-size 3-photon event samples agree within 5 sigma."""
+    shots, m = got.shape
+    basis = fock.enumerate_basis(3, m)
+    a, b = (np.bincount(fock._rank(x, 3), minlength=len(basis)) for x in (got, want))
+    pooled = (a + b) / (2 * shots)
+    sigma = np.sqrt(pooled * (1 - pooled) * 2 / shots)
+    assert np.all(np.abs(a - b) / shots <= 5 * sigma)
+    return a, basis
 
 
 @pytest.mark.parametrize("case", [
@@ -288,22 +299,29 @@ def test_event_stream_guard():
     (0.45, fock.MODEL_DISTINGUISHABLE, False),
 ])
 def test_event_stream_with_dark_counts_matches_seed_stream(case):
-    """With dark counts every heralded shot can pass, so the draws are the seed stream's."""
+    """Without a source the draws are the seed stream's; with one, the post-selected law is."""
     squeezing, model, with_source = case
     src = apparatus.SourceModel(squeezing=squeezing, heralding_efficiency=0.9)
     if model == "mixture":
         model = apparatus.distinguishability_mixture(src)
     det = apparatus.DetectionModel.uniform(4, loss=0.1, dark_count_prob=0.01)
     u = linalg.haar_random(4, 41)
-    args = (u, model, src if with_source else None, det, 400)
+    if not with_source:
+        args = (u, model, None, det, 400)
+        got = apparatus._event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+        want = seed_event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+        assert got.shape == (400, 4)
+        assert np.array_equal(got, want)
+        return
+    args = (u, model, src, det, 20_000)
     got = apparatus._event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
-    want = seed_event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
-    assert got.shape == (400, 4)
-    assert np.array_equal(got, want)
+    want = seed_event_stream(*args, np.random.default_rng(6), (1, 1, 1, 0))
+    assert got.shape == (20_000, 4)
+    assert_same_pattern_law(got, want)
 
 
 def test_event_stream_without_dark_counts_keeps_the_seed_law():
-    """Skipping shots with fewer than n photons changes the draws, not the post-selected law."""
+    """Drawing only useful source shots changes the draws, not the post-selected law."""
     src = apparatus.SourceModel(squeezing=0.45, heralding_efficiency=0.9)
     model = apparatus.distinguishability_mixture(src)
     det = apparatus.DetectionModel.uniform(4, loss=0.1)
@@ -312,12 +330,65 @@ def test_event_stream_without_dark_counts_keeps_the_seed_law():
     got = apparatus._event_stream(u, model, src, det, shots, np.random.default_rng(3),
                                   (1, 1, 1, 0))
     want = seed_event_stream(u, model, src, det, shots, np.random.default_rng(4), (1, 1, 1, 0))
-    basis = fock.enumerate_basis(3, 4)
-    a, b = (np.bincount(fock._rank(x, 3), minlength=len(basis)) for x in (got, want))
-    pooled = (a + b) / (2 * shots)
-    sigma = np.sqrt(pooled * (1 - pooled) * 2 / shots)
-    assert np.all(np.abs(a - b) / shots <= 5 * sigma)
-    assert a[basis.index((1, 1, 1, 0))] > 1000
+    counts, basis = assert_same_pattern_law(got, want)
+    assert counts[basis.index((1, 1, 1, 0))] > 1000
+
+
+@pytest.mark.parametrize("floor", [True, False])
+@pytest.mark.parametrize("squeezing, eta", [(0.3, 0.9), (0.8, 0.5), (0.6, 1.0), (0.5, 0.01)])
+def test_useful_rate_is_the_truncated_pair_sum(squeezing, eta, floor):
+    """q in closed form equals the sum of P(j1) P(j2) P(herald | j2) over useful (j1, j2)."""
+    src = apparatus.SourceModel(squeezing=squeezing, heralding_efficiency=eta)
+    r = squeezing**2
+    j = np.arange(400)
+    pairs = (1.0 - r) * r**j
+    joint = pairs[:, None] * pairs * (1.0 - (1.0 - eta) ** j)
+    for n in (3, 4, 5):
+        useful = 2 * j[:, None] + j >= n if floor else True
+        q = apparatus._useful_weights(src, n, floor).sum()
+        assert abs(q - np.sum(joint, where=useful)) < 1e-12
+
+
+@pytest.mark.parametrize("floor", [True, False])
+def test_useful_shots_match_the_per_attempt_oracle(floor):
+    """Joint (j1, j2) law and attempts per useful shot, against drawing every attempt."""
+    src = apparatus.SourceModel(squeezing=0.8, heralding_efficiency=0.5)
+    n, want = 3, 1_050_000
+    q = apparatus._useful_weights(src, n, floor).sum()
+    spent, j1, j2 = apparatus._useful_shots(src, n, floor, want, 10**9, np.random.default_rng(8))
+    assert spent == math.ceil(want / q)
+    assert apparatus._useful_shots(src, n, floor, want, 7, np.random.default_rng(8))[0] == 7
+    rng = np.random.default_rng(9)
+    oracle, attempts = [], 0
+    while sum(b.size for b, _ in oracle) < want:
+        b1, b2 = seed_heralded_pairs(src, 500_000, rng)
+        attempts += 500_000
+        keep = 2 * b1 + b2 >= n if floor else slice(None)
+        oracle.append((b1[keep], b2[keep]))
+    o1, o2 = (np.concatenate(x) for x in zip(*oracle))
+    assert j1.size >= 1_000_000
+    if floor:
+        assert np.all(2 * j1 + j2 >= n)
+    assert np.all(j2 >= 1)
+    for tries, found in ((spent, j1.size), (attempts, o1.size)):
+        # attempts per useful shot are geometric with mean 1/q and variance (1 - q)/q^2
+        assert abs(tries / found - 1.0 / q) <= 5 * math.sqrt((1.0 - q) / found) / q
+    cells = 13
+    a, b = (np.bincount(np.minimum(x, cells - 1) * cells + np.minimum(y, cells - 1),
+                        minlength=cells**2) / x.size for x, y in ((j1, j2), (o1, o2)))
+    pooled = (a * j1.size + b * o1.size) / (j1.size + o1.size)
+    sigma = np.sqrt(pooled * (1 - pooled) * (1 / j1.size + 1 / o1.size))
+    assert np.all(np.abs(a - b) <= 5 * sigma)
+    assert a.reshape(cells, cells)[:, n + 1:].sum() > 0.3  # the j2 tail carries weight
+
+
+def test_zero_useful_rate_raises_at_once():
+    rng = np.random.default_rng(1)
+    for src in (apparatus.SourceModel(squeezing=0.0), apparatus.SourceModel(heralding_efficiency=0.0),
+                apparatus.SourceModel(squeezing=1e-200)):  # lambda^2 underflows to 0
+        with pytest.raises(ValueError, match="never heralds"):
+            apparatus._event_stream(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
+                                    src, None, 10, rng, target=(1, 1, 1, 0))
 
 
 def test_source_requires_one_photon_in_each_of_the_first_three_modes():

@@ -327,6 +327,11 @@ def _detection(weights):
     return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "detection": {"weights": weights}}}
 
 
+def _source(squeezing, heralding_efficiency):
+    src = {"squeezing": squeezing, "heralding_efficiency": heralding_efficiency}
+    return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "source": src}}
+
+
 @pytest.mark.parametrize("overrides, path", [
     (_detection([[0.3, 0.3, 0.3]] * 3), "config.apparatus.detection.weights"),
     (_detection([[0.0, 0.0, 0.0]] * 4), "config.apparatus.detection"),
@@ -334,6 +339,8 @@ def _detection(weights):
      "config.apparatus.detection"),
     ({"hamiltonian": {"kind": "long_range", "modes": 4, "seed": -1}}, "config.hamiltonian"),
     ({"hamiltonian": {"kind": "long_range", "modes": 4, "seeds": [3, -2]}}, "config.hamiltonian"),
+    (_source(0.0, 0.9), "config.apparatus.source"),  # a source that never heralds
+    (_source(0.3, 0.0), "config.apparatus.source"),
 ])
 def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overrides, path):
     """Each config exits 1 at load time, before any event is simulated."""
@@ -344,6 +351,17 @@ def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overr
     assert f"error: {path}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_certify_reports_a_source_too_weak_for_the_shots(tmp_path, capsys):
+    """The stream gives up after its attempt budget: one error line, exit 1, no run directory."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, times=[1.0], **_source(0.001, 0.001))
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: collected 0/200 events after 10000000 source attempts")
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("overrides", [
