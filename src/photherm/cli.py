@@ -30,6 +30,8 @@ import numpy as np
 from . import __version__, apparatus, certify, fock, gge, hamiltonian, linalg
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
+# Largest basis C(n + m - 1, n) a config may ask for; each law is allocated whole.
+MAX_PATTERNS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -70,6 +72,20 @@ def _get_int(d: dict, key: str, path: str, default=None, required=False, minimum
     if minimum is not None:
         _expect(v >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {v}")
     return v
+
+
+def _basis_size(n: int, m: int) -> int:
+    """C(n + m - 1, n), or the first partial product past MAX_PATTERNS.
+
+    The products C(a + i, i), a = max(n, m - 1), grow with i, so the loop
+    stops early however large n and m are.
+    """
+    a, size = max(n, m - 1), 1
+    for i in range(1, min(n, m - 1) + 1):
+        size = size * (a + i) // i
+        if size > MAX_PATTERNS:
+            break
+    return size
 
 
 def _occupation(v, path: str) -> tuple:
@@ -146,7 +162,9 @@ def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{path}.detection: {exc}") from None
     jitter = _get_number(d, "mesh_jitter", path, default=0.0)
-    _expect(jitter >= 0.0, f"{path}.mesh_jitter", f"must be >= 0, got {jitter}")
+    # a Gaussian of width pi already spreads a crossing angle over the whole circle
+    _expect(0.0 <= jitter <= math.pi, f"{path}.mesh_jitter",
+            f"must lie in [0, pi], got {jitter}")
     return apparatus.Apparatus(source=src, detection=det, mesh_jitter=jitter)
 
 
@@ -198,6 +216,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         _expect(len(input_occ) == m, "config.input", f"expected {m} modes, got {len(input_occ)}")
     else:
         input_occ = (1,) * (m - 1) + (0,)
+    n = sum(input_occ)
+    _expect(_basis_size(n, m) <= MAX_PATTERNS, "config.input",
+            f"{n} photons in {m} modes give C({n + m - 1}, {n}) output patterns, "
+            f"more than the ceiling of {MAX_PATTERNS}")
 
     model = _parse_model(raw.get("model", fock.MODEL_INDISTINGUISHABLE), "config.model")
     try:

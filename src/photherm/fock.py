@@ -5,6 +5,12 @@ basis order used by every distribution, sampler and state vector in the
 package is colexicographic: patterns sorted by the last mode count first.
 For one photon in two modes that reads [(1, 0), (0, 1)].
 
+Each basis is built once, as the cached read-only array _patterns(n, m),
+one row per pattern. That array is the source of truth: enumerate_basis
+is its rows as tuples, _rank maps rows back to their indices, the
+transition engine's gather maps and the CSV pattern labels are derived
+from it, and samplers index into it.
+
 Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
   distinguishable     P = perm(|M|^2) / prod_j s_j!
@@ -62,18 +68,10 @@ def _check_occupation(occ, m: int | None = None, name: str = "occupation") -> Mo
 def enumerate_basis(n: int, m: int) -> tuple[ModeOccupation, ...]:
     """All patterns of n photons in m modes, colexicographic order.
 
-    The count is C(n + m - 1, n). Cached, so callers may index into the
-    returned tuple freely.
+    The count is C(n + m - 1, n). The rows of _patterns(n, m) as tuples,
+    cached, so callers may index into the returned tuple freely.
     """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
-    if m == 1:
-        return ((n,),)
-    out = []
-    for k in range(n + 1):
-        for head in enumerate_basis(n - k, m - 1):
-            out.append(head + (k,))
-    return tuple(out)
+    return tuple(map(tuple, _patterns(n, m).tolist()))
 
 
 def mode_assignment(occ: ModeOccupation) -> tuple[int, ...]:
@@ -158,9 +156,39 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
 
 
 @lru_cache(maxsize=None)
-def _patterns(k: int, m: int) -> np.ndarray:
-    """enumerate_basis(k, m) as a read-only (count, m) array of the narrowest unsigned dtype."""
-    out = np.array(enumerate_basis(k, m), dtype=np.min_scalar_type(k)).reshape(-1, m)
+def _patterns(n: int, m: int) -> np.ndarray:
+    """The colex basis of n photons in m modes: a read-only (count, m) array.
+
+    The dtype is the narrowest unsigned one that holds n. Built one mode
+    at a time, for every photon number up to n: the patterns of k photons
+    on w + 1 modes are those of k photons on w modes with a zero appended
+    (last count 0), then those of k - 1 photons on w + 1 modes with the
+    last count raised by one (last count 1, 2, ... in order).
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
+    dtype = np.min_scalar_type(n)
+    levels = [np.full((1, 1), k, dtype) for k in range(n + 1)]
+    for w in range(1, m):
+        wider = [np.zeros((1, w + 1), dtype)]
+        for k in range(1, n + 1):
+            head, tail = levels[k], wider[k - 1]
+            block = np.zeros((len(head) + len(tail), w + 1), dtype)
+            block[:len(head), :w] = head
+            block[len(head):] = tail
+            block[len(head):, w] += 1
+            wider.append(block)
+        levels = wider
+    out = levels[n]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int, m: int) -> np.ndarray:
+    """Read-only C(r + j, j) for r <= n, j < m: the basis size of r photons on j + 1 modes."""
+    out = np.array([[math.comb(r + j, j) for j in range(m)] for r in range(n + 1)],
+                   dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -173,14 +201,14 @@ def _rank(patterns: np.ndarray, n: int) -> np.ndarray:
     mode is smaller.
     """
     m = patterns.shape[1]
-    comb = np.array([[math.comb(a, b) for b in range(m)] for a in range(n + m)],
-                    dtype=np.int64)
+    comb = _binomials(n, m)
     rank = np.zeros(patterns.shape[0], dtype=np.int64)
     rest = np.full(patterns.shape[0], n, dtype=np.int64)
     for j in range(m - 1, 0, -1):
-        c = patterns[:, j].astype(np.int64)
-        rank += comb[rest + j, j] - comb[rest - c + j, j]
-        rest -= c
+        below = comb[:, j]
+        rank += below[rest]
+        rest -= patterns[:, j]
+        rank -= below[rest]
     return rank
 
 
@@ -194,14 +222,20 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     pats = _patterns(k, m)
     counts = np.ascontiguousarray(pats.T)
+    modes, rows = np.nonzero(counts)
+    lower = pats[rows]
+    lower[np.arange(rows.size), modes] -= 1
     src = np.full(counts.shape, math.comb(k + m - 2, k - 1), dtype=np.int32)
-    for i in range(m):
-        rows = np.flatnonzero(counts[i])
-        lower = pats[rows]
-        lower[:, i] -= 1
-        src[i, rows] = _rank(lower, k - 1)
+    src[modes, rows] = _rank(lower, k - 1)
     src.flags.writeable = counts.flags.writeable = False
     return src, counts
+
+
+@lru_cache(maxsize=None)
+def _labels(n: int, m: int) -> tuple[str, ...]:
+    """CSV pattern labels of enumerate_basis(n, m): the counts joined with '|'."""
+    fmt = "|".join(["%d"] * m)
+    return tuple(fmt % occ for occ in enumerate_basis(n, m))
 
 
 def _transfer(coupling: np.ndarray, input_occ: ModeOccupation, bosonic: bool) -> np.ndarray:
@@ -333,8 +367,7 @@ class FockDistribution:
 
     def csv_rows(self):
         """(pattern, probability) rows; the pattern column joins counts with '|'."""
-        for occ, p in zip(self.basis, self.probs):
-            yield "|".join(str(c) for c in occ), float(p)
+        return zip(_labels(self.n, self.m), self.probs.tolist())
 
 
 def _resolve_model(model, input_occ: ModeOccupation, m: int):

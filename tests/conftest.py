@@ -60,6 +60,33 @@ def oracle_prob_species(u, partition, output_occ) -> float:
     return p
 
 
+def seed_enumerate_basis(n: int, m: int) -> tuple:
+    """All patterns of n photons in m modes, colex order, by recursive tuple concatenation."""
+    if n < 0 or m < 1:
+        raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
+    if m == 1:
+        return ((n,),)
+    return tuple(head + (k,) for k in range(n + 1) for head in seed_enumerate_basis(n - k, m - 1))
+
+
+def seed_creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather map from level k - 1 to level k, one mode at a time, ranked by basis lookup.
+
+    src[i, t] is the index of t - e_i at level k - 1, or the size of that
+    level where t_i = 0; counts[i, t] is t_i.
+    """
+    pats = np.array(seed_enumerate_basis(k, m), dtype=np.min_scalar_type(k)).reshape(-1, m)
+    lower_index = {occ: i for i, occ in enumerate(seed_enumerate_basis(k - 1, m))}
+    counts = np.ascontiguousarray(pats.T)
+    src = np.full(counts.shape, len(lower_index), dtype=np.int32)
+    for i in range(m):
+        for t in np.flatnonzero(counts[i]):
+            lower = pats[t].tolist()
+            lower[i] -= 1
+            src[i, t] = lower_index[tuple(lower)]
+    return src, counts
+
+
 def seed_lambda_coefficients(n: int, m: int) -> dict:
     """Class weights by the per-pattern exit-table product loop: sizes -> placement weights."""
     from photherm import certify, fock, linalg

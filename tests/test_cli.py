@@ -151,6 +151,8 @@ RING_INPUT = [1, 1, 1, 0]
     ({"certification": {"eps1": 0.9, "eps2": 0.9, "epsilon_grid": ["a"]}},
      "config.certification.epsilon_grid[0]"),
     ({"apparatus": {"mesh_jitter": HUGE}}, "config.apparatus.mesh_jitter"),
+    ({"apparatus": {"mesh_jitter": 1e300}}, "config.apparatus.mesh_jitter"),
+    ({"apparatus": {"mesh_jitter": 4.0}}, "config.apparatus.mesh_jitter"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": float("nan")}},
      "config.hamiltonian.coupling"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": "1"}},
@@ -172,6 +174,34 @@ def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, o
     assert path in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_config_rejects_a_basis_past_the_pattern_ceiling(tmp_path, capsys):
+    """20 modes with the default 19 photons ask for C(38, 19) patterns: exit 1 at config.input."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, hamiltonian={"kind": "hopping", "modes": 20},
+                       certification=None)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.input: 19 photons in 20 modes give C(38, 19)")
+    assert str(cli.MAX_PATTERNS) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 12, "seed": 1},
+                       input=[1] * 6 + [0] * 6, certification=None)
+    assert cli.load_config(cfg).input_occ == (1,) * 6 + (0,) * 6
+
+
+def test_evolve_writes_two_digit_counts(tmp_path):
+    """Ten photons in two modes: the pattern column keeps every digit of each count."""
+    cfg = write_config(tmp_path, hamiltonian={"kind": "hopping", "modes": 2}, input=[10, 0],
+                       times=[0.4], certification=None)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    rows = [line.split(",")[0] for line in
+            (run / "evolve_h_t000.csv").read_text().splitlines()[3:]]
+    assert rows == [f"{10 - k}|{k}" for k in range(11)]
+    assert "10|0" in rows
 
 
 def test_config_rejects_integer_literal_past_the_digit_limit(tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_permanent, oracle_prob_species
+from conftest import (naive_permanent, oracle_prob_species, seed_creation_map,
+                      seed_enumerate_basis)
 from photherm import fock, linalg
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -21,6 +22,55 @@ def test_basis_order_and_count():
         (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2))
     for n, m in [(0, 3), (3, 4), (4, 5)]:
         assert len(fock.enumerate_basis(n, m)) == math.comb(n + m - 1, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(1, 9))
+@example(0, 1)
+@example(0, 9)
+@example(7, 1)
+@example(7, 9)
+def test_basis_arrays_match_the_recursive_oracle(n, m):
+    """The array-built basis, its tuples, ranks and creation maps equal the seed builders."""
+    want = seed_enumerate_basis(n, m)
+    assert fock.enumerate_basis(n, m) == want
+    pats = fock._patterns(n, m)
+    assert pats.dtype == np.min_scalar_type(n)
+    assert not pats.flags.writeable
+    assert np.array_equal(pats, np.array(want, dtype=pats.dtype).reshape(-1, m))
+    assert np.array_equal(fock._rank(pats, n), np.arange(len(want)))
+    if n >= 1:
+        for got, oracle in zip(fock._creation_map(n, m), seed_creation_map(n, m)):
+            assert got.dtype == oracle.dtype
+            assert np.array_equal(got, oracle)
+
+
+def test_one_photon_on_many_modes():
+    """Ranking on 70 modes needs only basis sizes, which fit int64 whenever the basis fits."""
+    u = linalg.haar_random(70, 9)
+    dist = fock.output_distribution(u, (1,) + (0,) * 69)
+    assert np.max(np.abs(dist.probs - np.abs(u[:, 0]) ** 2)) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(-1, 3), (2, 0), (0, -1)])
+def test_basis_rejects_negative_photons_and_empty_modes(n, m):
+    with pytest.raises(ValueError):
+        fock.enumerate_basis(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(0, 1), (1, 1), (3, 4), (10, 2), (10, 3), (12, 2), (4, 6)]),
+       st.integers(0, 2**32 - 1))
+@example((10, 2), 0)
+@example((10, 3), 0)
+def test_csv_rows_match_joined_counts(shape, seed):
+    """Cached labels give the rows of the per-row join, two-digit counts included."""
+    n, m = shape
+    basis = fock.enumerate_basis(n, m)
+    probs = np.random.default_rng(seed).random(len(basis))
+    dist = fock.FockDistribution(basis, probs / probs.sum())
+    want = [("|".join(str(c) for c in occ), float(p)) for occ, p in zip(basis, dist.probs)]
+    assert list(dist.csv_rows()) == want
 
 
 def test_mode_assignment():
