@@ -151,8 +151,6 @@ RING_INPUT = [1, 1, 1, 0]
     ({"certification": {"eps1": 0.9, "eps2": 0.9, "epsilon_grid": ["a"]}},
      "config.certification.epsilon_grid[0]"),
     ({"apparatus": {"mesh_jitter": HUGE}}, "config.apparatus.mesh_jitter"),
-    ({"apparatus": {"mesh_jitter": 1e300}}, "config.apparatus.mesh_jitter"),
-    ({"apparatus": {"mesh_jitter": 4.0}}, "config.apparatus.mesh_jitter"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": float("nan")}},
      "config.hamiltonian.coupling"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4, "coupling": "1"}},
@@ -164,6 +162,8 @@ RING_INPUT = [1, 1, 1, 0]
     ({"model": {"species": []}}, "config.model"),
     ({"model": {"species": 5}}, "config.model.species"),
     ({"model": {"mixture": [[1.0, 3]]}}, "config.model.mixture[0][1]"),
+    ({"apparatus": {"mesh_jitter": 1e300}}, "config.apparatus.mesh_jitter"),
+    ({"apparatus": {"mesh_jitter": 4.0}}, "config.apparatus.mesh_jitter"),
 ])
 def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, overrides, path):
     """Each malformed value exits 1 at its JSON path, with no traceback and no run directory."""
