@@ -34,7 +34,10 @@ CONVERGENCE_BATCHES = 16
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Output patterns suppressed by the Fourier interference of a periodic input."""
+    """Output patterns suppressed by the Fourier interference of a periodic input.
+
+    Built by forbidden_patterns; forbidden_hits reads its n, m and period.
+    """
 
     n: int
     m: int
@@ -43,6 +46,20 @@ class ForbiddenSet:
 
     def __post_init__(self):
         object.__setattr__(self, "patterns", tuple(tuple(p) for p in self.patterns))
+
+
+@lru_cache(maxsize=None)
+def _forbidden_mask(n: int, m: int, period: int) -> np.ndarray:
+    """Read-only boolean mask over fock._patterns(n, m) of the forbidden patterns.
+
+    The rule of forbidden_patterns, applied to the whole basis at once;
+    patterns with photons beyond mode n are never forbidden.
+    """
+    pats = fock._patterns(n, m)
+    mask = (period * (pats[:, :n] @ np.arange(1, n + 1))) % n != 0
+    mask &= ~pats[:, n:].any(axis=1)
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -61,13 +78,8 @@ def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
     if period < 1 or n % period:
         raise ValueError(f"period {period} must divide the photon number {n}")
-    tail = (0,) * (m - n)
-    forb = []
-    for s in fock.enumerate_basis(n, n):
-        d_sum = sum(j + 1 for j in fock.mode_assignment(s))
-        if (period * d_sum) % n:
-            forb.append(s + tail)
-    return ForbiddenSet(n, m, period, tuple(forb))
+    forb = fock._patterns(n, m)[_forbidden_mask(n, m, period)]
+    return ForbiddenSet(n, m, period, tuple(map(tuple, forb.tolist())))
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -101,8 +113,7 @@ def lambda_coefficients(n: int, m: int) -> tuple[tuple[tuple[int, ...], float], 
     if m < n:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
     u = linalg.fourier(n, m)
-    forb = set(forbidden_patterns(n, m, 1).patterns)
-    forbidden = np.fromiter((s in forb for s in fock.enumerate_basis(n, m)), dtype=bool)
+    forbidden = _forbidden_mask(n, m, 1)
     exit_laws: dict[tuple[int, ...], np.ndarray] = {}
 
     def exit_law(block: tuple[int, ...]) -> np.ndarray:
@@ -166,7 +177,7 @@ def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[fl
         total += draws
         if size >= 2:
             bunched &= draws.max(axis=1) == size
-    hits = bunched & forbidden_hits(total, forbidden_patterns(n, m, 1))
+    hits = bunched & forbidden_hits(total, forbidden_patterns(n, m))
     freq = float(hits.mean())
     return freq, math.sqrt(max(freq * (1.0 - freq), 1e-12) / shots)
 
@@ -184,26 +195,14 @@ def revival_hits(samples, target) -> np.ndarray:
 def forbidden_hits(samples, fs: ForbiddenSet) -> np.ndarray:
     """Boolean mask of the samples (rows of a (k, fs.m) count array) in fs.patterns.
 
-    Each row is read as a mixed-radix key whose digit in mode j runs up
-    to one past the largest count any forbidden pattern holds there;
-    larger counts share that top digit, so such rows match nothing.
+    Rows holding fs.n photons are looked up by their basis index; rows
+    with any other total are never forbidden.
     """
     samples = np.asarray(samples).reshape(len(samples), fs.m)
-    if not fs.patterns:
-        return np.zeros(len(samples), dtype=bool)
-    pats = np.array(fs.patterns, dtype=np.int64)
-    radix = pats.max(axis=0) + 2
-    if math.prod(radix.tolist()) > np.iinfo(np.int64).max:
-        raise ValueError(f"forbidden patterns over {fs.m} modes are too wide to key")
-
-    def keys(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(rows), dtype=np.int64)
-        for j, r in enumerate(radix):
-            out *= r
-            out += np.minimum(rows[:, j], r - 1)
-        return out
-
-    return np.isin(keys(samples), keys(pats))
+    hits = np.zeros(len(samples), dtype=bool)
+    full = samples.sum(axis=1) == fs.n
+    hits[full] = _forbidden_mask(fs.n, fs.m, fs.period)[fock._rank(samples[full], fs.n)]
+    return hits
 
 
 def estimate_p1(samples, target) -> tuple[float, int]:
@@ -325,6 +324,18 @@ def witness_threshold(u: np.ndarray, input_occ, split: int = 1) -> float:
     return float(np.linalg.svd(t, compute_uv=False)[0] ** 2)
 
 
+def _settings(spec: hamiltonian.HamiltonianSpec, t: float, n: int, m: int):
+    """The evolution u and the chip sections of both settings, in the order light passes them.
+
+    Setting 1 is u then its inverse; setting 2 also applies the Fourier
+    transform on the occupied modes. A setting's ideal unitary is
+    sections[1] @ sections[0].
+    """
+    u = hamiltonian.evolution(spec, t)
+    back = u.conj().T
+    return u, ((u, back), (u, linalg.fourier(n, m) @ back))
+
+
 def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
                             shots: int, seed, app: apparatus.Apparatus | None = None,
                             input_occ=None) -> tuple[np.ndarray, np.ndarray]:
@@ -342,18 +353,14 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
     if input_occ is None:
         input_occ = (1,) * (m - 1) + (0,)
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
-    n = fock.total(input_occ)
-    u = hamiltonian.evolution(spec, t)
-    u_f = linalg.fourier(n, m)
-    settings = (u.conj().T @ u, u_f @ u.conj().T @ u)
+    _, settings = _settings(spec, t, fock.total(input_occ), m)
     out = []
-    for idx, ideal in enumerate(settings):
+    for idx, sections in enumerate(settings):
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
         if app is None or app.is_trivial():
-            dist = fock.output_distribution(ideal, input_occ, model)
+            dist = fock.output_distribution(sections[1] @ sections[0], input_occ, model)
             out.append(fock.sample(dist, shots, rng))
         else:
-            sections = (u, u.conj().T) if idx == 0 else (u, u_f @ u.conj().T)
             realized = apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
             out.append(apparatus.simulate_setting(
                 realized, model, app.source, app.detection, shots, rng,
@@ -366,27 +373,48 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
             split: int = 1, input_occ=None) -> CertificationResult:
     """Run both settings and return the certification record with its convergence trace.
 
-    p1 and p2 are read off one hit mask per setting, as are the trace's
-    prefixes: CONVERGENCE_BATCHES equal batches, then all shots, whose
-    row equals the record.
+    The trace holds CONVERGENCE_BATCHES equal batches, then all shots,
+    whose row equals the record. Without an apparatus, or with a trivial
+    one, no pattern is drawn: each shot of setting 1 hits the input with
+    the exact probability P1 its law gives, and each shot of setting 2
+    lands on a forbidden pattern with the exact weight P2, so each batch's
+    hit count is one Binomial(batch, P) draw from the setting's generator.
+    With an apparatus the patterns are sampled and detected
+    (collect_setting_samples) and the hits are read off one mask per
+    setting.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     m = spec.modes
     if input_occ is None:
         input_occ = (1,) * (m - 1) + (0,)
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
     n = fock.total(input_occ)
-    samples1, samples2 = collect_setting_samples(
-        spec, t, model, shots, seed, app, input_occ)
-    hits1 = revival_hits(samples1, input_occ)
-    hits2 = forbidden_hits(samples2, forbidden_patterns(n, m))
-    lambdas = lambda_coefficients(n, m)
-    thresh = witness_threshold(hamiltonian.evolution(spec, t), input_occ, split)
     per = max(1, shots // CONVERGENCE_BATCHES)
-    cuts = [b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
+    cuts = np.array([b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
+                    + [shots], dtype=np.int64)
+    if app is None or app.is_trivial():
+        u, settings = _settings(spec, t, n, m)
+        sizes = np.diff(cuts, prepend=0)
+        revival = fock._rank(np.array([input_occ]), n)[0]
+        hits = []
+        for idx, sections in enumerate(settings):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
+            probs = fock.output_distribution(sections[1] @ sections[0], input_occ, model).probs
+            p = probs[revival] if idx == 0 else probs[_forbidden_mask(n, m, 1)].sum()
+            # a law is checked only to its sum tolerance: a near-delta weight may pass 1
+            hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
+    else:
+        u = hamiltonian.evolution(spec, t)
+        samples1, samples2 = collect_setting_samples(
+            spec, t, model, shots, seed, app, input_occ)
+        hits = [np.cumsum(revival_hits(samples1, input_occ))[cuts - 1],
+                np.cumsum(forbidden_hits(samples2, forbidden_patterns(n, m)))[cuts - 1]]
+    lambdas = lambda_coefficients(n, m)
+    thresh = witness_threshold(u, input_occ, split)
     trace = []
-    for cut in cuts + [shots]:
-        p1 = int(np.count_nonzero(hits1[:cut])) / cut
-        p2 = int(np.count_nonzero(hits2[:cut])) / cut
+    for cut, h1, h2 in zip(cuts.tolist(), hits[0].tolist(), hits[1].tolist()):
+        p1, p2 = h1 / cut, h2 / cut
         result = fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
         trace.append((cut, p1, p2, result.f_lower))
     return replace(result, convergence=tuple(trace))

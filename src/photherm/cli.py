@@ -89,8 +89,9 @@ def _basis_size(n: int, m: int) -> int:
 
 
 def _occupation(v, path: str) -> tuple:
-    _expect(isinstance(v, list) and v and all(isinstance(x, int) and x >= 0 for x in v),
-            path, f"expected a list of non-negative integers, got {v!r}")
+    _expect(isinstance(v, list) and v and all(
+        isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in v),
+        path, f"expected a list of non-negative integers, got {v!r}")
     return tuple(v)
 
 
@@ -126,6 +127,7 @@ def _parse_model(v, path: str):
 def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     d = dict(d)
+    _get_int(d, "modes", path, required=True)
     if "coupling" in d:
         # checked, not converted: an integer coupling keeps its resolved form and digest
         _number(d["coupling"], f"{path}.coupling")
@@ -227,9 +229,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from None
     shots = _get_int(raw, "shots", "config", default=1000, minimum=1)
-    seed = _get_int(raw, "seed", "config", default=0)
+    seed = _get_int(raw, "seed", "config", default=0, minimum=0)
     if seed_override is not None:
         seed = int(seed_override)
+        _expect(seed >= 0, "--seed", f"must be >= 0, got {seed}")
 
     app = None
     if raw.get("apparatus") is not None:

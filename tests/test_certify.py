@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seed_estimate_p1, seed_estimate_p2, seed_lambda_coefficients
-from photherm import certify, fock, hamiltonian, linalg
+from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
 
@@ -262,18 +263,95 @@ def test_certify_noiseless_entangled():
 
 
 def test_certify_convergence_is_the_prefix_estimates():
+    """With an apparatus the trace is read off the samples' prefixes."""
+    app = apparatus.Apparatus(mesh_jitter=0.05)
     res = certify.certify(RING, 1.0, fock.MODEL_DISTINGUISHABLE, shots=1000,
-                          seed=8, eps1=0.8, eps2=0.9)
+                          seed=8, eps1=0.8, eps2=0.9, app=app)
     assert [row[0] for row in res.convergence] == [62 * b for b in range(1, 17)] + [1000]
     assert res.convergence[-1] == (1000, res.p1, res.p2, res.f_lower)
     s1, s2 = certify.collect_setting_samples(RING, 1.0, fock.MODEL_DISTINGUISHABLE,
-                                             1000, seed=8)
+                                             1000, seed=8, app=app)
     lams, fs = certify.lambda_coefficients(3, 4), certify.forbidden_patterns(3, 4)
     for k, p1, p2, f_lower in res.convergence:
         assert (p1, k) == certify.estimate_p1(s1[:k], (1, 1, 1, 0))
         assert (p2, k) == certify.estimate_p2(s2[:k], fs)
         assert f_lower == certify.fidelity_bound(p1, k, p2, k, lams, 0.8, 0.9).f_lower
     assert "convergence" not in res.to_dict()
+
+
+def _batch_counts(convergence) -> tuple[np.ndarray, np.ndarray]:
+    """Batch sizes and per-batch (setting 1, setting 2) hit counts of a trace."""
+    cuts = np.array([k for k, _, _, _ in convergence])
+    hits = np.array([[round(p1 * k), round(p2 * k)] for k, p1, p2, _ in convergence])
+    return np.diff(cuts, prepend=0), np.diff(hits, axis=0, prepend=0)
+
+
+@pytest.mark.parametrize("model", [
+    fock.MODEL_INDISTINGUISHABLE,
+    fock.MODEL_DISTINGUISHABLE,
+    apparatus.distinguishability_mixture(apparatus.SourceModel()),
+])
+def test_certify_binomial_counts_match_the_sampled_oracle(model):
+    """Per batch, the exact path's hit counts agree with those of sampled patterns.
+
+    Each count is Binomial(batch, P) with P read off the law by membership,
+    so two independent draws differ by 5 sigma of their difference at most;
+    the noiseless model leaves no randomness, and the counts are equal.
+    """
+    shots, t, target = 4000, 1.0, (1, 1, 1, 0)
+    res = certify.certify(RING, t, model, shots, seed=21, eps1=0.9, eps2=0.9)
+    sizes, exact = _batch_counts(res.convergence)
+    s1, s2 = certify.collect_setting_samples(RING, t, model, shots, seed=22)
+    fs = certify.forbidden_patterns(3, 4)
+    cuts = np.cumsum(sizes)
+    sampled = np.diff(np.stack([
+        np.cumsum([tuple(r) == target for r in s1.tolist()])[cuts - 1],
+        np.cumsum([tuple(r) in fs.patterns for r in s2.tolist()])[cuts - 1]], axis=1),
+        axis=0, prepend=0)
+    u = hamiltonian.evolution(RING, t)
+    forb = set(fs.patterns)
+    probs = []
+    for ideal, hit in ((u.conj().T @ u, lambda occ: occ == target),
+                       (linalg.fourier(3, 4) @ u.conj().T @ u, lambda occ: occ in forb)):
+        dist = fock.output_distribution(ideal, target, model)
+        probs.append(sum(p for occ, p in zip(dist.basis, dist.probs) if hit(occ)))
+    p = np.clip(probs, 0.0, 1.0)
+    sigma = np.sqrt(2.0 * sizes[:, None] * p * (1.0 - p))
+    assert np.all(np.abs(exact - sampled) <= 5.0 * sigma)
+    if model == fock.MODEL_INDISTINGUISHABLE:
+        assert np.array_equal(exact, sampled)
+        assert np.array_equal(exact[:, 0], sizes) and not exact[:, 1].any()
+    else:
+        assert 0.05 < probs[1] < 0.95  # the forbidden weight is far from 0 and 1
+
+
+def test_certify_clips_a_revival_probability_past_one(monkeypatch):
+    """A law is normalized only to its sum tolerance: a near-delta input weight may pass 1."""
+    real = fock.output_distribution
+    seen = []
+
+    def inflated(u, input_occ, model):
+        dist = real(u, input_occ, model)
+        probs = dist.probs * (1.0 + 1e-12)
+        seen.append(probs.max())
+        return fock.FockDistribution(dist.basis, probs)
+
+    monkeypatch.setattr(certify.fock, "output_distribution", inflated)
+    res = certify.certify(RING, 1.0, fock.MODEL_INDISTINGUISHABLE, shots=1000,
+                          seed=5, eps1=0.9, eps2=0.9)
+    assert seen[0] > 1.0  # setting 1 maps the input onto itself
+    assert (res.p1, res.p2, res.k1) == (1.0, 0.0, 1000)
+
+
+def test_certify_without_apparatus_draws_no_patterns():
+    """A trillion shots per setting cost two binomial draws per batch, not memory."""
+    start = time.perf_counter()
+    res = certify.certify(RING, 1.0, fock.MODEL_INDISTINGUISHABLE, shots=10**12,
+                          seed=3, eps1=0.9, eps2=0.9)
+    assert time.perf_counter() - start < 1.0
+    assert res.k1 == res.k2 == 10**12
+    assert (res.p1, res.p2) == (1.0, 0.0)
+    assert res.convergence[-1][0] == 10**12
 
 
 def test_certify_product_state_not_entangled():

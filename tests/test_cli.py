@@ -164,6 +164,8 @@ RING_INPUT = [1, 1, 1, 0]
     ({"model": {"mixture": [[1.0, 3]]}}, "config.model.mixture[0][1]"),
     ({"apparatus": {"mesh_jitter": 1e300}}, "config.apparatus.mesh_jitter"),
     ({"apparatus": {"mesh_jitter": 4.0}}, "config.apparatus.mesh_jitter"),
+    ({"hamiltonian": {"kind": "hopping", "modes": 4.0}}, "config.hamiltonian.modes"),
+    ({"input": [True, True, True, False]}, "config.input"),
 ])
 def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, overrides, path):
     """Each malformed value exits 1 at its JSON path, with no traceback and no run directory."""
@@ -371,6 +373,7 @@ def _source(squeezing, heralding_efficiency):
     ({"hamiltonian": {"kind": "long_range", "modes": 4, "seeds": [3, -2]}}, "config.hamiltonian"),
     (_source(0.0, 0.9), "config.apparatus.source"),  # a source that never heralds
     (_source(0.3, 0.0), "config.apparatus.source"),
+    ({"seed": -1}, "config.seed"),
 ])
 def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overrides, path):
     """Each config exits 1 at load time, before any event is simulated."""
@@ -379,6 +382,16 @@ def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overr
     assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_certify_rejects_a_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, times=[1.0])
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed: must be >= 0")
     assert "Traceback" not in err
     assert not out.exists()
 
