@@ -279,15 +279,20 @@ def correct_counts(fired, det: DetectionModel) -> fock.FockDistribution:
     n = int(clicks[0])
     if np.any(clicks != n):
         raise ValueError(f"click totals {sorted(set(clicks.tolist()))} differ; post-select first")
-    basis = fock.enumerate_basis(n, m)
-    counts = np.bincount(fock._rank(pats, n), minlength=len(basis))
-    weights = np.zeros(len(basis))
-    for i in np.flatnonzero(counts):
-        resolve = math.prod(resolve_probability(det, mode, k) for mode, k in enumerate(basis[i]))
-        if resolve <= 0.0:
-            raise ValueError(f"pattern {basis[i]} cannot be resolved by 3 channels per mode")
-        weights[i] = counts[i] / resolve
-    return fock.FockDistribution(basis, weights / weights.sum())
+    counts = np.bincount(fock._rank(pats, n), minlength=math.comb(n + m - 1, n))
+    seen = np.flatnonzero(counts)
+    rows = fock._patterns(n, m)[seen]
+    # per-mode resolve tables, multiplied in mode order like a product over the pattern
+    resolve = np.ones(seen.size)
+    for mode in range(m):
+        table = np.array([resolve_probability(det, mode, k) for k in range(n + 1)])
+        resolve *= table[rows[:, mode]]
+    if np.any(resolve <= 0.0):
+        occ = tuple(rows[np.argmax(resolve <= 0.0)].tolist())
+        raise ValueError(f"pattern {occ} cannot be resolved by 3 channels per mode")
+    weights = np.zeros(counts.size)
+    weights[seen] = counts[seen] / resolve
+    return fock.FockDistribution(n, m, weights / weights.sum())
 
 
 def blinding_probability(pump_power: float, det: DetectionModel) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,10 +42,12 @@ class ForbiddenSet:
     n: int
     m: int
     period: int
-    patterns: tuple[fock.ModeOccupation, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "patterns", tuple(tuple(p) for p in self.patterns))
+    @cached_property
+    def patterns(self) -> tuple[fock.ModeOccupation, ...]:
+        """The forbidden patterns as tuples, in basis order."""
+        forb = fock._patterns(self.n, self.m)[_forbidden_mask(self.n, self.m, self.period)]
+        return tuple(map(tuple, forb.tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +80,7 @@ def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
     if period < 1 or n % period:
         raise ValueError(f"period {period} must divide the photon number {n}")
-    forb = fock._patterns(n, m)[_forbidden_mask(n, m, period)]
-    return ForbiddenSet(n, m, period, tuple(map(tuple, forb.tolist())))
+    return ForbiddenSet(n, m, period)
 
 
 def _set_partitions(items: tuple[int, ...]):
@@ -107,24 +108,27 @@ def lambda_coefficients(n: int, m: int) -> tuple[tuple[tuple[int, ...], float], 
     which species (checked to 1e-12). Returns a tuple of (sizes, lambda)
     pairs ordered by species count, e.g. for n = 3:
     (((2, 1), 4/9), ((1, 1, 1), 2/3)). Cached per (n, m).
+
+    No photon reaches a mode beyond the first n, and forbidden patterns
+    leave those modes empty, so the weights do not depend on m: they are
+    computed on n modes, and m is only validated.
     """
     if not 2 <= n <= LAMBDA_MAX_PHOTONS:
         raise ValueError(f"photon number {n} outside supported range 2..{LAMBDA_MAX_PHOTONS}")
     if m < n:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
-    u = linalg.fourier(n, m)
-    forbidden = _forbidden_mask(n, m, 1)
+    u = linalg.fourier(n)
+    forbidden = _forbidden_mask(n, n, 1)
     exit_laws: dict[tuple[int, ...], np.ndarray] = {}
 
     def exit_law(block: tuple[int, ...]) -> np.ndarray:
         # a multi-photon species counts only when it exits bunched in one mode
         if block not in exit_laws:
             size = len(block)
-            occ = tuple(int(j in block) for j in range(m))
+            occ = tuple(int(j in block) for j in range(n))
             law = np.abs(fock._transfer(u, occ, bosonic=True)) ** 2
             if size >= 2:
-                law *= np.fromiter((max(s) == size for s in fock.enumerate_basis(size, m)),
-                                   dtype=bool)
+                law *= fock._patterns(size, n).max(axis=1) == size
             exit_laws[block] = law
         return exit_laws[block]
 
@@ -134,7 +138,7 @@ def lambda_coefficients(n: int, m: int) -> tuple[tuple[tuple[int, ...], float], 
             continue
         law, size = exit_law(tuple(blocks[0])), len(blocks[0])
         for block in blocks[1:]:
-            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), m)
+            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), n)
             size += len(block)
         weight = float(law[forbidden].sum())
         sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
@@ -313,15 +317,18 @@ def witness_threshold(u: np.ndarray, input_occ, split: int = 1) -> float:
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
     n = fock.total(input_occ)
     psi = fock.state_vector(u, input_occ)
-    basis = fock.enumerate_basis(n, m)
-    rows = [occ for k in range(n + 1) for occ in fock.enumerate_basis(k, split)]
-    cols = [occ for k in range(n + 1) for occ in fock.enumerate_basis(k, m - split)]
-    ri = {occ: i for i, occ in enumerate(rows)}
-    ci = {occ: i for i, occ in enumerate(cols)}
-    t = np.zeros((len(rows), len(cols)), dtype=complex)
-    for occ, amp in zip(basis, psi):
-        t[ri[occ[:split]], ci[occ[split:]]] = amp
-    return float(np.linalg.svd(t, compute_uv=False)[0] ** 2)
+    pats = fock._patterns(n, m)
+    # photon number is conserved, so the Schmidt matrix is block-diagonal in the
+    # photons k left of the cut; its top singular value is the largest over the blocks
+    k = pats[:, :split].sum(axis=1)
+    top = 0.0
+    for j in range(n + 1):
+        sel = k == j
+        block = np.zeros((math.comb(j + split - 1, j), math.comb(n - j + m - split - 1, n - j)),
+                         dtype=complex)
+        block[fock._rank(pats[sel, :split], j), fock._rank(pats[sel, split:], n - j)] = psi[sel]
+        top = max(top, np.linalg.svd(block, compute_uv=False)[0])
+    return float(top ** 2)
 
 
 def _settings(spec: hamiltonian.HamiltonianSpec, t: float, n: int, m: int):

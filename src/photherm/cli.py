@@ -32,6 +32,8 @@ from . import __version__, apparatus, certify, fock, gge, hamiltonian, linalg
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
 # Largest basis C(n + m - 1, n) a config may ask for; each law is allocated whole.
 MAX_PATTERNS = 1_000_000
+# Most shots a run with a non-trivial apparatus may ask for; its event stream samples each one.
+MAX_APPARATUS_SHOTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -72,6 +74,22 @@ def _get_int(d: dict, key: str, path: str, default=None, required=False, minimum
     if minimum is not None:
         _expect(v >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {v}")
     return v
+
+
+def _check_keys(d: dict, keys, path: str):
+    unknown = sorted(set(d) - set(keys))
+    _expect(not unknown, path, f"unknown keys {unknown}; expected some of {list(keys)}")
+
+
+def _check_numbers(v, path: str, shape: tuple):
+    """Check nested lists of numbers: shape[0] entries (any number if None), then shape[1:]."""
+    if not shape:
+        _number(v, path)
+        return
+    _expect(isinstance(v, list) and shape[0] in (None, len(v)), path,
+            f"expected a list of {shape[0] or 'any number of'} entries, got {v!r}")
+    for i, x in enumerate(v):
+        _check_numbers(x, f"{path}[{i}]", shape[1:])
 
 
 def _basis_size(n: int, m: int) -> int:
@@ -127,10 +145,12 @@ def _parse_model(v, path: str):
 def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     d = dict(d)
-    _get_int(d, "modes", path, required=True)
+    modes = _get_int(d, "modes", path, required=True)
     if "coupling" in d:
         # checked, not converted: an integer coupling keeps its resolved form and digest
         _number(d["coupling"], f"{path}.coupling")
+    if d.get("matrix") is not None:
+        _check_numbers(d["matrix"], f"{path}.matrix", (modes, modes, 2))
     seeds = d.pop("seeds", None)
     if seeds is not None:
         _expect("seed" not in d, f"{path}.seeds", "give either seed or seeds, not both")
@@ -150,19 +170,50 @@ def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     return specs
 
 
+def _parse_source(d, path: str) -> apparatus.SourceModel:
+    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
+    numbers = ("squeezing", "pump_power", "heralding_efficiency")
+    _check_keys(d, numbers + ("pairwise_visibilities",), path)
+    for key in numbers:
+        _get_number(d, key, path)
+    vis = d.get("pairwise_visibilities", [])
+    _expect(isinstance(vis, list), f"{path}.pairwise_visibilities",
+            f"expected a list of [[i, j], visibility], got {vis!r}")
+    for i, item in enumerate(vis):
+        at = f"{path}.pairwise_visibilities[{i}]"
+        _expect(isinstance(item, list) and len(item) == 2, at,
+                f"expected [[i, j], visibility], got {item!r}")
+        _expect(len(_occupation(item[0], f"{at}[0]")) == 2, f"{at}[0]",
+                f"expected a pair of photon indices, got {item[0]!r}")
+        _number(item[1], f"{at}[1]")
+    try:
+        return apparatus.SourceModel.from_dict(d)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _parse_detection(d, path: str) -> apparatus.DetectionModel:
+    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
+    numbers = ("dark_count_prob", "blinding_slope", "blinding_intercept")
+    _check_keys(d, ("weights",) + numbers, path)
+    _expect("weights" in d, f"{path}.weights", "missing required value")
+    _check_numbers(d["weights"], f"{path}.weights", (None, apparatus.CHANNELS_PER_MODE))
+    for key in numbers:
+        _get_number(d, key, path)
+    try:
+        return apparatus.DetectionModel.from_dict(d)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
+    """The apparatus block; source and detection numbers are checked, not converted."""
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     src = det = None
     if d.get("source") is not None:
-        try:
-            src = apparatus.SourceModel.from_dict(d["source"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}.source: {exc}") from None
+        src = _parse_source(d["source"], f"{path}.source")
     if d.get("detection") is not None:
-        try:
-            det = apparatus.DetectionModel.from_dict(d["detection"])
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigError(f"{path}.detection: {exc}") from None
+        det = _parse_detection(d["detection"], f"{path}.detection")
     jitter = _get_number(d, "mesh_jitter", path, default=0.0)
     # a Gaussian of width pi already spreads a crossing angle over the whole circle
     _expect(0.0 <= jitter <= math.pi, f"{path}.mesh_jitter",
@@ -238,6 +289,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if raw.get("apparatus") is not None:
         app = _parse_apparatus(raw["apparatus"], "config.apparatus")
         det, n = app.detection, fock.total(input_occ)
+        _expect(app.is_trivial() or shots <= MAX_APPARATUS_SHOTS, "config.shots",
+                f"an apparatus run samples every shot; {shots} is more than the ceiling "
+                f"of {MAX_APPARATUS_SHOTS}")
         if app.source is not None:
             try:
                 apparatus._check_source_input(input_occ)

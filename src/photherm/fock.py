@@ -9,7 +9,9 @@ Each basis is built once, as the cached read-only array _patterns(n, m),
 one row per pattern. That array is the source of truth: enumerate_basis
 is its rows as tuples, _rank maps rows back to their indices, the
 transition engine's gather maps and the CSV pattern labels are derived
-from it, and samplers index into it.
+from it, and samplers index into it. A FockDistribution holds only n, m
+and its probability vector over that basis; readers of a law index the
+array instead of walking the basis pattern by pattern.
 
 Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
@@ -323,47 +325,46 @@ class Mixture:
             raise ValueError(f"mixture weights sum to {s!r}, expected 1")
 
 
+def _check_probs(probs, size: int | None = None) -> np.ndarray:
+    """A 1-d probability vector, of length size if given, clipped at 0.
+
+    Entries may dip below 0 and the sum may miss 1 by PROB_SUM_TOL at most.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or not probs.size or size not in (None, probs.size):
+        raise ValueError(f"expected a 1-d probability vector of length {size or '>= 1'}, "
+                         f"got shape {probs.shape}")
+    if not probs.min() >= -PROB_SUM_TOL:
+        raise ValueError(f"negative probability {probs.min()}")
+    if not abs(probs.sum() - 1.0) <= PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+    return np.clip(probs, 0.0, None)
+
+
 @dataclass(frozen=True)
 class FockDistribution:
-    """Probability distribution over the canonical n-photon basis of m modes.
+    """Probability distribution of n photons over the canonical basis enumerate_basis(n, m)."""
 
-    The basis must be enumerate_basis(n, m) in order; the cached tuple is stored.
-    """
-
-    basis: tuple[ModeOccupation, ...]
+    n: int
+    m: int
     probs: np.ndarray
 
     def __post_init__(self):
-        if not len(self.basis):
-            raise ValueError("basis is empty")
-        first = tuple(self.basis[0])
-        basis = enumerate_basis(int(sum(first)), len(first))
-        if tuple(map(tuple, self.basis)) != basis:
-            raise ValueError("basis is not the canonical colex basis of its photon and mode count")
-        probs = np.asarray(self.probs, dtype=float)
-        if len(basis) != probs.shape[0] or probs.ndim != 1:
-            raise ValueError("basis and probability vector lengths differ")
-        if probs.min(initial=0.0) < -PROB_SUM_TOL:
-            raise ValueError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
+        if self.n < 0 or self.m < 1:
+            raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={self.n}, m={self.m}")
+        size = math.comb(self.n + self.m - 1, self.n)
+        object.__setattr__(self, "probs", _check_probs(self.probs, size))
 
     @property
-    def m(self) -> int:
-        return len(self.basis[0])
-
-    @property
-    def n(self) -> int:
-        return total(self.basis[0])
+    def basis(self) -> tuple[ModeOccupation, ...]:
+        return enumerate_basis(self.n, self.m)
 
     def prob_of(self, occ) -> float:
-        occ = tuple(int(x) for x in occ)
-        try:
-            return float(self.probs[self.basis.index(occ)])
-        except ValueError:
+        """Probability of one pattern; 0.0 for a pattern outside the basis."""
+        occ = np.array([[int(x) for x in occ]], dtype=np.int64)
+        if occ.shape[1] != self.m or occ.min() < 0 or occ.sum() != self.n:
             return 0.0
+        return float(self.probs[_rank(occ, self.n)[0]])
 
     def csv_rows(self):
         """(pattern, probability) rows; the pattern column joins counts with '|'."""
@@ -430,7 +431,7 @@ def output_distribution(u: np.ndarray, input_occ,
     s = probs.sum()
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"output probabilities sum to {s!r}; unitarity loss?")
-    return FockDistribution(enumerate_basis(total(input_occ), m), probs / s)
+    return FockDistribution(total(input_occ), m, probs / s)
 
 
 def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:
@@ -444,8 +445,8 @@ def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cum = np.cumsum(dist.probs)
     idx = np.searchsorted(cum, rng.random(count), side="right")
-    idx = np.minimum(idx, len(dist.basis) - 1)
-    return _patterns(total(dist.basis[0]), dist.m)[idx]
+    idx = np.minimum(idx, dist.probs.size - 1)
+    return _patterns(dist.n, dist.m)[idx]
 
 
 def state_vector(u: np.ndarray, input_occ) -> np.ndarray:

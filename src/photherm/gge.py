@@ -24,24 +24,15 @@ class MarginalDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.shape[0] < 1:
-            raise ValueError("marginal needs a 1-d probability vector")
-        if probs.min() < -fock.PROB_SUM_TOL:
-            raise ValueError(f"negative probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > fock.PROB_SUM_TOL:
-            raise ValueError(f"marginal sums to {probs.sum()!r}, expected 1")
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
+        object.__setattr__(self, "probs", fock._check_probs(self.probs))
 
 
 def marginal(dist: fock.FockDistribution, mode: int) -> MarginalDistribution:
     """Photon-number marginal of one mode (0-based) of a full distribution."""
     if not 0 <= mode < dist.m:
         raise ValueError(f"mode {mode} out of range for {dist.m} modes")
-    probs = np.zeros(dist.n + 1)
-    for occ, p in zip(dist.basis, dist.probs):
-        probs[occ[mode]] += p
-    return MarginalDistribution(mode, probs)
+    counts = fock._patterns(dist.n, dist.m)[:, mode]
+    return MarginalDistribution(mode, np.bincount(counts, weights=dist.probs, minlength=dist.n + 1))
 
 
 def geometric_photon_probability(k: int, density: float) -> float:
@@ -68,11 +59,7 @@ def gge_marginal(n: int, m: int, mode: int = 0) -> MarginalDistribution:
 
 
 def _prob_vector(p) -> np.ndarray:
-    if isinstance(p, MarginalDistribution):
-        return p.probs
-    if isinstance(p, fock.FockDistribution):
-        return p.probs
-    return np.asarray(p, dtype=float)
+    return np.asarray(getattr(p, "probs", p), dtype=float)
 
 
 def tvd(p, q) -> float:

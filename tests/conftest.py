@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -271,3 +272,108 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
         kept.append(pattern_from_clicks(fired, m))
         produced += len(fired)
     return np.concatenate(kept)[:shots]
+
+
+def seed_prob_of(dist, occ) -> float:
+    """Probability of one pattern by its index in the tuple basis; 0.0 when it is absent."""
+    try:
+        return float(dist.probs[dist.basis.index(tuple(int(x) for x in occ))])
+    except ValueError:
+        return 0.0
+
+
+def seed_marginal(dist, mode: int) -> np.ndarray:
+    """Photon-number marginal of one mode by the per-pattern accumulation loop."""
+    probs = np.zeros(dist.n + 1)
+    for occ, p in zip(dist.basis, dist.probs):
+        probs[occ[mode]] += p
+    return probs
+
+
+def seed_correct_counts(fired, det) -> np.ndarray:
+    """Multiplexing-corrected law by the per-pattern product of resolve probabilities."""
+    from photherm import apparatus, fock
+    pats = apparatus.pattern_from_clicks(fired, det.modes)
+    n = int(pats[0].sum())
+    basis = fock.enumerate_basis(n, det.modes)
+    counts = np.bincount(fock._rank(pats, n), minlength=len(basis))
+    weights = np.zeros(len(basis))
+    for i in np.flatnonzero(counts):
+        resolve = math.prod(apparatus.resolve_probability(det, mode, k)
+                            for mode, k in enumerate(basis[i]))
+        if resolve <= 0.0:
+            raise ValueError(f"pattern {basis[i]} cannot be resolved by 3 channels per mode")
+        weights[i] = counts[i] / resolve
+    return weights / weights.sum()
+
+
+def seed_bunched_mask(size: int, m: int) -> np.ndarray:
+    """Patterns of size photons on m modes that hold all of them in one mode, one tuple at a time."""
+    from photherm import fock
+    return np.fromiter((max(s) == size for s in fock.enumerate_basis(size, m)), dtype=bool)
+
+
+def seed_forbidden_patterns(n: int, m: int, period: int) -> tuple:
+    """Forbidden patterns by the per-pattern rule over the recursive tuple basis.
+
+    A pattern with photons on the first n modes only is forbidden iff
+    period * (sum of its 1-based photon modes) is nonzero mod n.
+    """
+    out = []
+    for occ in seed_enumerate_basis(n, m):
+        if any(occ[n:]):
+            continue
+        if period * sum((j + 1) * c for j, c in enumerate(occ)) % n:
+            out.append(occ)
+    return tuple(out)
+
+
+def seed_witness_threshold(u, input_occ, split: int) -> float:
+    """Largest squared Schmidt coefficient by one SVD of the dict-indexed Schmidt matrix."""
+    from photherm import fock
+    m = u.shape[0]
+    n = sum(input_occ)
+    psi = fock.state_vector(u, input_occ)
+    rows = [occ for k in range(n + 1) for occ in fock.enumerate_basis(k, split)]
+    cols = [occ for k in range(n + 1) for occ in fock.enumerate_basis(k, m - split)]
+    ri = {occ: i for i, occ in enumerate(rows)}
+    ci = {occ: i for i, occ in enumerate(cols)}
+    t = np.zeros((len(rows), len(cols)), dtype=complex)
+    for occ, amp in zip(fock.enumerate_basis(n, m), psi):
+        t[ri[occ[:split]], ci[occ[split:]]] = amp
+    return float(np.linalg.svd(t, compute_uv=False)[0] ** 2)
+
+
+def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
+    """Class weights computed on all m modes: convolved exit laws through fourier(n, m).
+
+    Same output form as certify.lambda_coefficients, which computes them on
+    n modes instead.
+    """
+    from photherm import certify, fock, linalg
+    u = linalg.fourier(n, m)
+    forbidden = certify._forbidden_mask(n, m, 1)
+    exit_laws: dict = {}
+
+    def exit_law(block):
+        if block not in exit_laws:
+            size = len(block)
+            occ = tuple(int(j in block) for j in range(m))
+            law = np.abs(fock._transfer(u, occ, bosonic=True)) ** 2
+            if size >= 2:
+                law *= seed_bunched_mask(size, m)
+            exit_laws[block] = law
+        return exit_laws[block]
+
+    classes: dict = {}
+    for blocks in certify._set_partitions(tuple(range(n))):
+        if len(blocks) < 2:
+            continue
+        law, size = exit_law(tuple(blocks[0])), len(blocks[0])
+        for block in blocks[1:]:
+            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), m)
+            size += len(block)
+        sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+        classes.setdefault(sizes, []).append(float(law[forbidden].sum()))
+    return tuple((sizes, float(np.mean(classes[sizes])))
+                 for sizes in sorted(classes, key=lambda c: (len(c), c)))

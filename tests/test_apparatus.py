@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_event_stream, seed_heralded_pairs, seed_pair_counts, seed_qpnr_detect
+from conftest import (seed_correct_counts, seed_event_stream, seed_heralded_pairs, seed_pair_counts,
+                      seed_qpnr_detect)
 from photherm import apparatus, fock, hamiltonian, linalg
 
 
@@ -165,6 +167,29 @@ def test_correction_recovers_truth():
     tvd_raw = 0.5 * np.sum(np.abs(raw - truth.probs))
     assert tvd_corr < 0.02
     assert tvd_raw > 3 * tvd_corr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_correct_counts_matches_the_per_pattern_product(n, m, seed):
+    """Per-mode resolve tables give the per-pattern products bit for bit, errors included."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random((m, 3)) / 3.0
+    weights[rng.random((m, 3)) < 0.2] = 0.0  # some dead channels, so some patterns cannot resolve
+    det = apparatus.DetectionModel(weights=tuple(map(tuple, weights)))
+    pats = fock._patterns(n, m)[rng.integers(0, math.comb(n + m - 1, n), 30)]
+    pats = pats[pats.max(axis=1) <= 3]
+    if not len(pats):
+        return
+    # fire the first k channels of a mode that holds k photons
+    fired = (np.arange(3) < pats[:, :, None]).reshape(len(pats), 3 * m)
+    try:
+        want = seed_correct_counts(fired, det)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            apparatus.correct_counts(fired, det)
+    else:
+        assert np.array_equal(apparatus.correct_counts(fired, det).probs, want)
 
 
 def test_correct_counts_validation():

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_estimate_p1, seed_estimate_p2, seed_lambda_coefficients
+from conftest import (m_mode_lambda_coefficients, seed_bunched_mask, seed_estimate_p1,
+                      seed_estimate_p2, seed_forbidden_patterns, seed_lambda_coefficients,
+                      seed_witness_threshold)
 from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -69,6 +71,27 @@ def test_lambda_matches_seed_product_loop(n):
     assert [sizes for sizes, _ in lams] == sorted(seed, key=lambda c: (len(c), c))
     for sizes, lam in lams:
         assert abs(lam - float(np.mean(seed[sizes]))) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 6) for m in range(n, n + 4)] + [(6, 7)])
+def test_lambda_on_n_modes_equals_the_m_mode_computation(n, m):
+    """Modes past the first n carry no photon, so computing on n modes changes no bit."""
+    assert certify.lambda_coefficients(n, m) == m_mode_lambda_coefficients(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 3))
+def test_bunching_mask_matches_the_tuple_scan(size, extra):
+    m = size + extra
+    assert np.array_equal(fock._patterns(size, m).max(axis=1) == size, seed_bunched_mask(size, m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2), st.data())
+def test_forbidden_set_patterns_match_the_per_pattern_rule(n, extra, data):
+    period = data.draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    fs = certify.forbidden_patterns(n, n + extra, period)
+    assert fs.patterns == seed_forbidden_patterns(n, n + extra, period)
 
 
 def test_lambda_monte_carlo_agrees():
@@ -334,7 +357,7 @@ def test_certify_clips_a_revival_probability_past_one(monkeypatch):
         dist = real(u, input_occ, model)
         probs = dist.probs * (1.0 + 1e-12)
         seen.append(probs.max())
-        return fock.FockDistribution(dist.basis, probs)
+        return fock.FockDistribution(dist.n, dist.m, probs)
 
     monkeypatch.setattr(certify.fock, "output_distribution", inflated)
     res = certify.certify(RING, 1.0, fock.MODEL_INDISTINGUISHABLE, shots=1000,
@@ -375,3 +398,15 @@ def test_certify_deterministic_per_seed():
     b = certify.certify(RING, 0.5, fock.MODEL_INDISTINGUISHABLE, shots=800,
                         seed=9, eps1=0.8, eps2=0.9)
     assert a.to_dict() == b.to_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_witness_threshold_matches_the_single_svd(m, seed, data):
+    """The largest top singular value over the photon-number blocks is the full matrix's."""
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)
+                       .filter(lambda c: 1 <= sum(c) <= 4))
+    split = data.draw(st.integers(1, m - 1))
+    u = linalg.haar_random(m, seed)
+    got = certify.witness_threshold(u, tuple(counts), split)
+    assert abs(got - seed_witness_threshold(u, tuple(counts), split)) <= 1e-14

@@ -80,11 +80,9 @@ def test_evolve_csvs_hold_the_exact_laws(tmp_path, model):
         for suffix, law in (("", model), ("_exact", fock.MODEL_INDISTINGUISHABLE)):
             rows = [line.split(",") for line in
                     (run / f"evolve_h_t{ti:03d}{suffix}.csv").read_text().splitlines()[3:]]
-            parsed = fock.FockDistribution(
-                tuple(tuple(int(c) for c in p.split("|")) for p, _ in rows),
-                np.array([float(q) for _, q in rows]))
             want = fock.output_distribution(u, cfg.input_occ, law)
-            assert parsed.basis == want.basis
+            assert tuple(tuple(int(c) for c in p.split("|")) for p, _ in rows) == want.basis
+            parsed = fock.FockDistribution(want.n, want.m, [float(q) for _, q in rows])
             assert np.array_equal(parsed.probs, want.probs)
 
 
@@ -111,6 +109,27 @@ def test_cli_runs_without_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", SCIPY_FREE], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_certify_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Fresh interpreters with one and two OpenBLAS threads write the same run directory.
+
+    The Schmidt witness takes one small SVD per photon-number block; one
+    SVD of the whole 84 x 210 matrix here moved in its last digits with the
+    thread count.
+    """
+    config = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 7, "seed": 3},
+                          times=[0.3], shots=1000,
+                          certification={"eps1": 0.9, "eps2": 0.9, "split": 3})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        subprocess.run([sys.executable, "-m", "photherm.cli", "certify", "--config", str(config),
+                        "--out", str(out)], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        trees.append(read_tree(next(out.iterdir())))
+    assert trees[0] == trees[1]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -364,6 +383,21 @@ def _source(squeezing, heralding_efficiency):
     return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "source": src}}
 
 
+def _detection_field(key, value):
+    det = {**HARDWARE["apparatus"]["detection"], key: value}
+    return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "detection": det}}
+
+
+def _source_field(key, value):
+    src = {**HARDWARE["apparatus"]["source"], key: value}
+    return {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "source": src}}
+
+
+def _explicit(matrix):
+    return {"hamiltonian": {"kind": "explicit", "modes": 2, "matrix": matrix},
+            "input": [1, 1]}
+
+
 @pytest.mark.parametrize("overrides, path", [
     (_detection([[0.3, 0.3, 0.3]] * 3), "config.apparatus.detection.weights"),
     (_detection([[0.0, 0.0, 0.0]] * 4), "config.apparatus.detection"),
@@ -374,6 +408,23 @@ def _source(squeezing, heralding_efficiency):
     (_source(0.0, 0.9), "config.apparatus.source"),  # a source that never heralds
     (_source(0.3, 0.0), "config.apparatus.source"),
     ({"seed": -1}, "config.seed"),
+    (_detection_field("blinding_slope", "x"), "config.apparatus.detection.blinding_slope"),
+    (_detection_field("blinding_slope", float("nan")), "config.apparatus.detection.blinding_slope"),
+    (_source_field("pump_power", float("inf")), "config.apparatus.source.pump_power"),
+    (_detection([[0.3, 0.3, 0.3], [0.3, 0.3, float("nan")], [0.3, 0.3, 0.3], [0.3, 0.3, 0.3]]),
+     "config.apparatus.detection.weights[1][2]"),
+    (_source_field("squeezing", "0.3"), "config.apparatus.source.squeezing"),
+    (_source_field("foo", 1), "config.apparatus.source"),
+    (_detection_field("foo", 1), "config.apparatus.detection"),
+    (_detection([[0.3, 0.3]] * 4), "config.apparatus.detection.weights[0]"),
+    (_source_field("pairwise_visibilities", [[[0, 1], "x"]]),
+     "config.apparatus.source.pairwise_visibilities[0][1]"),
+    (_source_field("pairwise_visibilities", [[0, 1, 0.9]]),
+     "config.apparatus.source.pairwise_visibilities[0]"),
+    (_explicit([[[0, 0], [1, 0]], [[1, 0]]]), "config.hamiltonian.matrix[1]"),
+    (_explicit([[[0, 0], [1, "0"]], [[1, 0], [0, 0]]]), "config.hamiltonian.matrix[0][1][1]"),
+    (_explicit([[[0, 0], [1, 0]], [[1, 0], [float("nan"), 0]]]),
+     "config.hamiltonian.matrix[1][1][0]"),
 ])
 def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overrides, path):
     """Each config exits 1 at load time, before any event is simulated."""
@@ -384,6 +435,27 @@ def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overr
     assert f"error: {path}:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [_source_field("foo", 1), _detection_field("foo", 1)])
+def test_unknown_source_and_detection_keys_are_named(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "unknown keys ['foo']" in capsys.readouterr().err
+
+
+def test_apparatus_runs_have_a_shot_ceiling(tmp_path, capsys):
+    """An apparatus samples every shot, so its shots are capped; exact runs draw binomials only."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, shots=cli.MAX_APPARATUS_SHOTS + 1, **HARDWARE)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.shots:") and "1000000" in err
+    assert not out.exists()
+    assert cli.load_config(write_config(tmp_path, shots=cli.MAX_APPARATUS_SHOTS, **HARDWARE))
+    exact = write_config(tmp_path, shots=10**12, times=[1.0],
+                         apparatus={"source": None, "detection": None})
+    assert cli.main(["certify", "--config", str(exact), "--out", str(out)]) == 0
 
 
 def test_certify_rejects_a_negative_seed_flag(tmp_path, capsys):

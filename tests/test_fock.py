@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (naive_permanent, oracle_prob_species, seed_creation_map,
-                      seed_enumerate_basis)
+                      seed_enumerate_basis, seed_prob_of)
 from photherm import fock, linalg
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -68,7 +68,7 @@ def test_csv_rows_match_joined_counts(shape, seed):
     n, m = shape
     basis = fock.enumerate_basis(n, m)
     probs = np.random.default_rng(seed).random(len(basis))
-    dist = fock.FockDistribution(basis, probs / probs.sum())
+    dist = fock.FockDistribution(n, m, probs / probs.sum())
     want = [("|".join(str(c) for c in occ), float(p)) for occ, p in zip(basis, dist.probs)]
     assert list(dist.csv_rows()) == want
 
@@ -230,28 +230,43 @@ def test_mixture_weight_validation():
 
 
 def test_distribution_helpers():
-    dist = fock.FockDistribution(((1, 0), (0, 1)), np.array([0.25, 0.75]))
+    dist = fock.FockDistribution(1, 2, np.array([0.25, 0.75]))
     assert dist.m == 2 and dist.n == 1
     assert dist.prob_of((0, 1)) == 0.75
     assert dist.prob_of((2, 0)) == 0.0
     rows = list(dist.csv_rows())
     assert rows[0] == ("1|0", 0.25)
     with pytest.raises(ValueError):
-        fock.FockDistribution(((1, 0), (0, 1)), np.array([0.6, 0.6]))
+        fock.FockDistribution(1, 2, np.array([0.6, 0.6]))
+    with pytest.raises(ValueError):
+        fock.FockDistribution(1, 2, np.array([0.5, np.nan]))
 
 
 def test_distribution_requires_canonical_basis():
-    """A reordered or truncated basis raises; a valid one is replaced by the cached tuple."""
-    with pytest.raises(ValueError, match="canonical"):
-        fock.FockDistribution(((0, 1), (1, 0)), np.array([0.25, 0.75]))
-    with pytest.raises(ValueError, match="canonical"):
-        fock.FockDistribution(((1, 0),), np.array([1.0]))
-    clone = fock.FockDistribution([[1, 0], [0, 1]], [0.25, 0.75])
+    """The basis is the cached canonical one; probabilities must cover it exactly."""
+    clone = fock.FockDistribution(1, 2, [0.25, 0.75])
     assert clone.basis is fock.enumerate_basis(1, 2)
+    for n, m, probs in ((1, 2, [1.0]), (1, 2, [0.25, 0.25, 0.5]), (1, 2, [[0.25, 0.75]]),
+                        (-1, 2, [1.0]), (0, 0, [1.0])):
+        with pytest.raises(ValueError):
+            fock.FockDistribution(n, m, probs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(-1, 5), min_size=1, max_size=6))
+def test_prob_of_matches_the_tuple_lookup(n, m, seed, other):
+    """prob_of ranks the pattern; every basis pattern and any other list agree with index()."""
+    probs = np.random.default_rng(seed).random(math.comb(n + m - 1, n))
+    dist = fock.FockDistribution(n, m, probs / probs.sum())
+    # a negative count that keeps the photon total is outside the basis too
+    shifted = ((n + 1, -1) + (0,) * (m - 2),) if m >= 2 else ()
+    for occ in dist.basis + (tuple(other),) + shifted:
+        assert dist.prob_of(occ) == seed_prob_of(dist, occ)
 
 
 def test_sample_reproducible():
-    dist = fock.FockDistribution(((1, 0), (0, 1)), np.array([0.3, 0.7]))
+    dist = fock.FockDistribution(1, 2, np.array([0.3, 0.7]))
     a = fock.sample(dist, 1000, 8)
     b = fock.sample(dist, 1000, 8)
     assert a.shape == (1000, 2)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import seed_marginal
 from photherm import fock, gge, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -103,3 +107,13 @@ def test_recurrence_time_on_ring():
     full = fock.output_distribution(hamiltonian.evolution(RING, np.pi), INPUT)
     ref = fock.output_distribution(np.eye(4, dtype=complex), INPUT)
     assert gge.tvd(full, ref) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+def test_marginal_matches_the_per_pattern_loop(n, m, seed, data):
+    """The bincount over the basis array adds the same terms in the same order as the loop."""
+    probs = np.random.default_rng(seed).random(math.comb(n + m - 1, n))
+    dist = fock.FockDistribution(n, m, probs / probs.sum())
+    mode = data.draw(st.integers(0, m - 1))
+    assert np.array_equal(gge.marginal(dist, mode).probs, seed_marginal(dist, mode))
