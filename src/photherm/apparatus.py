@@ -69,6 +69,9 @@ class SourceModel:
     mW and only drives the blinding survival factor. The pairwise
     visibilities bound the mutual overlaps of the three injected
     photons: one same-crystal pair (0, 1) and two cross-crystal pairs.
+    They are recorded but set no model: the event stream takes its
+    species model from its caller (a config's "model"), and
+    distinguishability_mixture turns these visibilities into one.
     """
 
     squeezing: float = 0.1

@@ -18,6 +18,7 @@ measured data alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -27,7 +28,6 @@ import numpy as np
 from . import apparatus, fock, hamiltonian, linalg
 
 LAMBDA_MAX_PHOTONS = 6
-LAMBDA_PLACEMENT_TOL = 1e-12
 DEFAULT_VARIANCE = 0.25
 CONVERGENCE_BATCHES = 16
 
@@ -83,74 +83,44 @@ def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
     return ForbiddenSet(n, m, period)
 
 
-def _set_partitions(items: tuple[int, ...]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
 @lru_cache(maxsize=None)
 def lambda_coefficients(n: int, m: int) -> tuple[tuple[tuple[int, ...], float], ...]:
     """Forbidden-pattern weight of each distinguishability class under the Fourier.
 
     Photons sit one per mode on the first n modes. Every way of grouping
-    them into >= 2 mutually distinguishable species is classed by its
-    multiset of species sizes. The class weight sums, over forbidden
-    patterns, the exit routes in which each multi-photon species leaves
-    bunched in a single output mode; singleton species are free. For the
-    all-singleton class this is the full distinguishable forbidden
-    weight. Within a class the weight is independent of which modes host
-    which species (checked to 1e-12). Returns a tuple of (sizes, lambda)
-    pairs ordered by species count, e.g. for n = 3:
-    (((2, 1), 4/9), ((1, 1, 1), 2/3)). Cached per (n, m).
+    them into k >= 2 mutually distinguishable species is classed by its
+    multiset of species sizes s = (s_1, ..., s_k). The class weight sums,
+    over forbidden patterns, the exit routes in which each multi-photon
+    species leaves bunched in a single output mode; singleton species are
+    free. For the all-singleton class this is the full distinguishable
+    forbidden weight.
 
-    No photon reaches a mode beyond the first n, and forbidden patterns
-    leave those modes empty, so the weights do not depend on m: they are
-    computed on n modes, and m is only validated.
+    The weight has a closed form (the Fourier suppression law of Tichy et
+    al., PRL 113, 020502, 2014). Every |F_ij|^2 is 1/n, so a species of s_b
+    photons exits bunched in output mode i_b with probability s_b!/n^s_b,
+    whatever modes host it, and the k species pick their exit modes
+    independently and uniformly. The pattern's 1-based mode sum is then
+    sum_b s_b * i_b mod n, uniform over the multiples of g = gcd(s) (g
+    divides n = sum_b s_b), so it is nonzero mod n with probability
+    (n - g)/n and
+
+        lambda(s) = prod_b s_b! * n^(k - 1) * (n - g) / n^n,
+
+    one correctly rounded division of exact integers. Neither the
+    placement of the species nor m enters; m is only validated. Returns a
+    tuple of (sizes, lambda) pairs ordered by species count, e.g. for
+    n = 3: (((2, 1), 4/9), ((1, 1, 1), 2/3)). Cached per (n, m).
     """
     if not 2 <= n <= LAMBDA_MAX_PHOTONS:
         raise ValueError(f"photon number {n} outside supported range 2..{LAMBDA_MAX_PHOTONS}")
     if m < n:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
-    u = linalg.fourier(n)
-    forbidden = _forbidden_mask(n, n, 1)
-    exit_laws: dict[tuple[int, ...], np.ndarray] = {}
-
-    def exit_law(block: tuple[int, ...]) -> np.ndarray:
-        # a multi-photon species counts only when it exits bunched in one mode
-        if block not in exit_laws:
-            size = len(block)
-            occ = tuple(int(j in block) for j in range(n))
-            law = np.abs(fock._transfer(u, occ, bosonic=True)) ** 2
-            if size >= 2:
-                law *= fock._patterns(size, n).max(axis=1) == size
-            exit_laws[block] = law
-        return exit_laws[block]
-
-    classes: dict[tuple[int, ...], list[float]] = {}
-    for blocks in _set_partitions(tuple(range(n))):
-        if len(blocks) < 2:
-            continue
-        law, size = exit_law(tuple(blocks[0])), len(blocks[0])
-        for block in blocks[1:]:
-            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), n)
-            size += len(block)
-        weight = float(law[forbidden].sum())
-        sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
-        classes.setdefault(sizes, []).append(weight)
-    out = []
-    for sizes in sorted(classes, key=lambda c: (len(c), c)):
-        vals = classes[sizes]
-        if max(vals) - min(vals) > LAMBDA_PLACEMENT_TOL:
-            raise AssertionError(
-                f"forbidden weight of class {sizes} varies with placement: {vals}")
-        out.append((sizes, float(np.mean(vals))))
-    return tuple(out)
+    # the integer partitions of n into >= 2 parts, largest part first
+    classes = sorted((c[::-1] for k in range(2, n + 1)
+                      for c in itertools.combinations_with_replacement(range(1, n), k)
+                      if sum(c) == n), key=lambda c: (len(c), c))
+    return tuple((sizes, math.prod(map(math.factorial, sizes)) * n ** (len(sizes) - 1)
+                  * (n - math.gcd(*sizes)) / n ** n) for sizes in classes)
 
 
 def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[float, float]:
@@ -361,6 +331,12 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
         input_occ = (1,) * (m - 1) + (0,)
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
     _, settings = _settings(spec, t, fock.total(input_occ), m)
+    return _sample_settings(settings, model, shots, seed, app, input_occ)
+
+
+def _sample_settings(settings, model, shots: int, seed, app: apparatus.Apparatus | None,
+                     input_occ) -> tuple[np.ndarray, np.ndarray]:
+    """The body of collect_setting_samples, for chip sections from _settings."""
     out = []
     for idx, sections in enumerate(settings):
         rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
@@ -386,9 +362,9 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
     the exact probability P1 its law gives, and each shot of setting 2
     lands on a forbidden pattern with the exact weight P2, so each batch's
     hit count is one Binomial(batch, P) draw from the setting's generator.
-    With an apparatus the patterns are sampled and detected
-    (collect_setting_samples) and the hits are read off one mask per
-    setting.
+    With an apparatus the patterns are sampled and detected as in
+    collect_setting_samples, from the same evolution, and the hits are
+    read off one mask per setting.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -400,8 +376,8 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
     per = max(1, shots // CONVERGENCE_BATCHES)
     cuts = np.array([b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
                     + [shots], dtype=np.int64)
+    u, settings = _settings(spec, t, n, m)
     if app is None or app.is_trivial():
-        u, settings = _settings(spec, t, n, m)
         sizes = np.diff(cuts, prepend=0)
         revival = fock._rank(np.array([input_occ]), n)[0]
         hits = []
@@ -412,9 +388,7 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
             # a law is checked only to its sum tolerance: a near-delta weight may pass 1
             hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
     else:
-        u = hamiltonian.evolution(spec, t)
-        samples1, samples2 = collect_setting_samples(
-            spec, t, model, shots, seed, app, input_occ)
+        samples1, samples2 = _sample_settings(settings, model, shots, seed, app, input_occ)
         hits = [np.cumsum(revival_hits(samples1, input_occ))[cuts - 1],
                 np.cumsum(forbidden_hits(samples2, forbidden_patterns(n, m)))[cuts - 1]]
     lambdas = lambda_coefficients(n, m)

@@ -144,6 +144,7 @@ def _parse_model(v, path: str):
 
 def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
+    _check_keys(d, ("kind", "modes", "coupling", "seed", "seeds", "periodic", "matrix"), path)
     d = dict(d)
     modes = _get_int(d, "modes", path, required=True)
     if "coupling" in d:
@@ -209,6 +210,7 @@ def _parse_detection(d, path: str) -> apparatus.DetectionModel:
 def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
     """The apparatus block; source and detection numbers are checked, not converted."""
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
+    _check_keys(d, ("source", "detection", "mesh_jitter"), path)
     src = det = None
     if d.get("source") is not None:
         src = _parse_source(d["source"], f"{path}.source")
@@ -254,6 +256,8 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError(f"config: invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "config", "top level must be an object")
+    _check_keys(raw, ("hamiltonian", "times", "input", "model", "shots", "seed", "apparatus",
+                      "certification"), "config")
 
     specs = _parse_hamiltonians(raw.get("hamiltonian"), "config.hamiltonian")
     m = specs[0].modes
@@ -316,6 +320,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         cert = raw["certification"]
         _expect(isinstance(cert, dict), "config.certification",
                 f"expected an object, got {cert!r}")
+        _check_keys(cert, ("eps1", "eps2", "split", "epsilon_grid"), "config.certification")
         n = fock.total(input_occ)
         top = min(certify.LAMBDA_MAX_PHOTONS, m)
         _expect(2 <= n <= top, "config.input",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -88,6 +89,18 @@ def seed_creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return src, counts
 
 
+def set_partitions(items: tuple[int, ...]):
+    """Every partition of items into non-empty blocks, each a list of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [first]] + part[i + 1:]
+        yield [[first]] + part
+
+
 def seed_lambda_coefficients(n: int, m: int) -> dict:
     """Class weights by the per-pattern exit-table product loop: sizes -> placement weights."""
     from photherm import certify, fock, linalg
@@ -106,7 +119,7 @@ def seed_lambda_coefficients(n: int, m: int) -> dict:
     u = linalg.fourier(n, m)
     forb = set(certify.forbidden_patterns(n, m, 1).patterns)
     classes: dict = {}
-    for blocks in certify._set_partitions(tuple(range(n))):
+    for blocks in set_partitions(tuple(range(n))):
         if len(blocks) < 2:
             continue
         tables = []
@@ -347,8 +360,8 @@ def seed_witness_threshold(u, input_occ, split: int) -> float:
 def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
     """Class weights computed on all m modes: convolved exit laws through fourier(n, m).
 
-    Same output form as certify.lambda_coefficients, which computes them on
-    n modes instead.
+    Same output form as certify.lambda_coefficients, which gives them in
+    closed form.
     """
     from photherm import certify, fock, linalg
     u = linalg.fourier(n, m)
@@ -366,7 +379,7 @@ def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
         return exit_laws[block]
 
     classes: dict = {}
-    for blocks in certify._set_partitions(tuple(range(n))):
+    for blocks in set_partitions(tuple(range(n))):
         if len(blocks) < 2:
             continue
         law, size = exit_law(tuple(blocks[0])), len(blocks[0])
@@ -377,3 +390,45 @@ def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
         classes.setdefault(sizes, []).append(float(law[forbidden].sum()))
     return tuple((sizes, float(np.mean(classes[sizes])))
                  for sizes in sorted(classes, key=lambda c: (len(c), c)))
+
+
+@functools.lru_cache(maxsize=None)
+def n_mode_lambda_coefficients(n: int) -> tuple:
+    """Class weights computed on n modes: convolved exit laws through fourier(n).
+
+    Every set partition of the n photons into >= 2 species is evaluated;
+    the weights of one class must agree across placements to 1e-12.
+    """
+    from photherm import certify, fock, linalg
+    u = linalg.fourier(n)
+    forbidden = certify._forbidden_mask(n, n, 1)
+    exit_laws: dict = {}
+
+    def exit_law(block):
+        # a multi-photon species counts only when it exits bunched in one mode
+        if block not in exit_laws:
+            size = len(block)
+            occ = tuple(int(j in block) for j in range(n))
+            law = np.abs(fock._transfer(u, occ, bosonic=True)) ** 2
+            if size >= 2:
+                law *= fock._patterns(size, n).max(axis=1) == size
+            exit_laws[block] = law
+        return exit_laws[block]
+
+    classes: dict = {}
+    for blocks in set_partitions(tuple(range(n))):
+        if len(blocks) < 2:
+            continue
+        law, size = exit_law(tuple(blocks[0])), len(blocks[0])
+        for block in blocks[1:]:
+            law = fock._convolve(law, size, exit_law(tuple(block)), len(block), n)
+            size += len(block)
+        sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+        classes.setdefault(sizes, []).append(float(law[forbidden].sum()))
+    out = []
+    for sizes in sorted(classes, key=lambda c: (len(c), c)):
+        vals = classes[sizes]
+        if max(vals) - min(vals) > 1e-12:
+            raise AssertionError(f"forbidden weight of class {sizes} varies with placement: {vals}")
+        out.append((sizes, float(np.mean(vals))))
+    return tuple(out)

@@ -235,6 +235,18 @@ def test_mesh_round_trip():
             assert -1e-12 <= phi < 2 * math.pi + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.sampled_from([None, 1e-6, 1e-3, 0.1]))
+def test_mesh_round_trip_property(m, seed, scale):
+    """Haar unitaries (scale None) and exp(-i h) of a small Hermitian h round-trip the mesh."""
+    if scale is None:
+        u = linalg.haar_random(m, seed)
+    else:
+        a = np.random.default_rng(seed).normal(size=(m, m, 2)) @ [1.0, 1j]
+        u = linalg.expm_hermitian(scale * (a + a.conj().T) / 2)
+    assert np.max(np.abs(apparatus.mesh_compose(apparatus.mesh_decompose(u)) - u)) < 1e-10
+
+
 def test_mesh_identity_is_all_bar():
     params = apparatus.mesh_decompose(np.eye(5, dtype=complex))
     for _, theta, _ in params.crossings:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (m_mode_lambda_coefficients, seed_bunched_mask, seed_estimate_p1,
-                      seed_estimate_p2, seed_forbidden_patterns, seed_lambda_coefficients,
-                      seed_witness_threshold)
+from conftest import (m_mode_lambda_coefficients, n_mode_lambda_coefficients, seed_bunched_mask,
+                      seed_estimate_p1, seed_estimate_p2, seed_forbidden_patterns,
+                      seed_lambda_coefficients, seed_witness_threshold)
 from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -76,7 +77,26 @@ def test_lambda_matches_seed_product_loop(n):
 @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 6) for m in range(n, n + 4)] + [(6, 7)])
 def test_lambda_on_n_modes_equals_the_m_mode_computation(n, m):
     """Modes past the first n carry no photon, so computing on n modes changes no bit."""
-    assert certify.lambda_coefficients(n, m) == m_mode_lambda_coefficients(n, m)
+    assert n_mode_lambda_coefficients(n) == m_mode_lambda_coefficients(n, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_lambda_is_the_exact_count_of_forbidden_exit_modes(n):
+    """Each weight is prod s_b! * (forbidden exit-mode tuples) / n^n, correctly rounded.
+
+    Species b exits bunched in mode i_b with probability s_b! / n^s_b, so
+    every tuple of exit modes has weight prod s_b! / n^n; it is forbidden
+    when the 1-based mode sum sum_b s_b * (i_b + 1) is nonzero mod n.
+    """
+    lams = certify.lambda_coefficients(n, n + 1)
+    for (sizes, lam), (osizes, on), (msizes, om) in zip(
+            lams, n_mode_lambda_coefficients(n), m_mode_lambda_coefficients(n, n + 1),
+            strict=True):
+        assert sizes == osizes == msizes
+        count = sum(1 for exits in itertools.product(range(n), repeat=len(sizes))
+                    if sum(s * (i + 1) for s, i in zip(sizes, exits)) % n)
+        assert lam == math.prod(map(math.factorial, sizes)) * count / n**n
+        assert abs(lam - on) < 1e-14 and abs(lam - om) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -300,6 +320,17 @@ def test_certify_convergence_is_the_prefix_estimates():
         assert (p2, k) == certify.estimate_p2(s2[:k], fs)
         assert f_lower == certify.fidelity_bound(p1, k, p2, k, lams, 0.8, 0.9).f_lower
     assert "convergence" not in res.to_dict()
+
+
+@pytest.mark.parametrize("app", [None, apparatus.Apparatus(mesh_jitter=0.05)])
+def test_certify_computes_the_evolution_once(monkeypatch, app):
+    calls = []
+    evolution = hamiltonian.evolution
+    monkeypatch.setattr(hamiltonian, "evolution",
+                        lambda spec, t: calls.append(t) or evolution(spec, t))
+    certify.certify(RING, 1.0, fock.MODEL_DISTINGUISHABLE, shots=100, seed=8,
+                    eps1=0.8, eps2=0.9, app=app)
+    assert calls == [1.0]
 
 
 def _batch_counts(convergence) -> tuple[np.ndarray, np.ndarray]:

@@ -425,6 +425,10 @@ def _explicit(matrix):
     (_explicit([[[0, 0], [1, "0"]], [[1, 0], [0, 0]]]), "config.hamiltonian.matrix[0][1][1]"),
     (_explicit([[[0, 0], [1, 0]], [[1, 0], [float("nan"), 0]]]),
      "config.hamiltonian.matrix[1][1][0]"),
+    ({"apparatus": {"mesh_jiter": 0.3}}, "config.apparatus"),
+    ({"certification": {"eps1": 0.9, "eps2": 0.9, "spilt": 2}}, "config.certification"),
+    ({"hamiltonian": {"kind": "hopping", "modes": 4, "periodc": False}}, "config.hamiltonian"),
+    ({"shot": 100}, "config"),
 ])
 def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overrides, path):
     """Each config exits 1 at load time, before any event is simulated."""
@@ -437,8 +441,15 @@ def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overr
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overrides", [_source_field("foo", 1), _detection_field("foo", 1)])
+@pytest.mark.parametrize("overrides", [
+    _source_field("foo", 1), _detection_field("foo", 1),
+    {**HARDWARE, "apparatus": {**HARDWARE["apparatus"], "foo": 1}},
+    {"certification": {"eps1": 0.9, "eps2": 0.9, "foo": 1}},
+    {"hamiltonian": {"kind": "hopping", "modes": 4, "foo": 1}},
+    {"foo": 1},
+])
 def test_unknown_source_and_detection_keys_are_named(tmp_path, capsys, overrides):
+    """An unknown key in any config block is named, not ignored."""
     cfg = write_config(tmp_path, **overrides)
     assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "unknown keys ['foo']" in capsys.readouterr().err
