@@ -30,10 +30,13 @@ import numpy as np
 from . import __version__, apparatus, certify, fock, gge, hamiltonian, linalg
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
-# Largest basis C(n + m - 1, n) a config may ask for; each law is allocated whole.
-MAX_PATTERNS = 1_000_000
 # Most shots a run with a non-trivial apparatus may ask for; its event stream samples each one.
 MAX_APPARATUS_SHOTS = 1_000_000
+# Most shots any run may ask for: hit counts are int64.
+MAX_SHOTS = 2**63 - 1
+# Largest phase |t| * |H| a time may reach, |H| = hamiltonian.eigenvalue_bound. Past it a
+# double holds exp(-i w t) to fewer than four digits, and past 1e308 the phase overflows.
+MAX_PHASE = 1e12
 
 
 class ConfigError(ValueError):
@@ -93,7 +96,7 @@ def _check_numbers(v, path: str, shape: tuple):
 
 
 def _basis_size(n: int, m: int) -> int:
-    """C(n + m - 1, n), or the first partial product past MAX_PATTERNS.
+    """C(n + m - 1, n), or the first partial product past fock.MAX_PATTERNS.
 
     The products C(a + i, i), a = max(n, m - 1), grow with i, so the loop
     stops early however large n and m are.
@@ -101,7 +104,7 @@ def _basis_size(n: int, m: int) -> int:
     a, size = max(n, m - 1), 1
     for i in range(1, min(n, m - 1) + 1):
         size = size * (a + i) // i
-        if size > MAX_PATTERNS:
+        if size > fock.MAX_PATTERNS:
             break
     return size
 
@@ -147,6 +150,9 @@ def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
     _check_keys(d, ("kind", "modes", "coupling", "seed", "seeds", "periodic", "matrix"), path)
     d = dict(d)
     modes = _get_int(d, "modes", path, required=True)
+    _expect(modes * modes <= fock.MAX_PATTERNS, f"{path}.modes",
+            f"{modes} modes give a unitary of {modes}^2 entries, more than the ceiling "
+            f"of {fock.MAX_PATTERNS}")
     if "coupling" in d:
         # checked, not converted: an integer coupling keeps its resolved form and digest
         _number(d["coupling"], f"{path}.coupling")
@@ -267,6 +273,14 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     _expect(isinstance(times_raw, list) and times_raw, "config.times",
             f"expected a non-empty list, got {times_raw!r}")
     times = tuple(_number(t, f"config.times[{i}]") for i, t in enumerate(times_raw))
+    for spec in specs:
+        bound = hamiltonian.eigenvalue_bound(spec)
+        _expect(math.isfinite(bound), "config.hamiltonian",
+                "the generator's largest absolute row sum overflows")
+        for i, t in enumerate(times):
+            _expect(abs(t) * bound <= MAX_PHASE, f"config.times[{i}]",
+                    f"phase |t| * |H| = {abs(t) * bound:.3g} exceeds the ceiling of "
+                    f"{MAX_PHASE:.0e}; exp(-iHt) would keep fewer than four digits")
 
     if "input" in raw:
         input_occ = _occupation(raw["input"], "config.input")
@@ -274,9 +288,9 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     else:
         input_occ = (1,) * (m - 1) + (0,)
     n = sum(input_occ)
-    _expect(_basis_size(n, m) <= MAX_PATTERNS, "config.input",
+    _expect(_basis_size(n, m) <= fock.MAX_PATTERNS, "config.input",
             f"{n} photons in {m} modes give C({n + m - 1}, {n}) output patterns, "
-            f"more than the ceiling of {MAX_PATTERNS}")
+            f"more than the ceiling of {fock.MAX_PATTERNS}")
 
     model = _parse_model(raw.get("model", fock.MODEL_INDISTINGUISHABLE), "config.model")
     try:
@@ -284,6 +298,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"config.model: {exc}") from None
     shots = _get_int(raw, "shots", "config", default=1000, minimum=1)
+    _expect(shots <= MAX_SHOTS, "config.shots", f"must be <= {MAX_SHOTS}, got {shots}")
     seed = _get_int(raw, "seed", "config", default=0, minimum=0)
     if seed_override is not None:
         seed = int(seed_override)

@@ -33,6 +33,14 @@ same steps with |U[i, j_k]|^2 and no square root. A species partition is
 the pattern-space convolution of its species' indistinguishable laws,
 and a Mixture is the weighted sum of its components' laws. The cost is
 O(n m |basis|) array work in place of O(|basis| 2^n n) Python loops.
+
+The engine runs over a stack of unitaries (..., m, m) at once and gives
+one law per matrix, (..., size); a single (m, m) unitary is the stack of
+one. Each creation step sweeps the modes i whose coupling to j_k is
+non-zero for any matrix of the stack, so a matrix whose coupling is zero
+there adds an exact 0, and every row equals the law of its matrix alone,
+bit for bit. Callers that evaluate many unitaries (gge over a list of
+times) keep a stack to at most MAX_PATTERNS law entries at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ SpeciesPartition = tuple[ModeOccupation, ...]
 
 PERMANENT_MAX_DIM = 24
 PROB_SUM_TOL = 1e-9
+# Largest basis C(n + m - 1, n) the CLI accepts; each law is allocated whole,
+# and a stack of laws is evaluated in chunks of at most this many entries.
+MAX_PATTERNS = 1_000_000
 
 MODEL_INDISTINGUISHABLE = "indistinguishable"
 MODEL_DISTINGUISHABLE = "distinguishable"
@@ -241,27 +252,39 @@ def _labels(n: int, m: int) -> tuple[str, ...]:
 
 
 def _transfer(coupling: np.ndarray, input_occ: ModeOccupation, bosonic: bool) -> np.ndarray:
-    """The engine: push the input photons one at a time through coupling.
+    """The engine: push the input photons one at a time through each coupling of a stack.
 
-    With bosonic, coupling is the unitary and the result holds the output
-    amplitudes; otherwise coupling is |U|^2 and the result holds the
-    distinguishable-photon law. Both are over the colex basis.
+    coupling is (m, m) or a stack (..., m, m); the result is (..., size),
+    one row per matrix over the colex basis. With bosonic, coupling holds
+    unitaries and the rows hold output amplitudes; otherwise it holds |U|^2
+    and the rows hold distinguishable-photon laws. The first photon's
+    level is column j_1 itself. Each level lives in a buffer with one zero
+    slot past its end, which the gather maps read where t_i = 0.
     """
-    m = coupling.shape[0]
-    roots = np.sqrt(np.arange(total(input_occ) + 1))
-    vec = np.ones(1, dtype=coupling.dtype)
-    for k, j in enumerate(mode_assignment(input_occ), start=1):
+    m = coupling.shape[-1]
+    photons = mode_assignment(input_occ)
+    if not photons:
+        return np.ones(coupling.shape[:-2] + (1,), dtype=coupling.dtype)
+    stack = coupling.reshape(-1, m, m)
+    swept = stack[0] if len(stack) == 1 else stack.any(axis=0)
+    coefs = stack.transpose(1, 2, 0)[..., None]   # coefs[i, j] is the (T, 1) column of U[i, j]
+    roots = np.sqrt(np.arange(len(photons) + 1))
+    padded = np.zeros((len(stack), m + 1), dtype=coupling.dtype)
+    vec = padded[:, :-1]
+    vec += stack[:, :, photons[0]]
+    for k, j in enumerate(photons[1:], start=2):
         src, counts = _creation_map(k, m)
-        padded = np.append(vec, 0.0)
-        vec = np.zeros(src.shape[1], dtype=coupling.dtype)
-        for i in np.flatnonzero(coupling[:, j]):
-            term = padded[src[i]] * coupling[i, j]
+        padded, prev = np.zeros((len(stack), src.shape[1] + 1), dtype=coupling.dtype), padded
+        vec = padded[:, :-1]
+        for i in np.flatnonzero(swept[:, j]):
+            term = prev.take(src[i], axis=-1)
+            term *= coefs[i, j]
             if bosonic:
                 term *= roots[counts[i]]
             vec += term
     if bosonic:
         vec /= math.sqrt(_occ_factorial(input_occ))
-    return vec
+    return vec.reshape(coupling.shape[:-2] + vec.shape[-1:])
 
 
 @lru_cache(maxsize=None)
@@ -275,14 +298,21 @@ def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
 
 
 def _convolve(p: np.ndarray, a: int, q: np.ndarray, b: int, m: int) -> np.ndarray:
-    """Law of s + t for independent s ~ p on level a and t ~ q on level b."""
-    return np.bincount(_pair_rank(a, b, m), weights=np.outer(p, q).ravel(),
-                       minlength=math.comb(a + b + m - 1, a + b))
+    """Law of s + t for independent s ~ p on level a and t ~ q on level b.
+
+    p and q may be equal stacks of laws (..., size); their rows are
+    convolved one at a time, so the pair buffer holds one row's products.
+    """
+    size = math.comb(a + b + m - 1, a + b)
+    if p.ndim > 1:
+        rows = [_convolve(pr, a, qr, b, m) for pr, qr in zip(p, q)]
+        return np.array(rows).reshape(p.shape[:-1] + (size,))
+    return np.bincount(_pair_rank(a, b, m), weights=np.outer(p, q).ravel(), minlength=size)
 
 
 def _species_law(u: np.ndarray, partition: SpeciesPartition) -> np.ndarray:
-    """Output law of a species partition: convolution of the per-species laws."""
-    m = u.shape[0]
+    """Output laws of a species partition: convolution of the per-species laws, per matrix."""
+    m = u.shape[-1]
     law, size = None, 0
     for species in partition:
         p = np.abs(_transfer(u, species, bosonic=True)) ** 2
@@ -303,7 +333,7 @@ def check_partition(partition, m: int) -> SpeciesPartition:
 
 def partition_input(partition: SpeciesPartition) -> ModeOccupation:
     """Total input pattern of a species partition (elementwise sum)."""
-    return tuple(int(x) for x in np.sum(np.asarray(partition, dtype=int), axis=0))
+    return tuple(sum(counts) for counts in zip(*partition))
 
 
 @dataclass(frozen=True)
@@ -404,6 +434,35 @@ def model_tag(model):
     return {"species": [list(p) for p in model]}
 
 
+def _laws(u: np.ndarray, input_occ, model) -> np.ndarray:
+    """Output laws of an input pattern through a unitary or a stack (..., m, m): (..., size).
+
+    The stacked form of output_distribution, which is its (m, m) case:
+    the same checks, one engine pass for the whole stack, and each row
+    normalized on its own.
+    """
+    u = np.asarray(u, dtype=complex)
+    from . import linalg
+    if not linalg.is_unitary(u):
+        raise ValueError("transfer matrix is not unitary within tolerance")
+    m = u.shape[-1]
+    input_occ = _check_occupation(input_occ, m, "input pattern")
+    kind, mixture = _resolve_model(model, input_occ, m)
+
+    if kind == MODEL_INDISTINGUISHABLE:
+        probs = np.abs(_transfer(u, input_occ, bosonic=True)) ** 2
+    elif kind == MODEL_DISTINGUISHABLE:
+        probs = _transfer(np.abs(u) ** 2, input_occ, bosonic=False)
+    else:
+        probs = sum(w * _species_law(u, part) for w, part in mixture.components)
+    s = probs.sum(axis=-1, keepdims=True)
+    dev = np.abs(s - 1.0)
+    if not dev.max(initial=0.0) <= PROB_SUM_TOL:
+        raise ValueError(f"output probabilities sum to {s.flat[np.argmax(dev)]!r}; "
+                         "unitarity loss?")
+    return probs / s
+
+
 def output_distribution(u: np.ndarray, input_occ,
                         model=MODEL_INDISTINGUISHABLE) -> FockDistribution:
     """Full output distribution of an input pattern through a unitary.
@@ -415,23 +474,9 @@ def output_distribution(u: np.ndarray, input_occ,
     formulas define the same values and serve as the oracle.
     """
     u = np.asarray(u, dtype=complex)
-    from . import linalg
-    if not linalg.is_unitary(u):
-        raise ValueError("transfer matrix is not unitary within tolerance")
-    m = u.shape[0]
-    input_occ = _check_occupation(input_occ, m, "input pattern")
-    kind, mixture = _resolve_model(model, input_occ, m)
-
-    if kind == MODEL_INDISTINGUISHABLE:
-        probs = np.abs(_transfer(u, input_occ, bosonic=True)) ** 2
-    elif kind == MODEL_DISTINGUISHABLE:
-        probs = _transfer(np.abs(u) ** 2, input_occ, bosonic=False)
-    else:
-        probs = sum(w * _species_law(u, part) for w, part in mixture.components)
-    s = probs.sum()
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"output probabilities sum to {s!r}; unitarity loss?")
-    return FockDistribution(total(input_occ), m, probs / s)
+    if u.ndim != 2:
+        raise ValueError(f"transfer matrix must be square, got shape {u.shape}")
+    return FockDistribution(total(input_occ), u.shape[0], _laws(u, input_occ, model))
 
 
 def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:

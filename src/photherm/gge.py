@@ -9,6 +9,7 @@ folding the entire geometric tail k >= n into the last bin; the raw
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,18 +82,45 @@ class TracePoint:
     tvd_to_gge: float
 
 
+def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, model,
+               mode: int) -> np.ndarray:
+    """Single-mode marginals at each time, one row per time: (len(times), n + 1).
+
+    The times go through hamiltonian.evolution and the stacked transition
+    engine in chunks of at most fock.MAX_PATTERNS law entries (and as many
+    unitary entries), so a long list of times never holds more than one
+    law of the largest accepted basis. Each row equals
+    marginal(fock.output_distribution(hamiltonian.evolution(spec, t), ...))
+    bit for bit.
+    """
+    n, m = fock.total(input_occ), spec.modes
+    if not 0 <= mode < m:
+        raise ValueError(f"mode {mode} out of range for {m} modes")
+    times = np.asarray(times, dtype=float).reshape(-1)
+    counts = fock._patterns(n, m)[:, mode]
+    step = max(1, fock.MAX_PATTERNS // max(counts.size, m * m))
+    out = np.empty((times.size, n + 1))
+    for lo in range(0, times.size, step):
+        laws = fock._laws(hamiltonian.evolution(spec, times[lo:lo + step]), input_occ, model)
+        for row, law in zip(out[lo:lo + step], laws):
+            row[:] = np.bincount(counts, weights=law, minlength=n + 1)
+    return out
+
+
 def equilibration_trace(spec: hamiltonian.HamiltonianSpec, input_occ, times,
                         model=fock.MODEL_INDISTINGUISHABLE, mode: int = 0) -> list[TracePoint]:
-    """Single-mode marginal and its distance to the stationary reference over time."""
+    """Single-mode marginal and its distance to the stationary reference over time.
+
+    All times are evaluated as stacks (see _marginals), one evolution and
+    one engine pass per chunk.
+    """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
-    n = fock.total(input_occ)
-    ref = gge_marginal(n, spec.modes, mode)
+    ref = gge_marginal(fock.total(input_occ), spec.modes, mode)
+    times = [float(t) for t in times]
     out = []
-    for t in times:
-        u = hamiltonian.evolution(spec, float(t))
-        dist = fock.output_distribution(u, input_occ, model)
-        marg = marginal(dist, mode)
-        out.append(TracePoint(float(t), marg, tvd(marg, ref)))
+    for t, probs in zip(times, _marginals(spec, input_occ, times, model, mode)):
+        marg = MarginalDistribution(mode, probs)
+        out.append(TracePoint(t, marg, tvd(marg, ref)))
     return out
 
 
@@ -101,20 +129,22 @@ def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ,
                     samples: int = 240, mode: int = 0) -> float:
     """Scan for the first revival of the initial single-mode marginal.
 
-    Coarse grid on (0, t_max], then a golden-section search, to 1e-12 in t,
-    of the distance to the t=0 marginal around the best grid point.
+    A coarse grid of samples points on (0, t_max], evaluated as one stack,
+    then a golden-section search, to 1e-12 in t, of the distance to the
+    t=0 marginal around the best grid point.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be a finite time > 0, got {t_max!r}")
 
     def dist_to_start(t: float) -> float:
-        u = hamiltonian.evolution(spec, t)
-        d = fock.output_distribution(u, input_occ, model)
-        return tvd(marginal(d, mode), start)
+        return tvd(_marginals(spec, input_occ, t, model, mode)[0], start)
 
-    u0 = hamiltonian.evolution(spec, 0.0)
-    start = marginal(fock.output_distribution(u0, input_occ, model), mode)
+    start = _marginals(spec, input_occ, 0.0, model, mode)[0]
     ts = np.linspace(0.0, t_max, samples + 1)[1:]
-    vals = np.array([dist_to_start(t) for t in ts])
+    vals = np.array([tvd(row, start) for row in _marginals(spec, input_occ, ts, model, mode)])
     # skip the initial departure, then take the best later grid point
     ceiling = 0.5 * vals.max()
     past = np.nonzero(vals >= ceiling)[0]

@@ -87,10 +87,24 @@ def build(spec: HamiltonianSpec) -> np.ndarray:
     return np.asarray(spec.matrix, dtype=complex)
 
 
-def evolution(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Unitary exp(-i H t) for the specified Hamiltonian.
+def eigenvalue_bound(spec: HamiltonianSpec) -> float:
+    """An upper bound on |w| over the eigenvalues w of the generator, without diagonalizing it.
 
-    For kind "long_range" the t=1 evolution reproduces the seeded Haar
-    unitary the generator was extracted from.
+    pi for kind "long_range", whose generator is a principal logarithm;
+    otherwise the largest absolute row sum of the matrix (inf if it overflows).
+    """
+    if spec.kind == "long_range":
+        return float(np.pi)
+    with np.errstate(over="ignore"):
+        return float(np.abs(build(spec)).sum(axis=1).max())
+
+
+def evolution(spec: HamiltonianSpec, t) -> np.ndarray:
+    """Unitary exp(-i H t) for the specified Hamiltonian, or their stack over an array of times.
+
+    The generator is built and diagonalized once per call, whatever the
+    number of times; see linalg.expm_hermitian. For kind "long_range" the
+    t=1 evolution reproduces the seeded Haar unitary the generator was
+    extracted from.
     """
     return linalg.expm_hermitian(build(spec), t)

@@ -12,18 +12,21 @@ UNITARY_TOL = 1e-10
 HERMITIAN_TOL = 1e-10
 
 
-def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _require_square(a: np.ndarray, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stacked else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a.astype(complex)
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True iff max|A†A - I| <= tol. Raises on non-square input."""
-    a = _require_square(a)
-    dev = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.max(np.abs(dev))) <= tol
+    """True iff max|A†A - I| <= tol, for every matrix of a stack (..., m, m).
+
+    A single (m, m) matrix is the stack of one. Raises on non-square input.
+    """
+    a = _require_square(a, stacked=True)
+    dev = a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])
+    return float(np.max(np.abs(dev), initial=0.0)) <= tol
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -32,18 +35,21 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Evolution operator exp(-i h t) of a Hermitian generator.
+def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
+    """Evolution operator exp(-i h t) of a Hermitian generator, for one time or an array of times.
 
-    Computed from the eigendecomposition h = W diag(w) W†, so the result
-    is unitary to machine precision for any real t.
+    Computed from one eigendecomposition h = W diag(w) W†: each time takes
+    the product (W diag(exp(-i w t))) W†, so the result is unitary to
+    machine precision for any real t. A scalar t gives one (m, m) matrix,
+    an array of times of shape S gives the stack S + (m, m), and each of
+    its matrices equals the scalar-t result bit for bit.
     """
     h = _require_square(h, "generator")
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within tolerance")
     w, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * w * float(t))
-    return (vecs * phases) @ vecs.conj().T
+    phases = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
+    return (vecs * phases[..., None, :]) @ vecs.conj().T
 
 
 def logm_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:

@@ -432,3 +432,46 @@ def n_mode_lambda_coefficients(n: int) -> tuple:
             raise AssertionError(f"forbidden weight of class {sizes} varies with placement: {vals}")
         out.append((sizes, float(np.mean(vals))))
     return tuple(out)
+
+
+def seed_expm_hermitian(h, t: float) -> np.ndarray:
+    """exp(-i h t) for one scalar time, one eigendecomposition per call."""
+    w, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    phases = np.exp(-1j * w * float(t))
+    return (vecs * phases) @ vecs.conj().T
+
+
+def seed_trace_marginal(spec, input_occ, t: float, model, mode: int) -> np.ndarray:
+    """Single-mode marginal at one time through the single-law entry."""
+    from photherm import fock, gge, hamiltonian
+    u = hamiltonian.evolution(spec, float(t))
+    return gge.marginal(fock.output_distribution(u, input_occ, model), mode).probs
+
+
+def seed_recurrence_time(spec, input_occ, model="indistinguishable", t_max: float = 6.0,
+                         samples: int = 240, mode: int = 0) -> float:
+    """Revival scan with one evolution and one single law per grid point and search step."""
+    from photherm import gge
+
+    def dist_to_start(t: float) -> float:
+        return gge.tvd(seed_trace_marginal(spec, input_occ, t, model, mode), start)
+
+    start = seed_trace_marginal(spec, input_occ, 0.0, model, mode)
+    ts = np.linspace(0.0, t_max, samples + 1)[1:]
+    vals = np.array([dist_to_start(t) for t in ts])
+    past = np.nonzero(vals >= 0.5 * vals.max())[0]
+    search = past[0] + np.argmin(vals[past[0]:])
+    a, b = ts[max(search - 1, 0)], ts[min(search + 1, len(ts) - 1)]
+    g = (5.0 ** 0.5 - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = dist_to_start(c), dist_to_start(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = dist_to_start(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = dist_to_start(d)
+    return float(0.5 * (a + b))

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photherm import apparatus, certify, cli, fock, hamiltonian
 
@@ -205,7 +207,7 @@ def test_config_rejects_a_basis_past_the_pattern_ceiling(tmp_path, capsys):
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config.input: 19 photons in 20 modes give C(38, 19)")
-    assert str(cli.MAX_PATTERNS) in err
+    assert str(fock.MAX_PATTERNS) in err
     assert "Traceback" not in err
     assert not out.exists()
     cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 12, "seed": 1},
@@ -524,3 +526,124 @@ def test_failed_run_leaves_no_directory(tmp_path, monkeypatch):
     assert cli.main(["certify", "--config", str(write_config(tmp_path, certification=None)),
                      "--out", str(out)]) == 1
     assert list(out.iterdir()) == [run]
+
+
+# ---------------------------------------------------------------------------
+# Malformed and mutated certify configs: exit 1 at the JSON path, never a traceback
+
+
+def _hamiltonian(**fields):
+    return {"hamiltonian": {"kind": "hopping", "modes": 4, **fields}}
+
+
+def _certification(**fields):
+    return {"certification": {"eps1": 0.9, "eps2": 0.9, **fields}}
+
+
+# 24 malformed variants of the 4-mode certify config; the first eight are the
+# ones that once ended in a traceback, a wrong exit 0, or Python's own message.
+MALFORMED = [
+    (_hamiltonian(modes=4.0), "config.hamiltonian.modes"),
+    ({**HARDWARE, "shots": 10**12}, "config.shots"),
+    ({"seed": -1}, "config.seed"),
+    (_detection_field("blinding_slope", float("nan")), "config.apparatus.detection.blinding_slope"),
+    ({"input": [True, True, False, False]}, "config.input"),
+    (_hamiltonian(modes="4"), "config.hamiltonian.modes"),
+    (_explicit([[[0, 0], [1, 0]], [[1, 0]]]), "config.hamiltonian.matrix[1]"),
+    (_source_field("foo", 1), "config.apparatus.source"),
+    ({"times": []}, "config.times"),
+    ({"times": [1.0, 1e308]}, "config.times[1]"),
+    ({"times": [1e13]}, "config.times[0]"),
+    (_hamiltonian(coupling=1e308), "config.hamiltonian"),
+    (_hamiltonian(modes=10**12), "config.hamiltonian.modes"),
+    (_hamiltonian(kind="hoping"), "config.hamiltonian"),
+    ({"shots": 10**30}, "config.shots"),
+    ({"shots": 0}, "config.shots"),
+    ({"shots": 2.5}, "config.shots"),
+    ({"input": [1, 1, 1]}, "config.input"),
+    ({"input": [-1, 1, 1, 0]}, "config.input"),
+    ({"model": "bosonic"}, "config.model"),
+    ({"model": {"mixture": [[0.5, [RING_INPUT]]]}}, "config.model.mixture"),
+    (_certification(eps1=1.5), "config.certification.eps1"),
+    ({"certification": {"eps1": 0.9}}, "config.certification.eps2"),
+    (_certification(split=4), "config.certification.split"),
+]
+
+
+@pytest.mark.parametrize("overrides, path", MALFORMED)
+def test_malformed_certify_configs_exit_1_at_their_path(tmp_path, capsys, overrides, path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+FUZZ_BASE = {
+    "hamiltonian": {"kind": "hopping", "modes": 4, "coupling": 1.0, "periodic": True},
+    "input": [1, 1, 1, 0], "times": [0.5, 1.0], "shots": 200, "seed": 11,
+    "model": HARDWARE["model"],
+    "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+                  "detection": {"weights": [[0.3, 0.3, 0.3]] * 4}, "mesh_jitter": 0.05},
+    "certification": {"eps1": 0.9, "eps2": 0.9, "split": 2, "epsilon_grid": [0.8]},
+}
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+FUZZ_PATHS = list(_json_paths(FUZZ_BASE))[1:]
+JUNK = [None, True, False, 0, 1, -1, 2, 3, 7, 2**63, 10**400, 0.0, -0.0, 0.5, -0.5, 1.5,
+        1e-320, 1e13, 1e308, float("nan"), float("inf"), -float("inf"), "", "4", "x",
+        [], {}, [0], [1, 1, 1, 0], [[1, 1, 1, 0]], [[0.3, 0.3, 0.3]], {"foo": 1}]
+mutation = st.tuples(st.sampled_from(FUZZ_PATHS),
+                     st.sampled_from(["replace", "delete", "unknown key"]),
+                     st.sampled_from(range(len(JUNK))))
+
+
+def _mutate(cfg: dict, path: tuple, action: str, junk: int) -> dict:
+    *parents, key = path
+    node = cfg
+    try:
+        for parent in parents:
+            node = node[parent]
+        if action == "unknown key" and isinstance(node, dict):
+            node["foo"] = json.loads(json.dumps(JUNK[junk]))
+        elif action == "delete" and isinstance(node, dict):
+            node.pop(key, None)
+        else:
+            node[key] = json.loads(json.dumps(JUNK[junk]))
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or replaced this branch
+    return cfg
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["certify", "gge", "evolve"]), st.lists(mutation, min_size=1, max_size=3))
+def test_mutated_configs_never_crash_or_leave_directories(command, mutations):
+    """Any mutation of a valid config exits 0, 1 or 2 and leaves only a finished run behind."""
+    import contextlib
+    import io
+    import tempfile
+
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for path, action, junk in mutations:
+        cfg = _mutate(cfg, path, action, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert not any(name.endswith(".partial") for name in left)
+        assert len(left) == (code == 0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (naive_permanent, oracle_prob_species, seed_creation_map,
                       seed_enumerate_basis, seed_prob_of)
-from photherm import fock, linalg
+from photherm import fock, hamiltonian, linalg
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -352,3 +352,86 @@ def test_engine_species_and_mixtures_match_splitting_oracle(case):
             + 0.2 * fock.prob_distinguishable(u, r, s)
             for p, s in zip(oracle, basis)]
     assert np.max(np.abs(fock.output_distribution(u, r, mix).probs - want)) < ENGINE_TOL
+
+
+# ---------------------------------------------------------------------------
+# The engine over a stack of unitaries against the single-law entry
+
+
+def ring_stack(m: int, times) -> np.ndarray:
+    """Hopping-ring evolutions at the given times (an open chain on two modes)."""
+    spec = hamiltonian.HamiltonianSpec(kind="hopping", modes=m, periodic=m > 2)
+    return np.array([hamiltonian.evolution(spec, t) for t in times]).reshape(-1, m, m)
+
+
+@st.composite
+def stack_cases(draw):
+    """A species case with its unitary replaced by a stack of Haar, ring and sparse matrices.
+
+    The identity and the embedded Fourier transform have exact zero
+    couplings; the ring evolutions (t = 0 included) and Haar matrices have none.
+    """
+    _, occ, part = draw(species_cases())
+    m = len(occ)
+    kinds = draw(st.lists(st.sampled_from(["haar", "identity", "fourier", "ring"]),
+                          min_size=0, max_size=5))
+    mats = []
+    for kind in kinds:
+        if kind == "haar":
+            mats.append(linalg.haar_random(m, draw(st.integers(0, 2**32 - 1))))
+        elif kind == "identity" or m == 1:
+            mats.append(np.eye(m, dtype=complex))
+        elif kind == "fourier":
+            mats.append(linalg.fourier(draw(st.integers(1, m)), m))
+        else:
+            mats.append(ring_stack(m, [draw(st.sampled_from([0.0, 0.4, 1.3, 2.9]))])[0])
+    return np.array(mats, dtype=complex).reshape(-1, m, m), occ, part
+
+
+def stack_models(occ, part):
+    singletons = tuple(tuple(int(j == mode) for j in range(len(occ)))
+                       for mode in fock.mode_assignment(occ))
+    return (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE, part,
+            fock.Mixture(((0.5, part), (0.3, (occ,)), (0.2, singletons))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_cases())
+@example((ring_stack(4, [0.0, 0.7, 1.3]), (1, 1, 1, 0), ((1, 1, 0, 0), (0, 0, 1, 0))))
+@example((np.array([linalg.fourier(3, 4), ring_stack(4, [0.0])[0]]), (1, 1, 1, 0),
+          ((1, 1, 0, 0), (0, 0, 1, 0))))
+@example((ring_stack(5, [0.9, 0.0]), (2, 0, 1, 0, 0), ((1, 0, 1, 0, 0), (1, 0, 0, 0, 0))))
+@example((np.array([np.eye(3, dtype=complex), linalg.haar_random(3, 4)]), (1, 1, 0),
+          ((1, 0, 0), (0, 1, 0))))
+@example((ring_stack(4, [0.4]), (1, 0, 1, 0), ((1, 0, 1, 0),)))
+def test_stacked_laws_equal_the_single_laws(case):
+    """Every row of a stacked law is the single law of its matrix, bit for bit.
+
+    A sparse matrix has zero couplings where the other matrices have none,
+    so each creation step must sweep the union of their supports.
+    """
+    stack, occ, part = case
+    size = math.comb(sum(occ) + len(occ) - 1, sum(occ))
+    for model in stack_models(occ, part):
+        laws = fock._laws(stack, occ, model)
+        assert laws.shape == (len(stack), size)
+        for u, law in zip(stack, laws):
+            assert np.array_equal(law, fock.output_distribution(u, occ, model).probs)
+    if len(occ) == 1:
+        # Every level of a one-mode basis has one pattern, and numpy runs the
+        # (T, 1) rows as one loop of length T, whose complex products may round
+        # in the last bit unlike T loops of length 1. The laws above are 1.0.
+        return
+    amps = fock._transfer(stack, occ, bosonic=True)
+    for u, row in zip(stack, amps):
+        assert np.array_equal(row, fock.state_vector(u, occ))
+
+
+def test_stacked_laws_reject_any_non_unitary_matrix():
+    stack = np.array([np.eye(3), 1.01 * np.eye(3)], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        fock._laws(stack, (1, 1, 0), fock.MODEL_INDISTINGUISHABLE)
+    with pytest.raises(ValueError, match="must be square"):
+        fock.output_distribution(stack[:, :, 0], (1, 1, 0))
+    with pytest.raises(ValueError, match="must be square"):
+        fock.output_distribution(stack, (1, 1, 0))

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_marginal
+from conftest import seed_marginal, seed_recurrence_time, seed_trace_marginal
 from photherm import fock, gge, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -117,3 +117,76 @@ def test_marginal_matches_the_per_pattern_loop(n, m, seed, data):
     dist = fock.FockDistribution(n, m, probs / probs.sum())
     mode = data.draw(st.integers(0, m - 1))
     assert np.array_equal(gge.marginal(dist, mode).probs, seed_marginal(dist, mode))
+
+
+# ---------------------------------------------------------------------------
+# Traces evaluated as stacks of times
+
+
+MODELS = (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE,
+          ((1, 1, 0, 0), (0, 0, 1, 0)),
+          fock.Mixture(((0.7, ((1, 1, 1, 0),)), (0.3, ((1, 0, 0, 0), (0, 1, 1, 0))))))
+
+
+def counted_evolution(monkeypatch) -> list:
+    """Record the number of times per hamiltonian.evolution call made by gge."""
+    calls, evolution = [], hamiltonian.evolution
+    monkeypatch.setattr(hamiltonian, "evolution",
+                        lambda spec, t: calls.append(np.size(t)) or evolution(spec, t))
+    return calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MODELS),
+       st.lists(st.floats(0.0, 4.0, allow_subnormal=False), min_size=0, max_size=9),
+       st.integers(1, 4), st.integers(0, 3))
+@example(MODELS[2], [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 2, 0)
+@example(MODELS[3], [0.0], 1, 1)
+@example(MODELS[0], [], 1, 0)
+def test_trace_chunks_equal_the_per_time_laws(model, times, rows, mode):
+    """Each chunk of at most `rows` times is one evolution; every point equals the single law.
+
+    The chunk bound is lowered so that a few times already span several
+    chunks; the first time of the list may be 0, where the ring is the identity.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "MAX_PATTERNS", rows * 20)  # 20 patterns: 3 photons on 4 modes
+        calls = counted_evolution(mp)
+        trace = gge.equilibration_trace(RING, INPUT, times, model, mode)
+    assert calls == [min(rows, len(times) - lo) for lo in range(0, len(times), rows)]
+    ref = gge.gge_marginal(3, 4, mode)
+    assert [p.t for p in trace] == times
+    for pt in trace:
+        want = seed_trace_marginal(RING, INPUT, pt.t, model, mode)
+        assert np.array_equal(pt.marginal.probs, want)
+        assert pt.marginal.mode == mode
+        assert pt.tvd_to_gge == gge.tvd(want, ref)
+
+
+def test_trace_of_no_times_is_empty_and_long_traces_take_one_evolution(monkeypatch):
+    calls = counted_evolution(monkeypatch)
+    assert gge.equilibration_trace(RING, INPUT, []) == []
+    assert calls == []
+    trace = gge.equilibration_trace(RING, INPUT, np.linspace(0.0, 3.0, 500))
+    assert calls == [500]
+    assert len(trace) == 500
+    with pytest.raises(ValueError, match="mode 4 out of range"):
+        gge.equilibration_trace(RING, INPUT, [1.0], mode=4)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"t_max": 4.0, "samples": 160},
+                                    {"model": fock.MODEL_DISTINGUISHABLE, "t_max": 2.0,
+                                     "samples": 40, "mode": 1}])
+def test_recurrence_time_equals_the_per_time_scan(kwargs):
+    """The stacked coarse grid finds the same grid point, so the search returns the same float."""
+    assert gge.recurrence_time(RING, INPUT, **kwargs) == seed_recurrence_time(RING, INPUT, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"samples": 2.5}, "samples"),
+    ({"t_max": -1.0}, "t_max"), ({"t_max": 0.0}, "t_max"),
+    ({"t_max": float("nan")}, "t_max"), ({"t_max": float("inf")}, "t_max"),
+])
+def test_recurrence_time_rejects_empty_grids_and_bad_horizons(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        gge.recurrence_time(RING, INPUT, **kwargs)

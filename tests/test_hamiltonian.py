@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import seed_expm_hermitian
 from photherm import hamiltonian, linalg
 
 
@@ -80,3 +83,43 @@ def test_dict_round_trip_all_kinds():
     ]
     for spec in specs:
         assert hamiltonian.HamiltonianSpec.from_dict(spec.to_dict()) == spec
+
+
+SPECS = [
+    hamiltonian.HamiltonianSpec(kind="hopping", modes=4),
+    hamiltonian.HamiltonianSpec(kind="hopping", modes=7, coupling=0.3, periodic=False),
+    hamiltonian.HamiltonianSpec(kind="long_range", modes=5, seed=12),
+    hamiltonian.HamiltonianSpec(kind="explicit", modes=2, matrix=((0.5, 1j), (-1j, -0.25))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SPECS),
+       st.lists(st.floats(-50.0, 50.0, allow_subnormal=False), min_size=0, max_size=12))
+@example(SPECS[0], [0.0, np.pi / 2, np.pi, 0.0])
+@example(SPECS[2], [1.0])
+def test_stacked_evolution_equals_each_time(spec, times):
+    """One eigendecomposition for a stack of times gives each time's matrix bit for bit."""
+    stack = hamiltonian.evolution(spec, np.array(times))
+    assert stack.shape == (len(times), spec.modes, spec.modes)
+    for t, u in zip(times, stack):
+        assert np.array_equal(u, hamiltonian.evolution(spec, t))
+        assert np.array_equal(u, seed_expm_hermitian(hamiltonian.build(spec), t))
+    grid = np.reshape(times[:4] + [0.5] * (4 - len(times[:4])), (2, 2))
+    assert hamiltonian.evolution(spec, grid).shape == (2, 2, spec.modes, spec.modes)
+
+
+def test_scalar_time_gives_one_matrix():
+    spec = SPECS[2]
+    for t in (0.0, 0.7, np.float64(2.5), 3):
+        u = hamiltonian.evolution(spec, t)
+        assert u.shape == (5, 5)
+        assert np.array_equal(u, seed_expm_hermitian(hamiltonian.build(spec), t))
+
+
+@pytest.mark.parametrize("spec", SPECS + [
+    hamiltonian.HamiltonianSpec(kind="long_range", modes=8, seed=s) for s in range(5)] + [
+    hamiltonian.HamiltonianSpec(kind="hopping", modes=2, coupling=-2.5)])
+def test_eigenvalue_bound_holds_without_diagonalizing(spec):
+    w = np.linalg.eigvalsh(hamiltonian.build(spec))
+    assert np.max(np.abs(w)) <= hamiltonian.eigenvalue_bound(spec) * (1 + 1e-12)

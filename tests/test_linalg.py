@@ -26,6 +26,17 @@ def test_is_unitary_and_hermitian_flags():
     assert not linalg.is_hermitian(h + 1e-6 * 1j * np.eye(4))
 
 
+def test_is_unitary_checks_every_matrix_of_a_stack():
+    stack = np.array([linalg.haar_random(3, s) for s in range(4)])
+    assert linalg.is_unitary(stack)
+    assert linalg.is_unitary(stack[:0])
+    stack[2, 1, 1] += 1e-6
+    assert not linalg.is_unitary(stack)
+    assert linalg.is_unitary(stack[[0, 1, 3]])
+    with pytest.raises(ValueError, match="must be square"):
+        linalg.is_unitary(np.ones(3))
+
+
 def test_square_input_required():
     with pytest.raises(ValueError):
         linalg.is_unitary(np.ones((2, 3)))
