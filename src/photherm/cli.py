@@ -413,9 +413,13 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig):
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
-    lines = [f"# config-digest: {cfg.digest()}", f"# config: {json.dumps(cfg.resolved, sort_keys=True)}",
-             header]
+def _csv_preamble(cfg: ExperimentConfig) -> list[str]:
+    """The two comment lines that open every CSV of a run; a command builds them once."""
+    return [f"# config-digest: {cfg.digest()}", f"# config: {json.dumps(cfg.resolved, sort_keys=True)}"]
+
+
+def _write_csv(path: Path, preamble: list[str], header: str, rows):
+    lines = [*preamble, header]
     lines.extend(rows)
     path.write_text("\n".join(lines) + "\n")
 
@@ -434,6 +438,7 @@ def _derived_seed(cfg: ExperimentConfig, *branch: int) -> int:
 
 def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
     """Exact output laws per Hamiltonian and time, with the ideal reference, one CSV per law."""
+    preamble = _csv_preamble(cfg)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
@@ -444,8 +449,8 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
             stem = f"evolve_{tag}_t{ti:03d}"
             _write_json(run / f"{stem}.json", {"hamiltonian": spec.to_dict(), "t": t}, cfg)
             for path, law in ((run / f"{stem}.csv", dist), (run / f"{stem}_exact.csv", exact)):
-                _write_csv(path, "pattern,probability",
-                           (f"{p},{q!r}" for p, q in law.csv_rows()), cfg)
+                _write_csv(path, preamble, "pattern,probability",
+                           (f"{p},{q!r}" for p, q in law.csv_rows()))
 
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
@@ -453,8 +458,9 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
     n = fock.total(cfg.input_occ)
     m = cfg.specs[0].modes
     ref = gge.gge_marginal(n, m)
-    _write_csv(run / "gge_reference.csv", "k,probability",
-               (f"{k},{float(p)!r}" for k, p in enumerate(ref.probs)), cfg)
+    preamble = _csv_preamble(cfg)
+    _write_csv(run / "gge_reference.csv", preamble, "k,probability",
+               (f"{k},{float(p)!r}" for k, p in enumerate(ref.probs)))
     models: list = [fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE]
     if not isinstance(cfg.model, str):
         models.append(cfg.model)
@@ -463,17 +469,18 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
         for model in models:
             name = model if isinstance(model, str) else "mixture"
             trace = gge.equilibration_trace(spec, cfg.input_occ, cfg.times, model)
-            _write_csv(run / f"gge_{tag}_{name}_marginal.csv", "t,k,probability",
+            _write_csv(run / f"gge_{tag}_{name}_marginal.csv", preamble, "t,k,probability",
                        (f"{pt.t!r},{k},{float(p)!r}"
-                        for pt in trace for k, p in enumerate(pt.marginal.probs)), cfg)
-            _write_csv(run / f"gge_{tag}_{name}_tvd.csv", "t,tvd",
-                       (f"{pt.t!r},{pt.tvd_to_gge!r}" for pt in trace), cfg)
+                        for pt in trace for k, p in enumerate(pt.marginal.probs)))
+            _write_csv(run / f"gge_{tag}_{name}_tvd.csv", preamble, "t,tvd",
+                       (f"{pt.t!r},{pt.tvd_to_gge!r}" for pt in trace))
 
 
 def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
     """Certification records per time step plus the batch convergence trace."""
     if cfg.eps1 is None:
         raise ConfigError("config.certification: required for the certify command")
+    preamble = _csv_preamble(cfg)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
@@ -492,10 +499,10 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
                 "hamiltonian": spec.to_dict(), "t": t, "derived_seed": seed,
                 "result": res.to_dict(), "epsilon_grid": grid,
             }, cfg)
-            _write_csv(run / f"{stem}_convergence.csv",
+            _write_csv(run / f"{stem}_convergence.csv", preamble,
                        "samples,inv_sqrt_samples,p1,p2,f_lower",
                        (f"{k},{1.0 / math.sqrt(k)!r},{p1!r},{p2!r},{f_lower!r}"
-                        for k, p1, p2, f_lower in res.convergence), cfg)
+                        for k, p1, p2, f_lower in res.convergence))
 
 
 def cmd_selftest() -> int:

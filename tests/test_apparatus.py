@@ -451,3 +451,34 @@ def test_distinguishability_mixture_weights():
     assert len(mix.components[2][1]) == 3
     with pytest.raises(ValueError):
         apparatus.distinguishability_mixture(src, (2, 1, 0, 0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.data())
+def test_correct_counts_is_consistent(m, n, data):
+    """Without dark counts, corrected n-click records converge to the law of the patterns sent.
+
+    With N shots, the kept count of pattern s is Binomial(N, p_s r_s), r_s
+    its resolve probability, and x_s = count / (N r_s) has standard
+    deviation sigma_s = sqrt(p_s r_s (1 - p_s r_s) / N) / r_s. The corrected
+    law is x / sum(x), whose TVD to p is at most sum_s |x_s - p_s|; so the
+    TVD stays under 5 sum_s sigma_s whenever every x_s is within 5 sigma_s.
+    Records of mixed click totals are refused.
+    """
+    weights = data.draw(st.lists(st.tuples(*[st.floats(0.2, 1 / 3)] * 3), min_size=m, max_size=m))
+    det = apparatus.DetectionModel(weights=tuple(weights))
+    size = math.comb(n + m - 1, n)
+    mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size)))
+    law = fock.FockDistribution(n, m, mass / mass.sum())
+    shots = 100_000
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    fired = apparatus.qpnr_detect(fock.sample(law, shots, rng), det, rng)
+    kept = fired[fired.sum(axis=1) == n]
+    corrected = apparatus.correct_counts(kept, det)
+    resolve = np.array([math.prod(apparatus.resolve_probability(det, i, int(c))
+                                  for i, c in enumerate(occ)) for occ in law.basis])
+    hit = law.probs * resolve
+    sigma = np.sqrt(hit * (1.0 - hit) / shots) / resolve
+    assert 0.5 * np.abs(corrected.probs - law.probs).sum() <= 5.0 * sigma.sum()
+    with pytest.raises(ValueError, match="differ"):
+        apparatus.correct_counts(np.vstack([kept, np.zeros_like(kept[:1])]), det)

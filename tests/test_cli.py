@@ -647,3 +647,25 @@ def test_mutated_configs_never_crash_or_leave_directories(command, mutations):
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert not any(name.endswith(".partial") for name in left)
         assert len(left) == (code == 0)
+
+
+@pytest.mark.parametrize("command", ["evolve", "gge", "certify"])
+def test_runs_build_no_basis_tuples_and_one_csv_preamble(tmp_path, monkeypatch, command):
+    """Labels come from the basis array; the digest is taken once for the directory, once for the CSVs."""
+    digests = []
+    digest = cli.ExperimentConfig.digest
+    monkeypatch.setattr(cli.ExperimentConfig, "digest",
+                        lambda self: digests.append(1) or digest(self))
+    fock.enumerate_basis.cache_clear()
+    cfg = write_config(tmp_path, times=[0.0, 0.5, 1.0], input=[1, 1, 0, 0],
+                       model={"species": [[1, 0, 0, 0], [0, 1, 0, 0]]})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert fock.enumerate_basis.cache_info().currsize == 0
+    assert len(digests) == 2
+    resolved = cli.load_config(cfg)
+    preamble = [f"# config-digest: {digest(resolved)}",
+                f"# config: {json.dumps(resolved.resolved, sort_keys=True)}"]
+    csvs = sorted(next((tmp_path / "out").iterdir()).glob("*.csv"))
+    assert len(csvs) >= 3
+    for path in csvs:
+        assert path.read_text().splitlines()[:2] == preamble

@@ -31,7 +31,7 @@ def test_basis_order_and_count():
 @example(7, 1)
 @example(7, 9)
 def test_basis_arrays_match_the_recursive_oracle(n, m):
-    """The array-built basis, its tuples, ranks and creation maps equal the seed builders."""
+    """The array-built basis, its tuples, ranks and every level's creation map equal the seed builders."""
     want = seed_enumerate_basis(n, m)
     assert fock.enumerate_basis(n, m) == want
     pats = fock._patterns(n, m)
@@ -39,9 +39,10 @@ def test_basis_arrays_match_the_recursive_oracle(n, m):
     assert not pats.flags.writeable
     assert np.array_equal(pats, np.array(want, dtype=pats.dtype).reshape(-1, m))
     assert np.array_equal(fock._rank(pats, n), np.arange(len(want)))
-    if n >= 1:
-        for got, oracle in zip(fock._creation_map(n, m), seed_creation_map(n, m)):
+    for k in range(1, n + 1):
+        for got, oracle in zip(fock._creation_map(k, m), seed_creation_map(k, m)):
             assert got.dtype == oracle.dtype
+            assert not got.flags.writeable
             assert np.array_equal(got, oracle)
 
 
@@ -59,12 +60,16 @@ def test_basis_rejects_negative_photons_and_empty_modes(n, m):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(0, 1), (1, 1), (3, 4), (10, 2), (10, 3), (12, 2), (4, 6)]),
+@given(st.sampled_from([(0, 1), (1, 1), (3, 4), (10, 2), (10, 3), (12, 2), (4, 6),
+                        (100, 2), (150, 2), (9, 3), (99, 3)]),
        st.integers(0, 2**32 - 1))
 @example((10, 2), 0)
 @example((10, 3), 0)
+@example((100, 2), 0)
+@example((150, 2), 0)
+@example((99, 3), 0)
 def test_csv_rows_match_joined_counts(shape, seed):
-    """Cached labels give the rows of the per-row join, two-digit counts included."""
+    """Cached labels give the rows of the per-row join, two- and three-digit counts included."""
     n, m = shape
     basis = fock.enumerate_basis(n, m)
     probs = np.random.default_rng(seed).random(len(basis))
@@ -435,3 +440,45 @@ def test_stacked_laws_reject_any_non_unitary_matrix():
         fock.output_distribution(stack[:, :, 0], (1, 1, 0))
     with pytest.raises(ValueError, match="must be square"):
         fock.output_distribution(stack, (1, 1, 0))
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (5, 4), (6, 7)])
+def test_creation_maps_do_not_depend_on_call_order(n, m):
+    """The top level first (one pass fills every level) or level by level, the maps are the same."""
+    want = [seed_creation_map(k, m) for k in range(1, n + 1)]
+    for order in ([n, 2], [2, n], list(range(n, 0, -1)), list(range(1, n + 1))):
+        fock._CREATION_MAPS.clear()
+        for k in order + list(range(1, n + 1)):
+            for got, oracle in zip(fock._creation_map(k, m), want[k - 1]):
+                assert np.array_equal(got, oracle)
+    fock._CREATION_MAPS.clear()
+    top = fock._creation_map(n, m)
+    assert fock._creation_map(n, m) is top
+    assert set(fock._CREATION_MAPS) == {(k, m) for k in range(2, n + 1)}
+
+
+@pytest.mark.parametrize("occ, model, top", [
+    ((1, 1, 1, 0, 0), fock.MODEL_INDISTINGUISHABLE, 3),
+    ((2, 0, 1, 1, 0, 2), fock.MODEL_DISTINGUISHABLE, 6),
+    # species laws go through the engine one species at a time, then convolve
+    ((1, 1, 1, 1, 0, 0, 0), [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0)], 2),
+    ((1, 0, 0), fock.MODEL_INDISTINGUISHABLE, 1),
+])
+def test_a_law_caches_creation_maps_of_its_width_only(occ, model, top):
+    """A law on m modes leaves the maps of levels 2..top on m modes, none of a narrower width."""
+    fock._CREATION_MAPS.clear()
+    m = len(occ)
+    fock.output_distribution(linalg.haar_random(m, 5), occ, model)
+    assert set(fock._CREATION_MAPS) == {(k, m) for k in range(2, top + 1)}
+
+
+def test_check_probs_clips_like_clip():
+    """Negative entries within tolerance become +0.0, as np.clip made them, sign bit included."""
+    probs = np.array([0.5, -0.0, 0.0, -1e-12, 0.5 + 1e-12, 5e-324, -5e-324])
+    got = fock._check_probs(probs)
+    assert got.tobytes() == np.clip(probs, 0.0, None).tobytes()
+    assert not np.signbit(got).any()
+    assert got is not probs
+    for bad in ([0.5, 0.5 + 1e-8], [1.0 + 1e-8, -1e-8], [np.nan, 1.0], [[1.0]], []):
+        with pytest.raises(ValueError):
+            fock._check_probs(bad)
