@@ -552,10 +552,10 @@ def _group_rows(j1: np.ndarray, j2: np.ndarray) -> list[np.ndarray]:
     return np.split(order, starts) if order.size else []
 
 
-def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
-                  det: DetectionModel | None, shots: int, rng, target,
-                  max_attempts: int | None = None) -> np.ndarray:
-    """Reconstructed patterns (shots, m) of post-selected events, in the order they occur.
+def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
+                     det: DetectionModel | None, shots: int, rng, target,
+                     max_attempts: int | None = None) -> np.ndarray:
+    """Post-selected reconstructed patterns (shots, m) of one setting, in the order they occur.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
     target photon number. A source requires the target it heralds, one
@@ -633,12 +633,6 @@ def _event_stream(total_u: np.ndarray, model, src: SourceModel | None,
         kept.append(pattern_from_clicks(fired, m))
         produced += len(fired)
     return np.concatenate(kept)[:shots]
-
-
-def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
-                     det: DetectionModel | None, shots: int, rng, target) -> np.ndarray:
-    """Post-selected reconstructed patterns of one measurement setting, a (shots, m) array."""
-    return _event_stream(total_u, model, src, det, shots, rng, target)
 
 
 def distinguishability_mixture(src: SourceModel, input_occ=(1, 1, 1, 0)) -> fock.Mixture:

@@ -8,6 +8,9 @@ directory and moved into place only when it is complete, so a failed run
 leaves no directory behind. Existing run directories are never
 overwritten without --force.
 
+apparatus and certify are imported by load_config for the blocks that use
+them, selftest by its command: nothing a run uses is imported later.
+
 Exit codes: 0 success, 1 config validation error or a source whose
 acceptance is too low to collect the shots, 2 I/O error, 3 selftest
 failure.
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, apparatus, certify, fock, gge, hamiltonian, linalg
+from . import __version__, fock, gge, hamiltonian, linalg
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
 # Most shots a run with a non-trivial apparatus may ask for; its event stream samples each one.
@@ -178,6 +181,7 @@ def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
 
 
 def _parse_source(d, path: str) -> apparatus.SourceModel:
+    from . import apparatus
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     numbers = ("squeezing", "pump_power", "heralding_efficiency")
     _check_keys(d, numbers + ("pairwise_visibilities",), path)
@@ -200,6 +204,7 @@ def _parse_source(d, path: str) -> apparatus.SourceModel:
 
 
 def _parse_detection(d, path: str) -> apparatus.DetectionModel:
+    from . import apparatus
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     numbers = ("dark_count_prob", "blinding_slope", "blinding_intercept")
     _check_keys(d, ("weights",) + numbers, path)
@@ -215,6 +220,7 @@ def _parse_detection(d, path: str) -> apparatus.DetectionModel:
 
 def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
     """The apparatus block; source and detection numbers are checked, not converted."""
+    from . import apparatus
     _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     _check_keys(d, ("source", "detection", "mesh_jitter"), path)
     src = det = None
@@ -306,6 +312,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
 
     app = None
     if raw.get("apparatus") is not None:
+        from . import apparatus
         app = _parse_apparatus(raw["apparatus"], "config.apparatus")
         det, n = app.detection, fock.total(input_occ)
         _expect(app.is_trivial() or shots <= MAX_APPARATUS_SHOTS, "config.shots",
@@ -332,6 +339,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     split = 1
     grid = DEFAULT_EPSILON_GRID
     if raw.get("certification") is not None:
+        from . import certify
         cert = raw["certification"]
         _expect(isinstance(cert, dict), "config.certification",
                 f"expected an object, got {cert!r}")
@@ -480,6 +488,7 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
     """Certification records per time step plus the batch convergence trace."""
     if cfg.eps1 is None:
         raise ConfigError("config.certification: required for the certify command")
+    from . import certify  # loaded by load_config along with the certification block
     preamble = _csv_preamble(cfg)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
@@ -505,153 +514,6 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
                         for k, p1, p2, f_lower in res.convergence))
 
 
-def cmd_selftest() -> int:
-    """Oracle suite printed as pass/fail lines; returns the count of failures.
-
-    A check that raises prints a FAIL line naming the exception, and the
-    remaining checks still run.
-    """
-    import itertools
-
-    def naive_permanent(a):
-        n = a.shape[0]
-        out = 0.0 + 0.0j
-        for perm in itertools.permutations(range(n)):
-            term = 1.0 + 0.0j
-            for i, j in enumerate(perm):
-                term *= a[i, j]
-            out += term
-        return out
-
-    def permanent():
-        rng = np.random.default_rng(20_240_101)
-        worst = 0.0
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            a = rng.uniform(-1.0, 1.0, (n, n)) + 1j * rng.uniform(-1.0, 1.0, (n, n))
-            worst = max(worst, abs(fock.permanent(a) - naive_permanent(a)))
-        return worst < 1e-12, f"max residual {worst:.3e}"
-
-    def log_exp():
-        # Haar draws, then two degenerate spectra in a Haar basis:
-        # F4 (eigenvalue 1 twice) and diag(1, 1, -1, -i, i)
-        unitaries = [linalg.haar_random(5, (101, k)) for k in range(5)]
-        for d in (linalg.fourier(4), np.diag([1, 1, -1, -1j, 1j]).astype(complex)):
-            w = linalg.haar_random(len(d), 103)
-            unitaries.append(w @ d @ w.conj().T)
-        worst = 0.0
-        for u in unitaries:
-            h = linalg.logm_unitary(u)
-            worst = max(worst, float(np.max(np.abs(linalg.expm_hermitian(h) - u))))
-        return worst < 1e-12, f"max residual {worst:.3e}"
-
-    def hom():
-        bs = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-        p = fock.prob_indistinguishable(bs, (1, 1), (1, 1))
-        return p < 1e-14, f"residual {p:.3e}"
-
-    def fourier_support():
-        dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0))
-        allowed = {(1, 1, 1, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)}
-        leak = max((p for occ, p in zip(dist.basis, dist.probs) if occ not in allowed),
-                   default=0.0)
-        return leak < 1e-12, f"max forbidden prob {leak:.3e}"
-
-    def splittings(out, sizes):
-        # every way to write out as an elementwise sum of patterns holding these photon numbers
-        if len(sizes) == 1:
-            yield (out,)
-            return
-        for head in itertools.product(*(range(c + 1) for c in out)):
-            if sum(head) == sizes[0]:
-                rest = tuple(o - h for o, h in zip(out, head))
-                for tail in splittings(rest, sizes[1:]):
-                    yield (head,) + tail
-
-    def species_law(u, part, out):
-        sizes = [fock.total(s) for s in part]
-        return sum(math.prod(fock.prob_indistinguishable(u, a, b) for a, b in zip(part, split))
-                   for split in splittings(out, sizes))
-
-    def engine():
-        worst = 0.0
-        for k in range(3):
-            m = 4 + k % 2
-            u = linalg.haar_random(m, (202, k))
-            tail = (0,) * (m - 3)
-            r = (2, 1, 1) + tail
-            part = ((1, 1, 0) + tail, (1, 0, 1) + tail)
-            mix = fock.Mixture(((0.4, part), (0.6, (r,))))
-            laws = ((fock.MODEL_INDISTINGUISHABLE, lambda s: fock.prob_indistinguishable(u, r, s)),
-                    (fock.MODEL_DISTINGUISHABLE, lambda s: fock.prob_distinguishable(u, r, s)),
-                    (mix, lambda s: 0.4 * species_law(u, part, s)
-                     + 0.6 * fock.prob_indistinguishable(u, r, s)))
-            for model, law in laws:
-                dist = fock.output_distribution(u, r, model)
-                worst = max(worst, max(abs(p - law(s)) for s, p in zip(dist.basis, dist.probs)))
-        return worst < 1e-12, f"max residual {worst:.3e}"
-
-    def class_weight(sizes, target):
-        def exact():
-            lam = dict(certify.lambda_coefficients(3, 4))[sizes]
-            err = abs(lam - target)
-            return err < 1e-12, f"lambda {lam:.12f} err {err:.3e}"
-
-        def sampled():
-            est, sigma = certify.lambda_monte_carlo(3, 4, sizes, 20_000, seed=5)
-            dev = abs(est - target)
-            return dev < 3 * sigma, f"estimate {est:.4f} dev {dev:.4f} (3 sigma {3 * sigma:.4f})"
-
-        label = "+".join(str(s) for s in sizes)
-        return [(f"class-weight-exact-{label}", exact), (f"class-weight-sampled-{label}", sampled)]
-
-    def estimators():
-        dist = fock.output_distribution(linalg.fourier(3, 4), (1, 1, 1, 0),
-                                        fock.MODEL_DISTINGUISHABLE)
-        rows = fock.sample(dist, 5000, 31)
-        target, fs = (1, 1, 1, 0), certify.forbidden_patterns(3, 4)
-        shots, forb = [tuple(r) for r in rows.tolist()], set(fs.patterns)
-        want = (shots.count(target) / len(shots), sum(s in forb for s in shots) / len(shots))
-        got = (certify.estimate_p1(rows, target)[0], certify.estimate_p2(rows, fs)[0])
-        return got == want, f"p1 {got[0]:.4f} p2 {got[1]:.4f} over {len(shots)} shots"
-
-    def certify_record():
-        res = certify.certify(hamiltonian.HamiltonianSpec(kind="hopping", modes=4), 1.0,
-                              fock.MODEL_INDISTINGUISHABLE, 2000, 17, 0.8, 0.9)
-        want = (1.0 - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.8)
-                - certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 2000, 0.9))
-        ok = (res.p1 == 1.0 and res.p2 == 0.0 and res.f_lower == want
-              and res.convergence[-1] == (2000, res.p1, res.p2, res.f_lower))
-        return ok, (f"p1 {res.p1} p2 {res.p2} f_lower {res.f_lower:.6f} "
-                    f"over {len(res.convergence)} trace rows")
-
-    def stationary():
-        ref = gge.gge_marginal(3, 4)
-        err = max(abs(ref.probs[0] - 4 / 7), abs(ref.probs[1] - 12 / 49),
-                  abs(ref.probs[2] - 36 / 343))
-        return err < 1e-12, f"max err {err:.3e}"
-
-    checks = [("permanent-vs-naive-sum", permanent),
-              ("unitary-log-exp-round-trip", log_exp),
-              ("two-photon-coincidence-suppression", hom),
-              ("fourier-suppressed-patterns", fourier_support),
-              ("engine-vs-permanent", engine),
-              *class_weight((2, 1), 4.0 / 9.0),
-              *class_weight((1, 1, 1), 2.0 / 3.0),
-              ("estimators-vs-membership", estimators),
-              ("certify-record", certify_record),
-              ("stationary-marginal-values", stationary)]
-    failures = 0
-    for name, check in checks:
-        try:
-            ok, detail = check()
-        except Exception as exc:  # a broken oracle path is one failed check, not a crash
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  {detail}")
-    return failures
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -672,7 +534,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
-        failures = cmd_selftest()
+        from . import selftest
+        failures = selftest.run()
         if failures:
             print(f"{failures} check(s) failed")
             return 3
@@ -686,9 +549,13 @@ def main(argv=None) -> int:
         return 1
 
     build = {"evolve": cmd_evolve, "gge": cmd_gge, "certify": cmd_certify}[args.command]
+    # only apparatus's event stream raises AcceptanceError, and load_config has loaded
+    # apparatus for every run that can reach it
+    apparatus = sys.modules.get(f"{__package__}.apparatus")
+    errors = (ConfigError,) if apparatus is None else (ConfigError, apparatus.AcceptanceError)
     try:
         run = _build_run_dir(args.out, args.command, cfg, args.force, build)
-    except (ConfigError, apparatus.AcceptanceError) as exc:
+    except errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -54,6 +54,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
+
 ModeOccupation = tuple[int, ...]
 SpeciesPartition = tuple[ModeOccupation, ...]
 
@@ -488,7 +490,6 @@ def _laws(u: np.ndarray, input_occ, model) -> np.ndarray:
     normalized on its own.
     """
     u = np.asarray(u, dtype=complex)
-    from . import linalg
     if not linalg.is_unitary(u):
         raise ValueError("transfer matrix is not unitary within tolerance")
     m = u.shape[-1]
@@ -548,7 +549,6 @@ def state_vector(u: np.ndarray, input_occ) -> np.ndarray:
     their squared moduli are the indistinguishable distribution.
     """
     u = np.asarray(u, dtype=complex)
-    from . import linalg
     if not linalg.is_unitary(u):
         raise ValueError("transfer matrix is not unitary within tolerance")
     m = u.shape[0]

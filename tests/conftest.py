@@ -1,4 +1,4 @@
-"""Shared brute-force oracles, kept independent of the package code paths."""
+"""Shared brute-force oracles, kept independent of the package's fast code paths."""
 
 from __future__ import annotations
 
@@ -8,58 +8,7 @@ import math
 
 import numpy as np
 
-
-def naive_permanent(a) -> complex:
-    """Permanent as the literal sum over all n! permutations."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        p = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            p *= a[i, j]
-        total += p
-    return total
-
-
-def _bounded_compositions(n: int, bounds):
-    """All tuples c with sum(c) == n and 0 <= c_j <= bounds_j."""
-    if len(bounds) == 1:
-        if 0 <= n <= bounds[0]:
-            yield (n,)
-        return
-    for first in range(min(n, bounds[0]) + 1):
-        for rest in _bounded_compositions(n - first, bounds[1:]):
-            yield (first,) + rest
-
-
-def _species_splittings(output_occ, totals):
-    """All ways to write the output pattern as an elementwise sum over species."""
-    if len(totals) == 1:
-        if sum(output_occ) == totals[0]:
-            yield (tuple(output_occ),)
-        return
-    for head in _bounded_compositions(totals[0], output_occ):
-        remainder = tuple(o - h for o, h in zip(output_occ, head))
-        for rest in _species_splittings(remainder, totals[1:]):
-            yield (head,) + rest
-
-
-def oracle_prob_species(u, partition, output_occ) -> float:
-    """Species-partition law as the splitting sum of per-species Ryser probabilities."""
-    from photherm import fock
-    totals = tuple(sum(s) for s in partition)
-    p = 0.0
-    for split in _species_splittings(tuple(output_occ), totals):
-        term = 1.0
-        for species_in, species_out in zip(partition, split):
-            term *= fock.prob_indistinguishable(u, species_in, species_out)
-            if term == 0.0:
-                break
-        p += term
-    return p
+from photherm.selftest import naive_permanent, oracle_prob_species  # noqa: F401
 
 
 def seed_enumerate_basis(n: int, m: int) -> tuple:
@@ -204,7 +153,7 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
                       max_attempts: int | None = None) -> np.ndarray:
     """Event stream that samples, detects and groups every heralded shot.
 
-    The body of apparatus._event_stream before it skipped shots that
+    The body of apparatus.simulate_setting before it skipped shots that
     cannot give n clicks, before it grouped shots on a 1-D key and before
     it drew only useful source shots instead of every attempt.
     Reconstructed patterns (shots, m) of post-selected events, in the

@@ -313,8 +313,8 @@ def test_event_stream_guard():
     src = apparatus.SourceModel(squeezing=1e-4, heralding_efficiency=1e-3)
     rng = np.random.default_rng(1)
     with pytest.raises(apparatus.AcceptanceError):
-        apparatus._event_stream(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
+        apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
+                                   src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
 
 
 def assert_same_pattern_law(got, want):
@@ -345,13 +345,13 @@ def test_event_stream_with_dark_counts_matches_seed_stream(case):
     u = linalg.haar_random(4, 41)
     if not with_source:
         args = (u, model, None, det, 400)
-        got = apparatus._event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+        got = apparatus.simulate_setting(*args, np.random.default_rng(5), (1, 1, 1, 0))
         want = seed_event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
         assert got.shape == (400, 4)
         assert np.array_equal(got, want)
         return
     args = (u, model, src, det, 20_000)
-    got = apparatus._event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
+    got = apparatus.simulate_setting(*args, np.random.default_rng(5), (1, 1, 1, 0))
     want = seed_event_stream(*args, np.random.default_rng(6), (1, 1, 1, 0))
     assert got.shape == (20_000, 4)
     assert_same_pattern_law(got, want)
@@ -364,8 +364,8 @@ def test_event_stream_without_dark_counts_keeps_the_seed_law():
     det = apparatus.DetectionModel.uniform(4, loss=0.1)
     u = linalg.haar_random(4, 42)
     shots = 20_000
-    got = apparatus._event_stream(u, model, src, det, shots, np.random.default_rng(3),
-                                  (1, 1, 1, 0))
+    got = apparatus.simulate_setting(u, model, src, det, shots, np.random.default_rng(3),
+                                     (1, 1, 1, 0))
     want = seed_event_stream(u, model, src, det, shots, np.random.default_rng(4), (1, 1, 1, 0))
     counts, basis = assert_same_pattern_law(got, want)
     assert counts[basis.index((1, 1, 1, 0))] > 1000
@@ -424,8 +424,8 @@ def test_zero_useful_rate_raises_at_once():
     for src in (apparatus.SourceModel(squeezing=0.0), apparatus.SourceModel(heralding_efficiency=0.0),
                 apparatus.SourceModel(squeezing=1e-200)):  # lambda^2 underflows to 0
         with pytest.raises(ValueError, match="never heralds"):
-            apparatus._event_stream(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                    src, None, 10, rng, target=(1, 1, 1, 0))
+            apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
+                                       src, None, 10, rng, target=(1, 1, 1, 0))
 
 
 def test_source_requires_one_photon_in_each_of_the_first_three_modes():

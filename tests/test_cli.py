@@ -31,11 +31,21 @@ def read_tree(run: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
 
 
+SELFTEST_CHECKS = [
+    "permanent-vs-naive-sum", "unitary-log-exp-round-trip",
+    "two-photon-coincidence-suppression", "fourier-suppressed-patterns", "engine-vs-permanent",
+    "class-weight-exact-2+1", "class-weight-sampled-2+1", "class-weight-exact-1+1+1",
+    "class-weight-sampled-1+1+1", "estimators-vs-membership", "certify-record",
+    "stationary-marginal-values",
+]
+
+
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines[:-1]] == SELFTEST_CHECKS
+    assert all(line.startswith("PASS  ") for line in lines[:-1])
+    assert lines[-1] == "all checks passed"
 
 
 def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch):
@@ -111,6 +121,38 @@ def test_cli_runs_without_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", SCIPY_FREE], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+LAZY_LAYERS = """
+import sys, tempfile, json
+from pathlib import Path
+import photherm
+assert not [k for k in sys.modules if k.startswith("photherm.")], sorted(sys.modules)
+from photherm import cli
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
+                                  "times": [0.0, 1.0], "model": "distinguishable"}))
+    for command in ("evolve", "gge"):
+        assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
+    """A bare import loads no module; evolve and gge load none they do not run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", LAZY_LAYERS], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_package_resolves_its_layers_as_attributes():
+    import photherm
+    for name in ("apparatus", "certify", "fock", "gge", "hamiltonian", "linalg"):
+        assert getattr(photherm, name) is sys.modules[f"photherm.{name}"]
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        photherm.nonexistent  # noqa: B018
 
 
 def test_certify_output_does_not_depend_on_the_blas_thread_count(tmp_path):
