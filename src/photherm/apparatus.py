@@ -555,7 +555,14 @@ def _group_rows(j1: np.ndarray, j2: np.ndarray) -> list[np.ndarray]:
 def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                      det: DetectionModel | None, shots: int, rng, target,
                      max_attempts: int | None = None) -> np.ndarray:
-    """Post-selected reconstructed patterns (shots, m) of one setting, in the order they occur.
+    """Post-selected reconstructed patterns of each setting, in the order they occur.
+
+    total_u is one setting's unitary (m, m) with one generator rng, and
+    gives (shots, m); or a stack (S, m, m) with a sequence of S generators,
+    and gives (S, shots, m). Row s draws only from generator s, and equals
+    the stream of setting s alone: the law of each source input is built
+    once for the whole stack, by one engine pass whose rows equal the
+    single laws bit for bit, and kept as its cumulative sum.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
     target photon number. A source requires the target it heralds, one
@@ -564,10 +571,15 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     ideal balanced multiplexer stands in. By-product inputs brighter than
     INTERFERENCE_PHOTON_CAP route their photons independently (see the
     module docstring). Raises ValueError before any draw if the source
-    never gives a shot that can pass, and AcceptanceError once
-    max_attempts source attempts are spent.
+    never gives a shot that can pass, and AcceptanceError once a setting
+    has spent max_attempts source attempts.
     """
-    m = total_u.shape[0]
+    total_u = np.asarray(total_u)
+    stack = total_u.reshape(-1, *total_u.shape[-2:])
+    rngs = [rng] if total_u.ndim == 2 else list(rng)
+    if len(rngs) != len(stack):
+        raise ValueError(f"{len(rngs)} generators for a stack of {len(stack)} settings")
+    m = stack.shape[-1]
     target = fock._check_occupation(target, m, "target pattern")
     if src is not None:
         _check_source_input(target)
@@ -581,58 +593,62 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     # never give n clicks
     floor = det_eff.dark_count_prob == 0.0
 
-    laws: dict = {}
+    cdfs: dict = {}
 
-    def law(occ):
-        if occ not in laws:
+    def cdf(occ):
+        # cumulative laws (S, size) of one input, for every setting of the stack at once
+        if occ not in cdfs:
             use_model = model
             if not isinstance(model, str):
                 mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
                 implied = fock.partition_input(mix.components[0][1])
                 # by-products carry no calibrated species structure
                 use_model = mix if implied == occ else fock.MODEL_INDISTINGUISHABLE
-            laws[occ] = fock.output_distribution(total_u, occ, use_model)
-        return laws[occ]
+            cdfs[occ] = np.cumsum(fock._laws(stack, occ, use_model), axis=-1)
+        return cdfs[occ]
 
-    kept = []
-    produced = attempts = 0
+    out = np.empty((len(stack), shots, m), dtype=np.int64)
     batch = 8192
     tail = (0,) * (m - 3)
-    while produced < shots:
-        if attempts >= max_attempts:
-            raise AcceptanceError(
-                f"collected {produced}/{shots} events after {attempts} source attempts; "
-                "acceptance rate too low")
-        # source shots that can pass post-selection, grouped by input in ascending (j1, j2) order
-        want = min(batch, shots - produced)
-        if src is None:
-            count = want
-            attempts += count
-            groups = [(target, np.arange(count))]
-        else:
-            spent, j1, j2 = _useful_shots(src, n, floor, want, max_attempts - attempts, rng)
-            attempts += spent
-            count = j1.size
-            groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
-                      for rows in _group_rows(j1, j2)]
-        # one true output pattern per shot, drawn from the cached law of its input
-        true = np.empty((count, m), dtype=np.int64)
-        for occ, rows in groups:
-            if fock.total(occ) > INTERFERENCE_PHOTON_CAP:
-                true[rows] = _scatter(np.tile(occ, (rows.size, 1)), total_u, rng)
+    for setting, (u, rng) in enumerate(zip(stack, rngs)):
+        produced = attempts = 0
+        while produced < shots:
+            if attempts >= max_attempts:
+                raise AcceptanceError(
+                    f"collected {produced}/{shots} events after {attempts} source attempts; "
+                    "acceptance rate too low")
+            # source shots that can pass post-selection, grouped by input in ascending (j1, j2)
+            want = min(batch, shots - produced)
+            if src is None:
+                count = want
+                attempts += count
+                groups = [(target, np.arange(count))]
             else:
-                true[rows] = fock.sample(law(occ), rows.size, rng)
-        fired = qpnr_detect(true, det_eff, rng)
-        keep = fired.sum(axis=1) == n
-        fired, true = fired[keep], true[keep]
-        # blinding keeps the click total, so blinding only kept shots leaves the law unchanged
-        if survival < 1.0:
-            hit = np.flatnonzero((true == target).all(axis=1))
-            hit = hit[rng.random(hit.size) > survival]
-            fired[hit] = _blind_corrupt(fired[hit], det_eff, rng)
-        kept.append(pattern_from_clicks(fired, m))
-        produced += len(fired)
-    return np.concatenate(kept)[:shots]
+                spent, j1, j2 = _useful_shots(src, n, floor, want, max_attempts - attempts, rng)
+                attempts += spent
+                count = j1.size
+                groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
+                          for rows in _group_rows(j1, j2)]
+            # one true output pattern per shot, drawn from the cached law of its input
+            true = np.empty((count, m), dtype=np.int64)
+            for occ, rows in groups:
+                k = fock.total(occ)
+                if k > INTERFERENCE_PHOTON_CAP:
+                    true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u, rng)
+                else:
+                    true[rows] = fock._draw(cdf(occ)[setting], k, m, rows.size, rng)
+            fired = qpnr_detect(true, det_eff, rng)
+            keep = fired.sum(axis=1) == n
+            fired, true = fired[keep], true[keep]
+            # blinding keeps the click total, so blinding only kept shots leaves the law unchanged
+            if survival < 1.0:
+                hit = np.flatnonzero((true == target).all(axis=1))
+                hit = hit[rng.random(hit.size) > survival]
+                fired[hit] = _blind_corrupt(fired[hit], det_eff, rng)
+            events = pattern_from_clicks(fired, m)[:shots - produced]
+            out[setting, produced:produced + len(events)] = events
+            produced += len(events)
+    return out if total_u.ndim == 3 else out[0]
 
 
 def distinguishability_mixture(src: SourceModel, input_occ=(1, 1, 1, 0)) -> fock.Mixture:

@@ -336,18 +336,22 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
 
 def _sample_settings(settings, model, shots: int, seed, app: apparatus.Apparatus | None,
                      input_occ) -> tuple[np.ndarray, np.ndarray]:
-    """The body of collect_setting_samples, for chip sections from _settings."""
-    out = []
-    for idx, sections in enumerate(settings):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-        if app is None or app.is_trivial():
-            dist = fock.output_distribution(sections[1] @ sections[0], input_occ, model)
-            out.append(fock.sample(dist, shots, rng))
-        else:
-            realized = apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
-            out.append(apparatus.simulate_setting(
-                realized, model, app.source, app.detection, shots, rng,
-                target=input_occ))
+    """The body of collect_setting_samples, for chip sections from _settings.
+
+    Each setting draws from its own generator. With an apparatus, each
+    generator first draws its setting's mesh jitter, and then one event
+    stream runs both realized unitaries as a stack.
+    """
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, idx)))
+            for idx in range(len(settings))]
+    if app is None or app.is_trivial():
+        out = [fock.sample(fock.output_distribution(sections[1] @ sections[0], input_occ, model),
+                           shots, rng) for sections, rng in zip(settings, rngs)]
+    else:
+        realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
+                             for sections, rng in zip(settings, rngs)])
+        out = apparatus.simulate_setting(realized, model, app.source, app.detection, shots, rngs,
+                                         target=input_occ)
     return out[0], out[1]
 
 

@@ -535,10 +535,17 @@ def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:
     if count < 0:
         raise ValueError(f"sample count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(dist.probs)
-    idx = np.searchsorted(cum, rng.random(count), side="right")
-    idx = np.minimum(idx, dist.probs.size - 1)
-    return _patterns(dist.n, dist.m)[idx]
+    return _draw(np.cumsum(dist.probs), dist.n, dist.m, count, rng)
+
+
+def _draw(cdf: np.ndarray, n: int, m: int, count: int, rng) -> np.ndarray:
+    """count patterns of n photons on m modes from the cumulative law cdf, one uniform each.
+
+    The body of sample, for callers that keep a law's cumulative sum
+    across many draws.
+    """
+    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    return _patterns(n, m)[np.minimum(idx, cdf.size - 1)]
 
 
 def state_vector(u: np.ndarray, input_occ) -> np.ndarray:
