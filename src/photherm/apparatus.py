@@ -25,10 +25,19 @@ Binomial(attempts, q) useful shots and draws their pair numbers straight
 from their law given usefulness; no other attempt is drawn. At squeezing
 0.3 and heralding efficiency 0.9, 8.2 % of attempts are heralded and
 0.8 % are useful. The stream then draws each useful shot's true output
-pattern from the cached law of its input, detects, post-selects on the
-target click total n, blinds, and reconstructs. Post-selection would
-reject every skipped shot, and every later draw acts only on useful
-shots, so the law of the post-selected events is unchanged.
+pattern from the law of its input, detects, post-selects on the target
+click total n, blinds, and reconstructs. Post-selection would reject
+every skipped shot, and every later draw acts only on useful shots, so
+the law of the post-selected events is unchanged.
+
+The first block asks for as many useful shots as events are missing;
+each later block asks for the missing events divided by the keep rate
+so far, times KEEP_MARGIN, at most 8192. The block sizes decide which
+draws are made, not the law of the kept events. The stream runs a stack
+of settings, one generator each. The law of each source input is built
+once for the whole stack, in one engine pass whose rows equal the single
+laws bit for bit, and kept as its cumulative sum for every later block
+of every setting, so each setting draws what it would draw alone.
 
 By-products of more than INTERFERENCE_PHOTON_CAP photons skip their
 interference law and route each photon independently through |U|^2.
@@ -190,7 +199,23 @@ class Apparatus:
 
 
 class AcceptanceError(RuntimeError):
-    """The event stream spent its source-attempt budget before it collected the shots."""
+    """The event stream spent its source-attempt budget before it collected the shots.
+
+    q is the chance that one source attempt gives a useful shot (1 without
+    a source), keep_rate the fraction of the useful shots drawn so far that
+    post-selection kept, and projected the source attempts the missing
+    events would still take at these rates (inf if none was kept).
+    """
+
+    def __init__(self, produced: int, shots: int, attempts: int, q: float, keep_rate: float):
+        self.q, self.keep_rate = q, keep_rate
+        missing = shots - produced
+        self.projected = missing / (q * keep_rate) if keep_rate > 0.0 else math.inf
+        super().__init__(
+            f"collected {produced}/{shots} events after {attempts} source attempts; "
+            f"{q:.3g} of attempts give a useful shot and {keep_rate:.3g} of useful shots "
+            f"were kept, so the {missing} missing events need about {self.projected:.3g} "
+            "more attempts")
 
 
 def _check_source_input(input_occ) -> fock.ModeOccupation:
@@ -474,6 +499,8 @@ def _blind_corrupt(fired: np.ndarray, det: DetectionModel, rng) -> np.ndarray:
 
 
 INTERFERENCE_PHOTON_CAP = 8
+# Useful shots a block asks for, over what the running keep rate says the missing events need
+KEEP_MARGIN = 1.1
 
 
 def _scatter(inputs: np.ndarray, u: np.ndarray, rng) -> np.ndarray:
@@ -611,14 +638,21 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     batch = 8192
     tail = (0,) * (m - 3)
     for setting, (u, rng) in enumerate(zip(stack, rngs)):
-        produced = attempts = 0
+        produced = drawn = attempts = 0
         while produced < shots:
+            missing = shots - produced
             if attempts >= max_attempts:
-                raise AcceptanceError(
-                    f"collected {produced}/{shots} events after {attempts} source attempts; "
-                    "acceptance rate too low")
-            # source shots that can pass post-selection, grouped by input in ascending (j1, j2)
-            want = min(batch, shots - produced)
+                q = 1.0 if src is None else float(_useful_weights(src, n, floor).sum())
+                raise AcceptanceError(produced, shots, attempts, q,
+                                      produced / drawn if drawn else 0.0)
+            # source shots that can pass post-selection, grouped by input in ascending (j1, j2);
+            # once shots are drawn, ask for what the running keep rate needs, plus a margin
+            if not drawn:
+                want = min(batch, missing)
+            elif not produced:
+                want = batch
+            else:
+                want = min(batch, math.ceil(KEEP_MARGIN * missing * drawn / produced))
             if src is None:
                 count = want
                 attempts += count
@@ -629,6 +663,7 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                 count = j1.size
                 groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
                           for rows in _group_rows(j1, j2)]
+            drawn += count
             # one true output pattern per shot, drawn from the cached law of its input
             true = np.empty((count, m), dtype=np.int64)
             for occ, rows in groups:

@@ -155,7 +155,9 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
 
     The body of apparatus.simulate_setting before it skipped shots that
     cannot give n clicks, before it grouped shots on a 1-D key and before
-    it drew only useful source shots instead of every attempt.
+    it drew only useful source shots instead of every attempt. Without a
+    source it sizes its blocks as the stream does, by the running keep
+    rate, so the two make the same draws.
     Reconstructed patterns (shots, m) of post-selected events, in the
     order they occur.
 
@@ -196,7 +198,7 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
         return laws[occ]
 
     kept = []
-    produced = attempts = 0
+    produced = drawn = attempts = 0
     batch = 8192
     while produced < shots:
         if attempts >= max_attempts:
@@ -205,7 +207,15 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
                 "acceptance rate too low")
         # source shots; only heralded ones that carry photons go on
         if src is None:
-            inputs = np.tile(target, (min(batch, shots - produced), 1))
+            # the missing events at first, then what the running keep rate says they need
+            missing = shots - produced
+            if not drawn:
+                want = min(batch, missing)
+            elif not produced:
+                want = batch
+            else:
+                want = min(batch, math.ceil(1.1 * missing * drawn / produced))
+            inputs = np.tile(target, (want, 1))
             attempts += len(inputs)
         else:
             j1, j2 = seed_heralded_pairs(src, batch, rng)
@@ -214,6 +224,7 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
             inputs[:, 0] = inputs[:, 1] = j1
             inputs[:, 2] = j2
         inputs = inputs[inputs.any(axis=1)]
+        drawn += len(inputs)
         # one true output pattern per shot, drawn from the cached law of its input
         true = np.empty_like(inputs)
         distinct, which = np.unique(inputs, axis=0, return_inverse=True)

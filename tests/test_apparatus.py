@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (seed_correct_counts, seed_event_stream, seed_heralded_pairs, seed_pair_counts,
                       seed_qpnr_detect)
-from photherm import apparatus, fock, hamiltonian, linalg
+from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 
 def test_source_model_validation():
@@ -310,11 +310,29 @@ def test_simulate_setting_noiseless_revival():
 
 
 def test_event_stream_guard():
+    """A spent budget names the useful-shot rate q, the keep rate and the attempts still needed."""
     src = apparatus.SourceModel(squeezing=1e-4, heralding_efficiency=1e-3)
     rng = np.random.default_rng(1)
-    with pytest.raises(apparatus.AcceptanceError):
+    with pytest.raises(apparatus.AcceptanceError) as info:
         apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
                                    src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
+    err = info.value
+    assert err.q == apparatus._useful_weights(src, 3, True).sum()
+    assert err.keep_rate == 0.0 and err.projected == math.inf
+    assert str(err).startswith("collected 0/50 events after 2000 source attempts; "
+                               f"{err.q:.3g} of attempts give a useful shot and 0 of useful "
+                               "shots were kept, so the 50 missing events need about inf")
+    # without a source every attempt is a useful shot; half the light is lost, so few are kept
+    det = apparatus.DetectionModel.uniform(4, loss=0.5)
+    with pytest.raises(apparatus.AcceptanceError) as info:
+        apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
+                                   None, det, 1000, rng, target=(1, 1, 1, 0), max_attempts=500)
+    err = info.value
+    kept = int(re.match(r"collected (\d+)/1000 events after 1000 source attempts", str(err))[1])
+    assert 0 < kept < 1000
+    assert (err.q, err.keep_rate) == (1.0, kept / 1000)
+    assert err.projected == (1000 - kept) / err.keep_rate
+    assert f"need about {err.projected:.3g} more attempts" in str(err)
 
 
 def assert_same_pattern_law(got, want):
@@ -355,6 +373,60 @@ def test_event_stream_with_dark_counts_matches_seed_stream(case):
     want = seed_event_stream(*args, np.random.default_rng(6), (1, 1, 1, 0))
     assert got.shape == (20_000, 4)
     assert_same_pattern_law(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE, "mixture"]),
+       st.sampled_from([0.0, 0.02]), st.sampled_from([None, 0.3, 0.75]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_stacked_stream_rows_equal_single_settings(model, dark, squeezing, count, seed):
+    """Row s of a stacked stream is the stream of setting s alone, with its generator, draw for draw.
+
+    A squeezing of 0.75 makes by-products brighter than INTERFERENCE_PHOTON_CAP.
+    """
+    from unittest import mock
+
+    src = None if squeezing is None else apparatus.SourceModel(squeezing=squeezing,
+                                                                 heralding_efficiency=0.9)
+    if model == "mixture":
+        model = apparatus.distinguishability_mixture(apparatus.SourceModel())
+    det = apparatus.DetectionModel.uniform(4, loss=0.1, dark_count_prob=dark)
+    stack = np.array([linalg.haar_random(4, (seed, s)) for s in range(count)])
+    shots, target = 300, (1, 1, 1, 0)
+    with mock.patch.object(apparatus, "_scatter", wraps=apparatus._scatter) as scatter:
+        got = apparatus.simulate_setting(stack, model, src, det, shots,
+                                         [np.random.default_rng((seed, s)) for s in range(count)],
+                                         target)
+    assert got.shape == (count, shots, 4)
+    assert scatter.called or squeezing != 0.75
+    for s in range(count):
+        alone = apparatus.simulate_setting(stack[s], model, src, det, shots,
+                                           np.random.default_rng((seed, s)), target)
+        assert np.array_equal(got[s], alone)
+
+
+def test_certify_hardware_settings_take_at_most_three_blocks(monkeypatch):
+    """Blocks sized by the running keep rate: the bench's hardware certify needs few of them."""
+    blocks: dict = {}
+    useful_shots = apparatus._useful_shots
+
+    def counted(src, n, floor, want, budget, rng):
+        blocks[id(rng)] = blocks.get(id(rng), 0) + 1
+        return useful_shots(src, n, floor, want, budget, rng)
+
+    monkeypatch.setattr(apparatus, "_useful_shots", counted)
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    # the perfbench certify-hardware apparatus: balanced lossless channels, mesh fidelity 0.98
+    app = apparatus.Apparatus(source=src,
+                              detection=apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 4),
+                              mesh_jitter=0.14401414400026624)
+    ring = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
+    for t in (0.7, 1.3):
+        blocks.clear()
+        certify.certify(ring, t, apparatus.distinguishability_mixture(src), 4000, 7, 0.9, 0.9,
+                        app=app)
+        assert len(blocks) == 2
+        assert max(blocks.values()) <= 3, blocks
 
 
 def test_event_stream_without_dark_counts_keeps_the_seed_law():
