@@ -173,7 +173,10 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     return float(permanent(np.abs(sub) ** 2).real / _occ_factorial(tuple(output_occ)))
 
 
-@lru_cache(maxsize=None)
+# Bases by (n, m); _patterns fills it.
+_PATTERNS: dict[tuple[int, int], np.ndarray] = {}
+
+
 def _patterns(n: int, m: int) -> np.ndarray:
     """The colex basis of n photons in m modes: a read-only (count, m) array.
 
@@ -181,8 +184,12 @@ def _patterns(n: int, m: int) -> np.ndarray:
     at a time, for every photon number up to n: the patterns of k photons
     on w + 1 modes are those of k photons on w modes with a zero appended
     (last count 0), then those of k - 1 photons on w + 1 modes with the
-    last count raised by one (last count 1, 2, ... in order).
+    last count raised by one (last count 1, 2, ... in order). A miss
+    caches every level 0..n at width m, each in its own narrowest dtype,
+    so asking for the top level first builds them all at once.
     """
+    if (n, m) in _PATTERNS:
+        return _PATTERNS[n, m]
     if n < 0 or m < 1:
         raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
     dtype = np.min_scalar_type(n)
@@ -197,9 +204,12 @@ def _patterns(n: int, m: int) -> np.ndarray:
             block[len(head):, w] += 1
             wider.append(block)
         levels = wider
-    out = levels[n]
-    out.flags.writeable = False
-    return out
+    for k, level in enumerate(levels):
+        if (k, m) not in _PATTERNS:
+            level = level.astype(np.min_scalar_type(k), copy=False)
+            level.flags.writeable = False
+            _PATTERNS[k, m] = level
+    return _PATTERNS[n, m]
 
 
 @lru_cache(maxsize=None)
@@ -269,6 +279,7 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             src[w, split:] = np.arange(new)
             wider.append(src)
         maps = wider
+    _patterns(k, m)   # the top level first: one build caches every level
     for r in range(min(k, 2), k + 1):
         if (r, m) not in _CREATION_MAPS:
             counts = np.ascontiguousarray(_patterns(r, m).T)
