@@ -11,9 +11,10 @@ overwritten without --force.
 apparatus and certify are imported by load_config for the blocks that use
 them, selftest by its command: nothing a run uses is imported later.
 
-Exit codes: 0 success, 1 config validation error or a source whose
-acceptance is too low to collect the shots, 2 I/O error, 3 selftest
-failure.
+Exit codes: 0 success, 1 config validation error (including an evolve or
+gge config with a non-trivial apparatus block, which only certify uses)
+or a source whose acceptance is too low to collect the shots, 2 I/O
+error, 3 selftest failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fock, gge, hamiltonian, linalg
+from . import __version__, fock, gge, hamiltonian
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
 # Most shots a run with a non-trivial apparatus may ask for; its event stream samples each one.
@@ -544,6 +545,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        _expect(args.command == "certify" or cfg.app is None or cfg.app.is_trivial(),
+                "config.apparatus", f"{args.command} computes the laws of the ideal chip; a "
+                "source, detection model or mesh jitter is used only by certify")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

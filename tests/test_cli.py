@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photherm import apparatus, certify, cli, fock, hamiltonian
+from photherm import apparatus, certify, cli, fock, hamiltonian, linalg
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -52,7 +52,7 @@ def test_selftest_reports_a_raising_check_and_runs_the_rest(capsys, monkeypatch)
     def broken(u, tol=1e-10):
         raise ValueError("eigenvectors do not diagonalize the unitary")
 
-    monkeypatch.setattr(cli.linalg, "logm_unitary", broken)
+    monkeypatch.setattr(linalg, "logm_unitary", broken)
     assert cli.main(["selftest"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert ("FAIL  unitary-log-exp-round-trip  "
@@ -229,16 +229,32 @@ RING_INPUT = [1, 1, 1, 0]
     ({"apparatus": {"mesh_jitter": 4.0}}, "config.apparatus.mesh_jitter"),
     ({"hamiltonian": {"kind": "hopping", "modes": 4.0}}, "config.hamiltonian.modes"),
     ({"input": [True, True, True, False]}, "config.input"),
+    # evolve and gge compute the ideal chip's laws: a non-trivial apparatus is refused
+    ({"apparatus": {"mesh_jitter": 0.3}}, "config.apparatus"),
+    ({"apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9}}},
+     "config.apparatus"),
+    ({"apparatus": {"detection": {"weights": [[0.3, 0.3, 0.3]] * 4,
+                                  "dark_count_prob": 0.01}}}, "config.apparatus"),
 ])
 def test_config_rejects_nonfinite_times_and_nonbool_periodic(tmp_path, capsys, overrides, path):
     """Each malformed value exits 1 at its JSON path, with no traceback and no run directory."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **overrides)
-    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert path in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    for command in ("evolve", "gge"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_evolve_and_gge_accept_a_trivial_apparatus_block(tmp_path):
+    """An apparatus block with no source, no detection model and no jitter changes nothing."""
+    out = tmp_path / "out"
+    for i, block in enumerate(({}, {"source": None, "detection": None, "mesh_jitter": 0.0})):
+        cfg = write_config(tmp_path, times=[0.5], seed=i, apparatus=block)
+        for command in ("evolve", "gge"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_config_rejects_a_basis_past_the_pattern_ceiling(tmp_path, capsys):
@@ -668,14 +684,21 @@ def _mutate(cfg: dict, path: tuple, action: str, junk: int) -> dict:
 
 
 @settings(max_examples=250, deadline=None)
-@given(st.sampled_from(["certify", "gge", "evolve"]), st.lists(mutation, min_size=1, max_size=3))
-def test_mutated_configs_never_crash_or_leave_directories(command, mutations):
-    """Any mutation of a valid config exits 0, 1 or 2 and leaves only a finished run behind."""
+@given(st.sampled_from(["certify", "gge", "evolve"]), st.booleans(),
+       st.lists(mutation, min_size=1, max_size=3))
+def test_mutated_configs_never_crash_or_leave_directories(command, ideal, mutations):
+    """Any mutation of a valid config exits 0, 1 or 2 and leaves only a finished run behind.
+
+    evolve and gge exit 0 only without a non-trivial apparatus block, so
+    half the base configs (ideal) drop the block and reach their runs.
+    """
     import contextlib
     import io
     import tempfile
 
     cfg = json.loads(json.dumps(FUZZ_BASE))
+    if ideal:
+        del cfg["apparatus"]
     for path, action, junk in mutations:
         cfg = _mutate(cfg, path, action, junk)
     with tempfile.TemporaryDirectory() as tmp:
@@ -689,6 +712,9 @@ def test_mutated_configs_never_crash_or_leave_directories(command, mutations):
         left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert not any(name.endswith(".partial") for name in left)
         assert len(left) == (code == 0)
+        if code == 0 and command != "certify":
+            app = cli.load_config(path).app
+            assert app is None or app.is_trivial()
 
 
 @pytest.mark.parametrize("command", ["evolve", "gge", "certify"])
