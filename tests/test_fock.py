@@ -46,33 +46,29 @@ def test_basis_arrays_match_the_recursive_oracle(n, m):
             assert np.array_equal(got, oracle)
 
 
+def _with_empty_basis_cache(build):
+    """build() with fock._PATTERNS empty, and the bases it cached; the cache is restored after."""
+    saved, fock._PATTERNS = fock._PATTERNS, {}
+    try:
+        return build(), fock._PATTERNS
+    finally:
+        fock._PATTERNS = saved
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7), st.integers(1, 9), st.randoms(use_true_random=False))
 @example(300, 1, None)  # levels below 256 narrow to uint8 under a uint16 top level
 def test_basis_build_caches_every_level_as_its_own_fresh_build(n, m, order):
     """One build caches every level 0..n; each equals a fresh build, read-only, in any call order."""
-    def fresh(k):
-        saved, fock._PATTERNS = fock._PATTERNS, {}
-        try:
-            return fock._patterns(k, m)
-        finally:
-            fock._PATTERNS = saved
-
-    saved, fock._PATTERNS = fock._PATTERNS, {}
-    try:
-        top = fock._patterns(n, m)
-        cached = dict(fock._PATTERNS)
-        assert sorted(cached) == [(k, m) for k in range(n + 1)]
-        fock._PATTERNS = {}
-        levels = list(range(n + 1))
-        if order is not None:
-            order.shuffle(levels)
-        shuffled = {k: fock._patterns(k, m) for k in levels}
-    finally:
-        fock._PATTERNS = saved
+    top, cached = _with_empty_basis_cache(lambda: fock._patterns(n, m))
+    assert sorted(cached) == [(k, m) for k in range(n + 1)]
     assert cached[n, m] is top
-    for k in range(n + 1):
-        want = fresh(k)
+    levels = list(range(n + 1))
+    if order is not None:
+        order.shuffle(levels)
+    shuffled, _ = _with_empty_basis_cache(lambda: {k: fock._patterns(k, m) for k in levels})
+    for k in levels:
+        want, _ = _with_empty_basis_cache(lambda: fock._patterns(k, m))
         for got in (cached[k, m], shuffled[k]):
             assert got.dtype == want.dtype == np.min_scalar_type(k)
             assert not got.flags.writeable
