@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import apparatus, fock, hamiltonian, linalg
+from . import fock, hamiltonian, linalg
 
 LAMBDA_MAX_PHOTONS = 6
 DEFAULT_VARIANCE = 0.25
@@ -273,44 +273,63 @@ def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
         entangled=None if witness is None else bool(f_lower > witness))
 
 
-def witness_threshold(u: np.ndarray, input_occ, split: int = 1) -> float:
+def witness_threshold(u: np.ndarray, input_occ, split: int = 1):
     """Largest squared Schmidt coefficient of the output state across a mode cut.
 
     split is the number of leading modes on one side of the bipartition,
     0 < split < m. Any product state scores 1; a certified fidelity
-    above this value implies entanglement across the cut.
+    above this value implies entanglement across the cut. u is one
+    unitary (m, m), giving a float, or a stack (..., m, m), giving one
+    value per matrix, each equal to that matrix's value alone: one engine
+    pass makes every state vector, and each photon-number block takes one
+    stacked SVD.
     """
     u = np.asarray(u, dtype=complex)
-    m = u.shape[0]
+    m = u.shape[-1]
     if not 0 < split < m:
         raise ValueError(f"bipartition must be nontrivial: 0 < split < {m}, got {split}")
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
     n = fock.total(input_occ)
     psi = fock.state_vector(u, input_occ)
+    psi = psi.reshape(-1, psi.shape[-1])
     pats = fock._patterns(n, m)
     # photon number is conserved, so the Schmidt matrix is block-diagonal in the
     # photons k left of the cut; its top singular value is the largest over the blocks
     k = pats[:, :split].sum(axis=1)
-    top = 0.0
+    top = np.zeros(len(psi))
     for j in range(n + 1):
         sel = k == j
-        block = np.zeros((math.comb(j + split - 1, j), math.comb(n - j + m - split - 1, n - j)),
-                         dtype=complex)
-        block[fock._rank(pats[sel, :split], j), fock._rank(pats[sel, split:], n - j)] = psi[sel]
-        top = max(top, np.linalg.svd(block, compute_uv=False)[0])
-    return float(top ** 2)
+        block = np.zeros((len(psi), math.comb(j + split - 1, j),
+                          math.comb(n - j + m - split - 1, n - j)), dtype=complex)
+        block[:, fock._rank(pats[sel, :split], j), fock._rank(pats[sel, split:], n - j)] = \
+            psi[:, sel]
+        top = np.maximum(top, np.linalg.svd(block, compute_uv=False)[:, 0])
+    # squared one float at a time: numpy's array square may differ from pow in the last bit
+    squares = [x ** 2 for x in top.tolist()]
+    return squares[0] if u.ndim == 2 else np.array(squares).reshape(u.shape[:-2])
 
 
-def _settings(spec: hamiltonian.HamiltonianSpec, t: float, n: int, m: int):
-    """The evolution u and the chip sections of both settings, in the order light passes them.
+def _settings(u: np.ndarray, n: int, m: int) -> list:
+    """Chip sections of both settings for each evolution of a stack u (T, m, m).
 
-    Setting 1 is u then its inverse; setting 2 also applies the Fourier
-    transform on the occupied modes. A setting's ideal unitary is
-    sections[1] @ sections[0].
+    Returns 2T pairs, setting 1 then setting 2 of each step, each in the
+    order light passes the sections. Setting 1 is u then its inverse;
+    setting 2 also applies the Fourier transform on the occupied modes. A
+    setting's ideal unitary is sections[1] @ sections[0]. Every product is
+    taken on its own 2-D matrices: a stacked matmul rounds differently.
     """
-    u = hamiltonian.evolution(spec, t)
-    back = u.conj().T
-    return u, ((u, back), (u, linalg.fourier(n, m) @ back))
+    fourier = linalg.fourier(n, m)
+    out = []
+    for step in u:
+        back = step.conj().T
+        out += [(step, back), (step, fourier @ back)]
+    return out
+
+
+def _ideal_laws(settings, input_occ, model) -> np.ndarray:
+    """Exact output laws (2T, size) of the ideal settings, in one engine pass."""
+    return fock._laws(np.array([sections[1] @ sections[0] for sections in settings]),
+                      input_occ, model)
 
 
 def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
@@ -330,35 +349,49 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
     if input_occ is None:
         input_occ = (1,) * (m - 1) + (0,)
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
-    _, settings = _settings(spec, t, fock.total(input_occ), m)
-    return _sample_settings(settings, model, shots, seed, app, input_occ)
+    settings = _settings(hamiltonian.evolution(spec, [t]), fock.total(input_occ), m)
+    samples = _sample_settings(settings, model, shots, _generators([seed]), app, input_occ)
+    return samples[0], samples[1]
 
 
-def _sample_settings(settings, model, shots: int, seed, app: apparatus.Apparatus | None,
-                     input_occ) -> tuple[np.ndarray, np.ndarray]:
-    """The body of collect_setting_samples, for chip sections from _settings.
+def _generators(seeds) -> list:
+    """One generator per setting of each step's seed: SeedSequence((seed, 0)), then (seed, 1)."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, idx)))
+            for seed in seeds for idx in range(2)]
 
-    Each setting draws from its own generator. With an apparatus, each
-    generator first draws its setting's mesh jitter, and then one event
-    stream runs both realized unitaries as a stack.
+
+def _sample_settings(settings, model, shots: int, rngs, app: apparatus.Apparatus | None,
+                     input_occ) -> np.ndarray:
+    """Sampled patterns (2T, shots, m) of the 2T settings from _settings, one generator each.
+
+    With an apparatus, each generator first draws its setting's mesh
+    jitter, and then one event stream runs all realized unitaries as a
+    stack; otherwise each setting samples its exact law.
     """
-    rngs = [np.random.default_rng(np.random.SeedSequence((seed, idx)))
-            for idx in range(len(settings))]
     if app is None or app.is_trivial():
-        out = [fock.sample(fock.output_distribution(sections[1] @ sections[0], input_occ, model),
-                           shots, rng) for sections, rng in zip(settings, rngs)]
-    else:
-        realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
-                             for sections, rng in zip(settings, rngs)])
-        out = apparatus.simulate_setting(realized, model, app.source, app.detection, shots, rngs,
-                                         target=input_occ)
-    return out[0], out[1]
+        n, m = fock.total(input_occ), len(input_occ)
+        return np.array([fock._draw(np.cumsum(law), n, m, shots, rng)
+                         for law, rng in zip(_ideal_laws(settings, input_occ, model), rngs)])
+    from . import apparatus  # cli.load_config has loaded it along with the apparatus block
+    realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
+                         for sections, rng in zip(settings, rngs)])
+    return apparatus.simulate_setting(realized, model, app.source, app.detection, shots, rngs,
+                                      target=input_occ)
 
 
-def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed,
+def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
             eps1: float, eps2: float, app: apparatus.Apparatus | None = None,
-            split: int = 1, input_occ=None) -> CertificationResult:
+            split: int = 1, input_occ=None):
     """Run both settings and return the certification record with its convergence trace.
+
+    t is one time, with an int seed, and gives one CertificationResult;
+    or a 1-D sequence of times, with a sequence of as many seeds, and
+    gives a tuple of results, one per step, each equal to the result of
+    its time and seed alone. The steps run as stacks, in chunks of at
+    most fock.MAX_PATTERNS entries of unitaries, of laws (with a source,
+    also of the by-product laws the event stream may keep) and, with an
+    apparatus, of sampled patterns, and at least one step: one evolution,
+    one law or event-stream pass and one witness pass per chunk.
 
     The trace holds CONVERGENCE_BATCHES equal batches, then all shots,
     whose row equals the record. Without an apparatus, or with a trivial
@@ -368,8 +401,23 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
     hit count is one Binomial(batch, P) draw from the setting's generator.
     With an apparatus the patterns are sampled and detected as in
     collect_setting_samples, from the same evolution, and the hits are
-    read off one mask per setting.
+    read off one mask per setting. Raises ValueError before any draw if
+    the times are not finite, not a scalar or 1-D, or do not match the
+    seeds.
     """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or 1-D, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {t!r}")
+    if times.ndim == 0:
+        if np.ndim(seed) != 0:
+            raise ValueError(f"one time takes one seed, got {seed!r}")
+        seeds = [seed]
+    else:
+        if np.ndim(seed) != 1 or len(seed) != times.size:
+            raise ValueError(f"{times.size} times need a sequence of as many seeds, got {seed!r}")
+        seeds = list(seed)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     m = spec.modes
@@ -377,29 +425,45 @@ def certify(spec: hamiltonian.HamiltonianSpec, t: float, model, shots: int, seed
         input_occ = (1,) * (m - 1) + (0,)
     input_occ = fock._check_occupation(input_occ, m, "input pattern")
     n = fock.total(input_occ)
+    lambdas = lambda_coefficients(n, m)
     per = max(1, shots // CONVERGENCE_BATCHES)
     cuts = np.array([b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
                     + [shots], dtype=np.int64)
-    u, settings = _settings(spec, t, n, m)
-    if app is None or app.is_trivial():
-        sizes = np.diff(cuts, prepend=0)
-        revival = fock._rank(np.array([input_occ]), n)[0]
-        hits = []
-        for idx, sections in enumerate(settings):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, idx)))
-            probs = fock.output_distribution(sections[1] @ sections[0], input_occ, model).probs
-            p = probs[revival] if idx == 0 else probs[_forbidden_mask(n, m, 1)].sum()
+    sampled = app is not None and not app.is_trivial()
+    law = math.comb(n + m - 1, n)
+    if sampled and app.source is not None:
+        from . import apparatus
+        # the stream also keeps the law of each by-product input it draws, up to the cap
+        law = max(law, math.comb(apparatus.INTERFERENCE_PHOTON_CAP + m - 1, m - 1))
+    entries = 2 * max(law, m * m, shots * m if sampled else 0)
+    step = max(1, fock.MAX_PATTERNS // entries)
+    sizes = np.diff(cuts, prepend=0)
+    revival = fock._rank(np.array([input_occ]), n)[0]
+    flat = times.reshape(-1)
+    out = []
+    for lo in range(0, flat.size, step):
+        u = hamiltonian.evolution(spec, flat[lo:lo + step])
+        settings = _settings(u, n, m)
+        thresholds = witness_threshold(u, input_occ, split)
+        rngs = _generators(seeds[lo:lo + step])
+        # cumulative hits at each cut, setting 1 then setting 2 of each step
+        if sampled:
+            samples = _sample_settings(settings, model, shots, rngs, app, input_occ)
+            fs = forbidden_patterns(n, m)
+            hits = [np.cumsum(forbidden_hits(s, fs) if idx % 2 else revival_hits(s, input_occ))
+                    [cuts - 1] for idx, s in enumerate(samples)]
+        else:
+            laws = _ideal_laws(settings, input_occ, model)
+            probs = [law[_forbidden_mask(n, m, 1)].sum() if idx % 2 else law[revival]
+                     for idx, law in enumerate(laws)]
             # a law is checked only to its sum tolerance: a near-delta weight may pass 1
-            hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
-    else:
-        samples1, samples2 = _sample_settings(settings, model, shots, seed, app, input_occ)
-        hits = [np.cumsum(revival_hits(samples1, input_occ))[cuts - 1],
-                np.cumsum(forbidden_hits(samples2, forbidden_patterns(n, m)))[cuts - 1]]
-    lambdas = lambda_coefficients(n, m)
-    thresh = witness_threshold(u, input_occ, split)
-    trace = []
-    for cut, h1, h2 in zip(cuts.tolist(), hits[0].tolist(), hits[1].tolist()):
-        p1, p2 = h1 / cut, h2 / cut
-        result = fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
-        trace.append((cut, p1, p2, result.f_lower))
-    return replace(result, convergence=tuple(trace))
+            hits = [np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0)))
+                    for p, rng in zip(probs, rngs)]
+        for h1, h2, thresh in zip(hits[0::2], hits[1::2], thresholds.tolist()):
+            trace = []
+            for cut, k1, k2 in zip(cuts.tolist(), h1.tolist(), h2.tolist()):
+                p1, p2 = k1 / cut, k2 / cut
+                result = fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
+                trace.append((cut, p1, p2, result.f_lower))
+            out.append(replace(result, convergence=tuple(trace)))
+    return out[0] if times.ndim == 0 else tuple(out)

@@ -486,17 +486,20 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
 
 
 def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
-    """Certification records per time step plus the batch convergence trace."""
+    """Certification records per time step plus the batch convergence trace.
+
+    One certify call per Hamiltonian runs all its time steps, each with its own derived seed.
+    """
     if cfg.eps1 is None:
         raise ConfigError("config.certification: required for the certify command")
     from . import certify  # loaded by load_config along with the certification block
     preamble = _csv_preamble(cfg)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
-        for ti, t in enumerate(cfg.times):
-            seed = _derived_seed(cfg, si, ti)
-            res = certify.certify(spec, t, cfg.model, cfg.shots, seed, cfg.eps1, cfg.eps2,
-                                  cfg.app, cfg.split, cfg.input_occ)
+        seeds = [_derived_seed(cfg, si, ti) for ti in range(len(cfg.times))]
+        results = certify.certify(spec, cfg.times, cfg.model, cfg.shots, seeds, cfg.eps1,
+                                  cfg.eps2, cfg.app, cfg.split, cfg.input_occ)
+        for ti, (t, seed, res) in enumerate(zip(cfg.times, seeds, results)):
             grid = []
             for eps in cfg.epsilon_grid:
                 g = certify.fidelity_bound(res.p1, res.k1, res.p2, res.k2, res.lambdas,

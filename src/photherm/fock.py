@@ -42,8 +42,8 @@ one law per matrix, (..., size); a single (m, m) unitary is the stack of
 one. Each creation step sweeps the modes i whose coupling to j_k is
 non-zero for any matrix of the stack, so a matrix whose coupling is zero
 there adds an exact 0, and every row equals the law of its matrix alone,
-bit for bit. Callers that evaluate many unitaries (gge over a list of
-times) keep a stack to at most MAX_PATTERNS law entries at a time.
+bit for bit. Callers that evaluate many unitaries (gge and certify over
+a list of times) keep a stack to at most MAX_PATTERNS law entries at a time.
 """
 
 from __future__ import annotations
@@ -564,14 +564,17 @@ def state_vector(u: np.ndarray, input_occ) -> np.ndarray:
 
     By definition the amplitude on pattern s is perm(M) / sqrt(prod_j
     r_j! s_j!); the transition engine builds all of them at once, and
-    their squared moduli are the indistinguishable distribution.
+    their squared moduli are the indistinguishable distribution. A stack
+    of unitaries (..., m, m) gives one vector per matrix, (..., size), in
+    one engine pass; a single (m, m) unitary is the stack of one.
     """
     u = np.asarray(u, dtype=complex)
     if not linalg.is_unitary(u):
         raise ValueError("transfer matrix is not unitary within tolerance")
-    m = u.shape[0]
+    m = u.shape[-1]
     amps = _transfer(u, _check_occupation(input_occ, m, "input pattern"), bosonic=True)
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"state vector norm {norm!r} deviates from 1")
+    norm = np.sum(np.abs(amps) ** 2, axis=-1)
+    dev = np.abs(norm - 1.0)
+    if not dev.max(initial=0.0) <= PROB_SUM_TOL:
+        raise ValueError(f"state vector norm {float(norm.flat[np.argmax(dev)])!r} deviates from 1")
     return amps

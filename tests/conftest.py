@@ -317,6 +317,76 @@ def seed_witness_threshold(u, input_occ, split: int) -> float:
     return float(np.linalg.svd(t, compute_uv=False)[0] ** 2)
 
 
+def seed_blockwise_witness(u, input_occ, split: int) -> float:
+    """Largest squared Schmidt coefficient of one state vector, one SVD per photon-number block."""
+    from photherm import fock
+    m = u.shape[0]
+    n = sum(input_occ)
+    psi = fock.state_vector(u, input_occ)
+    pats = fock._patterns(n, m)
+    k = pats[:, :split].sum(axis=1)
+    top = 0.0
+    for j in range(n + 1):
+        sel = k == j
+        block = np.zeros((math.comb(j + split - 1, j), math.comb(n - j + m - split - 1, n - j)),
+                         dtype=complex)
+        block[fock._rank(pats[sel, :split], j), fock._rank(pats[sel, split:], n - j)] = psi[sel]
+        top = max(top, np.linalg.svd(block, compute_uv=False)[0])
+    return float(top ** 2)
+
+
+def seed_certify(spec, t: float, model, shots: int, seed, eps1: float, eps2: float, app=None,
+                 split: int = 1, input_occ=None):
+    """One time step end to end: the body of certify.certify before it ran its steps as stacks.
+
+    One evolution per step; without an apparatus one single-matrix law per
+    setting, with one a two-setting event stream; the witness from one
+    state vector.
+    """
+    from dataclasses import replace
+
+    from photherm import certify, fock, hamiltonian, linalg
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    m = spec.modes
+    if input_occ is None:
+        input_occ = (1,) * (m - 1) + (0,)
+    input_occ = fock._check_occupation(input_occ, m, "input pattern")
+    n = fock.total(input_occ)
+    per = max(1, shots // certify.CONVERGENCE_BATCHES)
+    cuts = np.array([b * per for b in range(1, certify.CONVERGENCE_BATCHES + 1) if b * per < shots]
+                    + [shots], dtype=np.int64)
+    u = hamiltonian.evolution(spec, t)
+    back = u.conj().T
+    settings = ((u, back), (u, linalg.fourier(n, m) @ back))
+    rngs = [np.random.default_rng(np.random.SeedSequence((seed, idx))) for idx in range(2)]
+    if app is None or app.is_trivial():
+        sizes = np.diff(cuts, prepend=0)
+        revival = fock._rank(np.array([input_occ]), n)[0]
+        hits = []
+        for idx, (sections, rng) in enumerate(zip(settings, rngs)):
+            probs = fock.output_distribution(sections[1] @ sections[0], input_occ, model).probs
+            p = probs[revival] if idx == 0 else probs[certify._forbidden_mask(n, m, 1)].sum()
+            hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
+    else:
+        from photherm import apparatus
+        realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
+                             for sections, rng in zip(settings, rngs)])
+        samples1, samples2 = apparatus.simulate_setting(realized, model, app.source, app.detection,
+                                                        shots, rngs, target=input_occ)
+        hits = [np.cumsum(certify.revival_hits(samples1, input_occ))[cuts - 1],
+                np.cumsum(certify.forbidden_hits(samples2, certify.forbidden_patterns(n, m)))
+                [cuts - 1]]
+    lambdas = certify.lambda_coefficients(n, m)
+    thresh = seed_blockwise_witness(u, input_occ, split)
+    trace = []
+    for cut, h1, h2 in zip(cuts.tolist(), hits[0].tolist(), hits[1].tolist()):
+        p1, p2 = h1 / cut, h2 / cut
+        result = certify.fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
+        trace.append((cut, p1, p2, result.f_lower))
+    return replace(result, convergence=tuple(trace))
+
+
 def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
     """Class weights computed on all m modes: convolved exit laws through fourier(n, m).
 

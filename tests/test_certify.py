@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (m_mode_lambda_coefficients, n_mode_lambda_coefficients, seed_bunched_mask,
-                      seed_estimate_p1, seed_estimate_p2, seed_forbidden_patterns,
-                      seed_lambda_coefficients, seed_witness_threshold)
+from conftest import (m_mode_lambda_coefficients, n_mode_lambda_coefficients, seed_blockwise_witness,
+                      seed_bunched_mask, seed_certify, seed_estimate_p1, seed_estimate_p2,
+                      seed_forbidden_patterns, seed_lambda_coefficients, seed_witness_threshold)
 from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -327,10 +327,10 @@ def test_certify_computes_the_evolution_once(monkeypatch, app):
     calls = []
     evolution = hamiltonian.evolution
     monkeypatch.setattr(hamiltonian, "evolution",
-                        lambda spec, t: calls.append(t) or evolution(spec, t))
+                        lambda spec, t: calls.append(np.ravel(t).tolist()) or evolution(spec, t))
     certify.certify(RING, 1.0, fock.MODEL_DISTINGUISHABLE, shots=100, seed=8,
                     eps1=0.8, eps2=0.9, app=app)
-    assert calls == [1.0]
+    assert calls == [[1.0]]
 
 
 def _batch_counts(convergence) -> tuple[np.ndarray, np.ndarray]:
@@ -381,16 +381,15 @@ def test_certify_binomial_counts_match_the_sampled_oracle(model):
 
 def test_certify_clips_a_revival_probability_past_one(monkeypatch):
     """A law is normalized only to its sum tolerance: a near-delta input weight may pass 1."""
-    real = fock.output_distribution
+    real = fock._laws
     seen = []
 
     def inflated(u, input_occ, model):
-        dist = real(u, input_occ, model)
-        probs = dist.probs * (1.0 + 1e-12)
+        probs = real(u, input_occ, model) * (1.0 + 1e-12)
         seen.append(probs.max())
-        return fock.FockDistribution(dist.n, dist.m, probs)
+        return probs
 
-    monkeypatch.setattr(certify.fock, "output_distribution", inflated)
+    monkeypatch.setattr(certify.fock, "_laws", inflated)
     res = certify.certify(RING, 1.0, fock.MODEL_INDISTINGUISHABLE, shots=1000,
                           seed=5, eps1=0.9, eps2=0.9)
     assert seen[0] > 1.0  # setting 1 maps the input onto itself
@@ -441,3 +440,110 @@ def test_witness_threshold_matches_the_single_svd(m, seed, data):
     u = linalg.haar_random(m, seed)
     got = certify.witness_threshold(u, tuple(counts), split)
     assert abs(got - seed_witness_threshold(u, tuple(counts), split)) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_stacked_witness_equals_each_matrix_alone(m, count, seed, data):
+    """A stack of unitaries gives each matrix's blockwise witness, bit for bit."""
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)
+                       .filter(lambda c: 1 <= sum(c) <= 4))
+    split = data.draw(st.integers(1, m - 1))
+    stack = np.array([linalg.haar_random(m, (seed, k)) for k in range(count)])
+    got = certify.witness_threshold(stack, tuple(counts), split)
+    assert got.shape == (count,)
+    assert got.tolist() == [seed_blockwise_witness(u, tuple(counts), split) for u in stack]
+    assert certify.witness_threshold(stack[0], tuple(counts), split) == got[0]
+
+
+
+def test_stacked_witness_squares_each_value_like_one_matrix():
+    """The top singular value 0.625372579742124 squares to ...193 by pow, ...1923 by x * x."""
+    u = linalg.haar_random(4, (2**32 - 1, 0))
+    want = seed_blockwise_witness(u, (1, 1, 1, 1), 1)
+    assert want == 0.3910908634933193
+    assert certify.witness_threshold(u[None], (1, 1, 1, 1), 1).tolist() == [want]
+    assert certify.witness_threshold(u, (1, 1, 1, 1), 1) == want
+
+
+MIXTURE = apparatus.distinguishability_mixture(apparatus.SourceModel())
+HARDWARE = apparatus.Apparatus(
+    source=apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9),
+    detection=apparatus.DetectionModel(weights=((0.3, 0.3, 0.3),) * 4), mesh_jitter=0.05)
+LONG_RANGE = hamiltonian.HamiltonianSpec(kind="long_range", modes=4, seed=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([RING, LONG_RANGE]),
+       st.sampled_from([fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE, MIXTURE]),
+       st.sampled_from([None, HARDWARE]),
+       st.lists(st.floats(0.0, 3.0, allow_subnormal=False), min_size=1, max_size=4),
+       st.integers(1, 3), st.data())
+def test_stacked_steps_equal_the_per_step_certify(spec, model, app, times, split, data):
+    """Every step of one stacked call equals the per-step oracle in every field.
+
+    The convergence trace and the witness are compared too; a one-time
+    call is the stack of one.
+    """
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(times),
+                               max_size=len(times)))
+    shots = data.draw(st.integers(1, 300) if app else st.integers(1, 10**6))
+    got = certify.certify(spec, times, model, shots, seeds, 0.8, 0.9, app, split)
+    want = tuple(seed_certify(spec, t, model, shots, seed, 0.8, 0.9, app, split)
+                 for t, seed in zip(times, seeds))
+    assert got == want
+    assert certify.certify(spec, times[0], model, shots, seeds[0], 0.8, 0.9, app, split) == want[0]
+
+
+def counted_evolution(monkeypatch) -> list:
+    """Record the number of times per hamiltonian.evolution call made by certify."""
+    calls, evolution = [], hamiltonian.evolution
+    monkeypatch.setattr(hamiltonian, "evolution",
+                        lambda spec, t: calls.append(np.size(t)) or evolution(spec, t))
+    return calls
+
+
+@pytest.mark.parametrize("limit, rows, app, shots", [
+    (1, 1, None, 200), (40, 1, None, 200), (80, 2, None, 200), (120, 3, None, 200),
+    (1, 1, HARDWARE, 200), (660, 2, HARDWARE, 20)])
+def test_certify_chunks_equal_the_per_step_records(limit, rows, app, shots):
+    """Each chunk of at most `rows` steps is one evolution; every record equals the oracle's.
+
+    A step holds 2 of each: laws of 20 entries (3 photons on 4 modes),
+    unitaries of 16 and, with an apparatus, sample arrays of 4 * shots
+    entries and by-product laws of up to 165 (8 photons on 4 modes). So
+    without an apparatus 40 entries make one step, and with one at 20
+    shots 330 do; every chunk holds at least one step.
+    """
+    times, seeds = [0.0, 0.4, 1.0, 1.7, 2.5], [5, 6, 7, 8, 9]
+    want = tuple(seed_certify(RING, t, MIXTURE, shots, seed, 0.8, 0.9, app)
+                 for t, seed in zip(times, seeds))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "MAX_PATTERNS", limit)
+        calls = counted_evolution(mp)
+        got = certify.certify(RING, times, MIXTURE, shots, seeds, 0.8, 0.9, app)
+    assert calls == [min(rows, len(times) - lo) for lo in range(0, len(times), rows)]
+    assert got == want
+
+
+def test_certify_of_no_times_is_empty(monkeypatch):
+    calls = counted_evolution(monkeypatch)
+    assert certify.certify(RING, [], fock.MODEL_INDISTINGUISHABLE, 100, [], 0.9, 0.9) == ()
+    assert calls == []
+
+
+@pytest.mark.parametrize("times, seeds, match", [
+    ([0.5, 1.0], [1], "2 times need a sequence of as many seeds"),
+    ([0.5, 1.0], [1, 2, 3], "2 times need a sequence of as many seeds"),
+    ([0.5, 1.0], 1, "2 times need a sequence of as many seeds"),
+    (0.5, [1], "one time takes one seed"),
+    ([0.5, float("nan")], [1, 2], "times must be finite"),
+    (float("inf"), 1, "times must be finite"),
+    ([[0.5, 1.0]], [1, 2], "times must be a scalar or 1-D"),
+])
+def test_certify_rejects_times_before_any_draw(monkeypatch, times, seeds, match):
+    """Every draw follows the first evolution, which a rejected call never reaches."""
+    calls = counted_evolution(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        certify.certify(RING, times, fock.MODEL_INDISTINGUISHABLE, 100, seeds, 0.9, 0.9, HARDWARE)
+    assert calls == []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,13 +136,22 @@ with tempfile.TemporaryDirectory() as tmp:
                                   "times": [0.0, 1.0], "model": "distinguishable"}))
     for command in ("evolve", "gge"):
         assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
-loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest"} & set(sys.modules)
+    loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest"} & set(sys.modules)
+    assert not loaded, loaded
+    config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
+                                  "times": [0.0, 1.0], "shots": 100,
+                                  "certification": {"eps1": 0.9, "eps2": 0.9}}))
+    assert cli.main(["certify", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+loaded = {"photherm.apparatus", "photherm.selftest"} & set(sys.modules)
 assert not loaded, loaded
 """
 
 
 def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
-    """A bare import loads no module; evolve and gge load none they do not run."""
+    """A bare import loads no module; evolve, gge and certify load none they do not run.
+
+    A certify run without an apparatus block leaves apparatus unloaded too.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", LAZY_LAYERS], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -547,6 +557,17 @@ def test_certify_reports_a_source_too_weak_for_the_shots(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: collected 0/200 events after 10000000 source attempts")
     assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_certify_reports_a_spent_budget_on_a_two_step_config(tmp_path, capsys):
+    """All steps of a Hamiltonian run as one stream; its spent budget is still one error line."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, times=[0.5, 1.0], **_source(0.001, 0.001))
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert re.match(r"error: collected \d+/200 events after \d+ source attempts; ", lines[0])
     assert list(out.iterdir()) == []
 
 
