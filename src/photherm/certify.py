@@ -410,14 +410,10 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
         raise ValueError(f"times must be a scalar or 1-D, got shape {times.shape}")
     if not np.isfinite(times).all():
         raise ValueError(f"times must be finite, got {t!r}")
-    if times.ndim == 0:
-        if np.ndim(seed) != 0:
-            raise ValueError(f"one time takes one seed, got {seed!r}")
-        seeds = [seed]
-    else:
-        if np.ndim(seed) != 1 or len(seed) != times.size:
-            raise ValueError(f"{times.size} times need a sequence of as many seeds, got {seed!r}")
-        seeds = list(seed)
+    if np.ndim(seed) != times.ndim or np.size(seed) != times.size:
+        raise ValueError(f"seed {seed!r} does not match the times: one time takes one seed, "
+                         f"a sequence of {times.size} times a sequence of as many")
+    seeds = list(seed) if times.ndim else [seed]
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     m = spec.modes
@@ -430,12 +426,12 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
     cuts = np.array([b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
                     + [shots], dtype=np.int64)
     sampled = app is not None and not app.is_trivial()
-    law = math.comb(n + m - 1, n)
+    largest_law = math.comb(n + m - 1, n)
     if sampled and app.source is not None:
         from . import apparatus
         # the stream also keeps the law of each by-product input it draws, up to the cap
-        law = max(law, math.comb(apparatus.INTERFERENCE_PHOTON_CAP + m - 1, m - 1))
-    entries = 2 * max(law, m * m, shots * m if sampled else 0)
+        largest_law = max(largest_law, math.comb(apparatus.INTERFERENCE_PHOTON_CAP + m - 1, m - 1))
+    entries = 2 * max(largest_law, m * m, shots * m if sampled else 0)
     step = max(1, fock.MAX_PATTERNS // entries)
     sizes = np.diff(cuts, prepend=0)
     revival = fock._rank(np.array([input_occ]), n)[0]

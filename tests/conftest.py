@@ -471,6 +471,15 @@ def seed_expm_hermitian(h, t: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
+def counted_evolution(monkeypatch) -> list:
+    """Record the number of times per hamiltonian.evolution call, through monkeypatch."""
+    from photherm import hamiltonian
+    calls, evolution = [], hamiltonian.evolution
+    monkeypatch.setattr(hamiltonian, "evolution",
+                        lambda spec, t: calls.append(np.size(t)) or evolution(spec, t))
+    return calls
+
+
 def seed_trace_marginal(spec, input_occ, t: float, model, mode: int) -> np.ndarray:
     """Single-mode marginal at one time through the single-law entry."""
     from photherm import fock, gge, hamiltonian

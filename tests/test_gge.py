@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import seed_marginal, seed_recurrence_time, seed_trace_marginal
+from conftest import counted_evolution, seed_marginal, seed_recurrence_time, seed_trace_marginal
 from photherm import fock, gge, hamiltonian, linalg
 
 RING = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
@@ -126,14 +126,6 @@ def test_marginal_matches_the_per_pattern_loop(n, m, seed, data):
 MODELS = (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE,
           ((1, 1, 0, 0), (0, 0, 1, 0)),
           fock.Mixture(((0.7, ((1, 1, 1, 0),)), (0.3, ((1, 0, 0, 0), (0, 1, 1, 0))))))
-
-
-def counted_evolution(monkeypatch) -> list:
-    """Record the number of times per hamiltonian.evolution call made by gge."""
-    calls, evolution = [], hamiltonian.evolution
-    monkeypatch.setattr(hamiltonian, "evolution",
-                        lambda spec, t: calls.append(np.size(t)) or evolution(spec, t))
-    return calls
 
 
 @settings(max_examples=25, deadline=None)
