@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -428,9 +429,23 @@ def _csv_preamble(cfg: ExperimentConfig) -> list[str]:
 
 
 def _write_csv(path: Path, preamble: list[str], header: str, rows):
-    lines = [*preamble, header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n")
+    """Write the preamble, the header and each row of an iterable of strings as lines.
+
+    The rows are joined and written fock.CSV_BLOCK at a time, so a
+    generator of rows is never held whole.
+    """
+    rows = iter(rows)
+    block = [*preamble, header]
+    with path.open("w") as fh:
+        while block:
+            block.append("")
+            fh.write("\n".join(block))
+            block = list(itertools.islice(rows, fock.CSV_BLOCK))
+
+
+def _write_law(path: Path, preamble: list[str], law: fock.FockDistribution):
+    _write_csv(path, preamble, "pattern,probability",
+               (f"{p},{q!r}" for p, q in law.csv_rows()))
 
 
 def _spec_tag(cfg: ExperimentConfig, idx: int) -> str:
@@ -452,14 +467,15 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
         tag = _spec_tag(cfg, si)
         for ti, t in enumerate(cfg.times):
             u = hamiltonian.evolution(spec, t)
-            dist = fock.output_distribution(u, cfg.input_occ, cfg.model)
-            exact = (dist if cfg.model == fock.MODEL_INDISTINGUISHABLE else
-                     fock.output_distribution(u, cfg.input_occ, fock.MODEL_INDISTINGUISHABLE))
             stem = f"evolve_{tag}_t{ti:03d}"
             _write_json(run / f"{stem}.json", {"hamiltonian": spec.to_dict(), "t": t}, cfg)
-            for path, law in ((run / f"{stem}.csv", dist), (run / f"{stem}_exact.csv", exact)):
-                _write_csv(path, preamble, "pattern,probability",
-                           (f"{p},{q!r}" for p, q in law.csv_rows()))
+            _write_law(run / f"{stem}.csv", preamble,
+                       fock.output_distribution(u, cfg.input_occ, cfg.model))
+            if cfg.model == fock.MODEL_INDISTINGUISHABLE:   # the law is its own reference
+                shutil.copyfile(run / f"{stem}.csv", run / f"{stem}_exact.csv")
+            else:
+                exact = fock.output_distribution(u, cfg.input_occ, fock.MODEL_INDISTINGUISHABLE)
+                _write_law(run / f"{stem}_exact.csv", preamble, exact)
 
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:

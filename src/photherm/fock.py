@@ -10,11 +10,12 @@ one row per pattern, by a colex recursion over the modes. That array is
 the source of truth: enumerate_basis is its rows as tuples, _rank maps
 rows back to their indices, and samplers index into it. The per-basis
 caches come from it by array work, with no Python loop over patterns:
-the engine's gather maps (_creation_map) follow the same recursion, and
-the CSV pattern labels (_labels) gather a byte table of the counts by the
-basis array. A FockDistribution holds only n, m and its probability
-vector over that basis; readers of a law index the array instead of
-walking the basis pattern by pattern.
+the engine's gather maps (_creation_map) follow the same recursion. A
+FockDistribution holds only n, m and its probability vector over that
+basis; readers of a law index the array instead of walking the basis
+pattern by pattern. Its CSV rows are labelled CSV_BLOCK patterns at a
+time, by gathering a byte table of the counts with a slice of the basis
+array, so no label of the whole basis is ever kept.
 
 Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
@@ -64,6 +65,8 @@ PROB_SUM_TOL = 1e-9
 # Largest basis C(n + m - 1, n) the CLI accepts; each law is allocated whole,
 # and a stack of laws is evaluated in chunks of at most this many entries.
 MAX_PATTERNS = 1_000_000
+# Rows per block in which CSV rows are labelled, formatted and written.
+CSV_BLOCK = 256
 
 MODEL_INDISTINGUISHABLE = "indistinguishable"
 MODEL_DISTINGUISHABLE = "distinguishable"
@@ -288,24 +291,6 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _CREATION_MAPS[k, m]
 
 
-@lru_cache(maxsize=None)
-def _labels(n: int, m: int) -> tuple[str, ...]:
-    """CSV pattern labels of _patterns(n, m): each row's counts joined with '|'.
-
-    Built as one byte buffer. A table holds each count 0..n in ASCII,
-    right-aligned to the width of n and followed by '|'. Gathering it by
-    the basis array lays out every label in row order; the last '|' of
-    each row becomes a newline, and one decode, one removal of the
-    padding spaces and one split give the labels.
-    """
-    width = len(str(n))
-    table = np.frombuffer("".join(f"{c:>{width}}|" for c in range(n + 1)).encode("ascii"),
-                          dtype=np.uint8).reshape(n + 1, width + 1)
-    cells = table[_patterns(n, m)]
-    cells[:, -1, -1] = ord("\n")
-    return tuple(cells.tobytes().decode("ascii").replace(" ", "").split("\n")[:-1])
-
-
 def _transfer(coupling: np.ndarray, input_occ: ModeOccupation, bosonic: bool) -> np.ndarray:
     """The engine: push the input photons one at a time through each coupling of a stack.
 
@@ -337,7 +322,7 @@ def _transfer(coupling: np.ndarray, input_occ: ModeOccupation, bosonic: bool) ->
             term = prev.take(src[i], axis=-1)
             term *= coefs[i, j]
             if bosonic:
-                term *= roots[counts[i]]
+                term *= roots.take(counts[i])
             vec += term
     if bosonic:
         vec /= math.sqrt(_occ_factorial(input_occ))
@@ -456,8 +441,23 @@ class FockDistribution:
         return float(self.probs[_rank(occ, self.n)[0]])
 
     def csv_rows(self):
-        """(pattern, probability) rows; the pattern column joins counts with '|'."""
-        return zip(_labels(self.n, self.m), self.probs.tolist())
+        """(pattern, probability) rows; the pattern column joins counts with '|'.
+
+        Yielded CSV_BLOCK rows at a time. A table holds each count 0..n in
+        ASCII, right-aligned to the width of n and followed by '|'. Taking
+        its rows by a block of the basis array lays out the block's labels
+        in row order; the last '|' of each row becomes a newline, and one
+        decode, one removal of the padding spaces and one split give them.
+        """
+        width = len(str(self.n))
+        table = np.frombuffer("".join(f"{c:>{width}}|" for c in range(self.n + 1)).encode("ascii"),
+                              dtype=np.uint8).reshape(self.n + 1, width + 1)
+        patterns = _patterns(self.n, self.m)
+        for lo in range(0, len(patterns), CSV_BLOCK):
+            cells = table.take(patterns[lo:lo + CSV_BLOCK], axis=0)
+            cells[:, -1, -1] = ord("\n")
+            labels = cells.tobytes().decode("ascii").replace(" ", "").split("\n")[:-1]
+            yield from zip(labels, self.probs[lo:lo + CSV_BLOCK].tolist())
 
 
 def _resolve_model(model, input_occ: ModeOccupation, m: int):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,51 @@ def test_config_rejects_a_basis_past_the_pattern_ceiling(tmp_path, capsys):
     cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 12, "seed": 1},
                        input=[1] * 6 + [0] * 6, certification=None)
     assert cli.load_config(cfg).input_occ == (1,) * 6 + (0,) * 6
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_write_csv_joins_every_block_size(tmp_path, monkeypatch, block):
+    """Rows given as a generator are written block by block, as one join of all lines."""
+    monkeypatch.setattr(fock, "CSV_BLOCK", block)
+    preamble = ["# a", "# b"]
+    for count in (0, 1, block - 1, block, block + 1):
+        rows = [f"{k},{k / 3!r}" for k in range(count)]
+        cli._write_csv(tmp_path / "t.csv", preamble, "k,x", (row for row in rows))
+        want = "\n".join([*preamble, "k,x", *rows]) + "\n"
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+def test_evolve_writes_the_indistinguishable_law_once(tmp_path):
+    """The indistinguishable law is its own reference: _exact.csv is a byte copy of the law."""
+    config = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 5, "seed": 3},
+                          input=[1, 1, 1, 0, 0], times=[0.3], certification=None)
+    assert cli.main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    cfg = cli.load_config(config)
+    cli._write_law(tmp_path / "fresh.csv", cli._csv_preamble(cfg), fock.output_distribution(
+        hamiltonian.evolution(cfg.specs[0], 0.3), cfg.input_occ))
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert (run / "evolve_h_t000.csv").read_bytes() == fresh
+    assert (run / "evolve_h_t000_exact.csv").read_bytes() == fresh
+
+
+def test_evolve_csv_writer_holds_no_whole_file(tmp_path):
+    """Writing a 12,376-row law traces far less memory than the file's own size."""
+    n, m = 6, 12
+    u = linalg.haar_random(m, 5)
+    law = fock.output_distribution(u, (1,) * n + (0,) * (m - n))
+    path = tmp_path / "law.csv"
+    cli._write_law(path, ["# a"], law)   # warm the basis and the writer's imports
+    tracemalloc.start()
+    try:
+        cli._write_law(path, ["# a"], law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert law.probs.size == 12_376 and size > 500_000
+    # 94 kB traced with 256-row blocks; a writer that joins the whole file traces 2.4 MB
+    assert peak < 200_000, (peak, size)
 
 
 def test_evolve_writes_two_digit_counts(tmp_path):

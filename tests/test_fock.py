@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,13 +99,16 @@ def test_basis_rejects_negative_photons_and_empty_modes(n, m):
 @example((150, 2), 0)
 @example((99, 3), 0)
 def test_csv_rows_match_joined_counts(shape, seed):
-    """Cached labels give the rows of the per-row join, two- and three-digit counts included."""
+    """Block-built labels give the rows of the per-row join at any block size, two- and
+    three-digit counts included."""
     n, m = shape
     basis = fock.enumerate_basis(n, m)
     probs = np.random.default_rng(seed).random(len(basis))
     dist = fock.FockDistribution(n, m, probs / probs.sum())
     want = [("|".join(str(c) for c in occ), float(p)) for occ, p in zip(basis, dist.probs)]
-    assert list(dist.csv_rows()) == want
+    for block in (1, 2, 7, fock.CSV_BLOCK):
+        with mock.patch.object(fock, "CSV_BLOCK", block):
+            assert list(dist.csv_rows()) == want
 
 
 def test_mode_assignment():
