@@ -15,6 +15,9 @@ and renormalizing undoes the multiplexing bias.
 
 Click data is a boolean array fired of shape (shots, 3m): column
 3 * mode + slot is one channel, and a shot's click total is its row sum.
+Counts are read by adding whole columns (the three channel slices of
+each mode, or every column for the total), not by reductions along the
+short axis of each row.
 The event stream draws only useful source shots. A useful shot is
 heralded and, with no dark counts, carries 2 j1 + j2 >= n photons: each
 photon then fires at most one channel, so a shot with fewer photons can
@@ -35,9 +38,15 @@ each later block asks for the missing events divided by the keep rate
 so far, times KEEP_MARGIN, at most 8192. The block sizes decide which
 draws are made, not the law of the kept events. The stream runs a stack
 of settings, one generator each. The law of each source input is built
-once for the whole stack, in one engine pass whose rows equal the single
-laws bit for bit, and kept as its cumulative sum for every later block
-of every setting, so each setting draws what it would draw alone.
+once for the whole stack and kept as its cumulative sum for every later
+block of every setting. A block that meets new by-product inputs builds
+all their laws in one chained engine pass: the engine creates photons in
+mode order, so for one j1 its state after the j2-th mode-2 photon is the
+state of the input (j1, j1, j2, 0, ...), and one chain per j1 runs up to
+the largest j2 the block needs, reading every useful input on the way.
+The species model's own input, and the target without a source, take
+fock._laws. Every law equals the single law of its setting bit for bit,
+so each setting draws what it would draw alone.
 
 By-products of more than INTERFERENCE_PHOTON_CAP photons skip their
 interference law and route each photon independently through |U|^2.
@@ -271,7 +280,18 @@ def pattern_from_clicks(fired, m: int) -> np.ndarray:
     fired = np.asarray(fired, dtype=bool)
     if fired.ndim != 2 or fired.shape[1] != CHANNELS_PER_MODE * m:
         raise ValueError(f"click array of shape {fired.shape} does not cover {m} modes")
-    return fired.reshape(len(fired), m, CHANNELS_PER_MODE).sum(axis=2)
+    counts = np.add(fired[:, 0::CHANNELS_PER_MODE], fired[:, 1::CHANNELS_PER_MODE], dtype=np.int64)
+    for slot in range(2, CHANNELS_PER_MODE):
+        counts += fired[:, slot::CHANNELS_PER_MODE]
+    return counts
+
+
+def _click_totals(fired: np.ndarray) -> np.ndarray:
+    """Click total of each shot of fired (shots, 3m), int64: its row sum, by column adds."""
+    totals = np.zeros(len(fired), dtype=np.int64)
+    for column in fired.T:
+        totals += column
+    return totals
 
 
 def resolve_probability(det: DetectionModel, mode: int, k: int) -> float:
@@ -515,6 +535,60 @@ def _pair_floor(j2: np.ndarray, n: int, floor: bool):
     return np.maximum(0, (n - j2 + 1) // 2) if floor else 0
 
 
+def _first_j2(j1: int, n: int, floor: bool) -> int:
+    # fewest crystal-2 pairs a useful shot with j1 crystal-1 pairs has: heralded, and with the
+    # floor 2 j1 + j2 >= n
+    return max(1, n - 2 * j1) if floor else 1
+
+
+def _kept_law_entries(n: int, m: int, floor: bool) -> int:
+    """Law entries the stream may keep per setting: one law per useful input at or below the cap.
+
+    The useful inputs (j1, j1, j2, 0, ...) are those _useful_shots can
+    draw; the law of 2 j1 + j2 photons has C(2 j1 + j2 + m - 1, m - 1)
+    entries.
+    """
+    return sum(math.comb(k + m - 1, m - 1)
+               for j1 in range(INTERFERENCE_PHOTON_CAP // 2 + 1)
+               for k in range(2 * j1 + _first_j2(j1, n, floor), INTERFERENCE_PHOTON_CAP + 1))
+
+
+def _chained_cdfs(stack: np.ndarray, inputs, model: str, n: int, floor: bool, known) -> dict:
+    """Cumulative laws (S, size) of by-product inputs under a string model, from one engine pass.
+
+    The engine creates photons in mode order, so on its way to the input
+    (j1, j1, j2, 0, ...) it passes through (j1, j1, j, 0, ...) for every
+    j < j2. The pass runs one chain per j1 of the inputs, each over the
+    whole stack of settings and up to the largest j2 the inputs need of
+    it; its rows leave once they have created that input. On the way it
+    reads every useful input (j from _first_j2) not in known. Every law
+    read equals the one fock._laws gives its input, bit for bit.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    fock._resolve_model(model, None, stack.shape[-1])   # a string model names a known law
+    if not linalg.is_unitary(stack):
+        raise ValueError("transfer matrix is not unitary within tolerance")
+    tops: dict = {}
+    for j1, _, j2 in (occ[:3] for occ in inputs):
+        tops[j1] = max(j2, tops.get(j1, 0))
+    tail = (0,) * (stack.shape[-1] - 3)
+    chains = sorted(tops, key=lambda j1: 2 * j1 + tops[j1], reverse=True)   # by falling total
+    reads, read = [], []
+    for c, j1 in enumerate(chains):
+        rows = np.arange(c * len(stack), (c + 1) * len(stack))
+        for j2 in range(_first_j2(j1, n, floor), tops[j1] + 1):
+            if (j1, j1, j2) + tail not in known:
+                reads.append((2 * j1 + j2, rows))
+                read.append((j1, j1, j2) + tail)
+    bosonic = model == fock.MODEL_INDISTINGUISHABLE
+    coupling = stack if bosonic else np.abs(stack) ** 2
+    states = fock._transfer(np.tile(coupling, (len(chains), 1, 1)),
+                            np.repeat([(j1, j1, tops[j1]) + tail for j1 in chains], len(stack), 0),
+                            bosonic, reads)
+    return {occ: np.cumsum(fock._normalized(np.abs(state) ** 2 if bosonic else state), axis=-1)
+            for occ, state in zip(read, states)}
+
+
 def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
     """Chance per source attempt of a useful shot, split by j2; q is their sum.
 
@@ -588,8 +662,8 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     gives (shots, m); or a stack (S, m, m) with a sequence of S generators,
     and gives (S, shots, m). Row s draws only from generator s, and equals
     the stream of setting s alone: the law of each source input is built
-    once for the whole stack, by one engine pass whose rows equal the
-    single laws bit for bit, and kept as its cumulative sum.
+    once for the whole stack, a block's new by-products in one chained
+    engine pass (see the module docstring), and kept as its cumulative sum.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
     target photon number. A source requires the target it heralds, one
@@ -620,19 +694,13 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     # never give n clicks
     floor = det_eff.dark_count_prob == 0.0
 
-    cdfs: dict = {}
-
-    def cdf(occ):
-        # cumulative laws (S, size) of one input, for every setting of the stack at once
-        if occ not in cdfs:
-            use_model = model
-            if not isinstance(model, str):
-                mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
-                implied = fock.partition_input(mix.components[0][1])
-                # by-products carry no calibrated species structure
-                use_model = mix if implied == occ else fock.MODEL_INDISTINGUISHABLE
-            cdfs[occ] = np.cumsum(fock._laws(stack, occ, use_model), axis=-1)
-        return cdfs[occ]
+    # a species model describes its own input only; every other input, a by-product with no
+    # calibrated species structure, takes the indistinguishable law
+    plain, own = model, {}
+    if not isinstance(model, str):
+        mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
+        plain, own = fock.MODEL_INDISTINGUISHABLE, {fock.partition_input(mix.components[0][1]): mix}
+    cdfs: dict = {}   # cumulative laws (S, size) of each input, for every setting of the stack
 
     out = np.empty((len(stack), shots, m), dtype=np.int64)
     batch = 8192
@@ -664,6 +732,16 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                 groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
                           for rows in _group_rows(j1, j2)]
             drawn += count
+            # the laws of the inputs met for the first time: the target without a source and the
+            # species model's input through fock._laws, every by-product in one chained pass
+            new = [occ for occ, _ in groups
+                   if occ not in cdfs and fock.total(occ) <= INTERFERENCE_PHOTON_CAP]
+            for occ in new:
+                if src is None or occ in own:
+                    cdfs[occ] = np.cumsum(fock._laws(stack, occ, own.get(occ, plain)), axis=-1)
+            chained = [occ for occ in new if occ not in cdfs]
+            if chained:
+                cdfs.update(_chained_cdfs(stack, chained, plain, n, floor, cdfs.keys() | own.keys()))
             # one true output pattern per shot, drawn from the cached law of its input
             true = np.empty((count, m), dtype=np.int64)
             for occ, rows in groups:
@@ -671,9 +749,9 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                 if k > INTERFERENCE_PHOTON_CAP:
                     true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u, rng)
                 else:
-                    true[rows] = fock._draw(cdf(occ)[setting], k, m, rows.size, rng)
+                    true[rows] = fock._draw(cdfs[occ][setting], k, m, rows.size, rng)
             fired = qpnr_detect(true, det_eff, rng)
-            keep = fired.sum(axis=1) == n
+            keep = _click_totals(fired) == n
             fired, true = fired[keep], true[keep]
             # blinding keeps the click total, so blinding only kept shots leaves the law unchanged
             if survival < 1.0:

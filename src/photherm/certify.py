@@ -389,7 +389,7 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
     gives a tuple of results, one per step, each equal to the result of
     its time and seed alone. The steps run as stacks, in chunks of at
     most fock.MAX_PATTERNS entries of unitaries, of laws (with a source,
-    also of the by-product laws the event stream may keep) and, with an
+    of all the by-product laws the event stream may keep) and, with an
     apparatus, of sampled patterns, and at least one step: one evolution,
     one law or event-stream pass and one witness pass per chunk.
 
@@ -426,12 +426,13 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
     cuts = np.array([b * per for b in range(1, CONVERGENCE_BATCHES + 1) if b * per < shots]
                     + [shots], dtype=np.int64)
     sampled = app is not None and not app.is_trivial()
-    largest_law = math.comb(n + m - 1, n)
+    laws = math.comb(n + m - 1, n)
     if sampled and app.source is not None:
         from . import apparatus
-        # the stream also keeps the law of each by-product input it draws, up to the cap
-        largest_law = max(largest_law, math.comb(apparatus.INTERFERENCE_PHOTON_CAP + m - 1, m - 1))
-    entries = 2 * max(largest_law, m * m, shots * m if sampled else 0)
+        # the stream keeps the law of every useful input it may draw, up to the cap
+        dark = app.detection is not None and app.detection.dark_count_prob > 0.0
+        laws = max(laws, apparatus._kept_law_entries(n, m, floor=not dark))
+    entries = 2 * max(laws, m * m, shots * m if sampled else 0)
     step = max(1, fock.MAX_PATTERNS // entries)
     sizes = np.diff(cuts, prepend=0)
     revival = fock._rank(np.array([input_occ]), n)[0]

@@ -88,6 +88,39 @@ def test_pattern_from_clicks():
         apparatus.pattern_from_clicks(clicks((13,), width=15), 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 40), st.sampled_from([None, 0.0, 0.05]),
+       st.integers(0, 2**32 - 1))
+def test_click_counts_by_column_adds_match_the_row_sums(m, shots, dark, seed):
+    """Per-mode counts and click totals equal the reshape sums, in int64; correct_counts is unchanged.
+
+    fired is uniform random clicks (dark None), or the detection of
+    random patterns with or without dark counts.
+    """
+    from unittest import mock
+
+    rng = np.random.default_rng(seed)
+    det = apparatus.DetectionModel.uniform(m, loss=0.1, dark_count_prob=dark or 0.0)
+    if dark is None:
+        fired = rng.random((shots, 3 * m)) < rng.random()
+    else:
+        fired = apparatus.qpnr_detect(rng.integers(0, 3, (shots, m)), det, rng)
+    pats = apparatus.pattern_from_clicks(fired, m)
+    assert pats.dtype == np.int64
+    assert np.array_equal(pats, fired.reshape(shots, m, 3).sum(axis=2))
+    totals = apparatus._click_totals(fired)
+    assert totals.dtype == np.int64
+    assert np.array_equal(totals, fired.sum(axis=1))
+    for n in np.unique(totals).tolist():
+        kept = fired[totals == n]
+        want = apparatus.correct_counts(kept, det)
+        with mock.patch.object(apparatus, "pattern_from_clicks",
+                               lambda f, m: f.reshape(len(f), m, 3).sum(axis=2)):
+            seed_law = apparatus.correct_counts(kept, det)
+        assert (want.n, want.m) == (seed_law.n, seed_law.m)
+        assert want.probs.tobytes() == seed_law.probs.tobytes()
+
+
 @st.composite
 def detection_cases(draw):
     m = draw(st.integers(1, 6))
@@ -427,6 +460,127 @@ def test_certify_hardware_settings_take_at_most_three_blocks(monkeypatch):
                         app=app)
         assert len(blocks) == 2
         assert max(blocks.values()) <= 3, blocks
+
+
+def test_certify_hardware_builds_by_product_laws_in_one_pass_per_block(monkeypatch):
+    """A block that meets new by-product inputs builds their laws in one chained engine pass.
+
+    The bench's hardware certify, both steps in one call: by-product laws
+    take at most one pass per event-stream block, fewer passes than the
+    distinct inputs drawn at or below the cap, and only the target's
+    mixture law goes through fock._laws.
+    """
+    events, drawn, laws = [], set(), []
+    useful_shots, transfer, laws_of = apparatus._useful_shots, fock._transfer, fock._laws
+
+    def counted_block(src, n, floor, want, budget, rng):
+        spent, j1, j2 = useful_shots(src, n, floor, want, budget, rng)
+        events.append("block")
+        drawn.update((a, b) for a, b in zip(j1.tolist(), j2.tolist())
+                     if 2 * a + b <= apparatus.INTERFERENCE_PHOTON_CAP)
+        return spent, j1, j2
+
+    def counted_transfer(coupling, input_occ, bosonic, reads=None):
+        if reads is not None:
+            events.append("pass")
+        return transfer(coupling, input_occ, bosonic, reads)
+
+    monkeypatch.setattr(apparatus, "_useful_shots", counted_block)
+    monkeypatch.setattr(fock, "_transfer", counted_transfer)
+    monkeypatch.setattr(fock, "_laws", lambda u, occ, model: laws.append(occ) or laws_of(u, occ, model))
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    app = apparatus.Apparatus(source=src,
+                              detection=apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 4),
+                              mesh_jitter=0.14401414400026624)
+    ring = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
+    certify.certify(ring, [0.7, 1.3], apparatus.distinguishability_mixture(src), 4000, [7, 8],
+                    0.9, 0.9, app=app)
+    assert events[0] == "block" and "pass pass" not in " ".join(events), events
+    assert 0 < events.count("pass") < len(drawn), (events, drawn)
+    assert laws == [(1, 1, 1, 0)]
+
+
+def test_a_chain_through_the_species_input_leaves_its_mixture_law(monkeypatch):
+    """The species model's input keeps its mixture law when a chain passes it first.
+
+    The first block draws only (1, 1, 2, 0), whose chain passes the target
+    (1, 1, 1, 0); every later block draws the target, which must come from
+    the mixture law, not the chain's indistinguishable one.
+    """
+    blocks = iter([(np.array([1]), np.array([2]))])
+
+    def scripted(src, n, floor, want, budget, rng):
+        j1, j2 = next(blocks, (np.ones(want, dtype=np.int64), np.ones(want, dtype=np.int64)))
+        return j1.size, j1, j2
+
+    drawn, draw = [], fock._draw
+    monkeypatch.setattr(apparatus, "_useful_shots", scripted)
+    monkeypatch.setattr(fock, "_draw", lambda cdf, k, m, count, rng:
+                        drawn.append((k, cdf)) or draw(cdf, k, m, count, rng))
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    mix = apparatus.distinguishability_mixture(src)
+    u = linalg.haar_random(4, 3)
+    apparatus.simulate_setting(u, mix, src, None, 20, np.random.default_rng(1), (1, 1, 1, 0))
+    want = np.cumsum(fock._laws(u, (1, 1, 1, 0), mix)).tobytes()
+    assert [k for k, _ in drawn][:2] == [4, 3]
+    assert all(cdf.tobytes() == want for k, cdf in drawn if k == 3)
+
+
+@st.composite
+def chain_stacks(draw):
+    """1 to 4 matrices on 3 to 6 modes: Haar, or block-diagonal with exact zero couplings."""
+    m = draw(st.integers(3, 6))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        seed, cut = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, m - 1))
+        u = np.zeros((m, m), dtype=complex)
+        if cut:   # modes below the cut and the rest do not couple
+            u[:cut, :cut] = linalg.haar_random(cut, seed)
+            u[cut:, cut:] = linalg.haar_random(m - cut, seed)
+        else:
+            u = linalg.haar_random(m, seed)
+        mats.append(u)
+    return np.array(mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_stacks(), st.sampled_from([fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE]),
+       st.booleans(), st.data())
+def test_chained_laws_equal_the_single_laws(stack, model, floor, data):
+    """Every law a chained pass caches is the cumulative fock._laws of its input, bit for bit.
+
+    A pass reads every useful input of its chains up to the highest one
+    asked for, except those already known. Without the floor (dark
+    counts) the inputs of fewer than n = 3 photons are useful too. A
+    block-diagonal matrix has zero couplings where the others have none,
+    so each creation step must sweep the union of the rows' supports.
+    """
+    m, cap = stack.shape[-1], apparatus.INTERFERENCE_PHOTON_CAP
+    tail = (0,) * (m - 3)
+    useful = [(j1, j1, j2) + tail for j1 in range(cap) for j2 in range(1, cap + 1)
+              if 2 * j1 + j2 <= cap and (not floor or 2 * j1 + j2 >= 3)]
+    inputs = data.draw(st.lists(st.sampled_from(useful), min_size=1, max_size=4, unique=True))
+    known = data.draw(st.sets(st.sampled_from(useful), max_size=6))
+    got = apparatus._chained_cdfs(stack, inputs, model, 3, floor, known)
+    assert set(got) == {occ for occ in useful if occ not in known and any(
+        occ[0] == top[0] and occ[2] <= top[2] for top in inputs)}
+    for occ, cdf in got.items():
+        assert cdf.tobytes() == np.cumsum(fock._laws(stack, occ, model), axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("floor", [True, False])
+def test_kept_law_entries_sum_every_useful_input(n, floor):
+    """The chunk bound counts the law of every useful input at or below the cap, brute force."""
+    cap = apparatus.INTERFERENCE_PHOTON_CAP
+    for m in (1, 3, 4, 8, 12):
+        want = sum(math.comb(2 * j1 + j2 + m - 1, m - 1) for j1 in range(cap + 1)
+                   for j2 in range(cap + 1)
+                   if j2 >= 1 and 2 * j1 + j2 <= cap and (not floor or 2 * j1 + j2 >= n))
+        assert apparatus._kept_law_entries(n, m, floor) == want
+    if (n, floor) == (3, True):   # 18 useful inputs; 20 with dark counts
+        assert [apparatus._kept_law_entries(3, m, True) for m in (4, 8, 12)] == [1670, 47_892,
+                                                                                  483_314]
 
 
 def test_event_stream_without_dark_counts_keeps_the_seed_law():

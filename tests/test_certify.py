@@ -498,15 +498,17 @@ def test_stacked_steps_equal_the_per_step_certify(spec, model, app, times, split
 
 @pytest.mark.parametrize("limit, rows, app, shots", [
     (1, 1, None, 200), (40, 1, None, 200), (80, 2, None, 200), (120, 3, None, 200),
-    (1, 1, HARDWARE, 200), (660, 2, HARDWARE, 20)])
+    (1, 1, HARDWARE, 200), (6680, 2, HARDWARE, 20)])
 def test_certify_chunks_equal_the_per_step_records(limit, rows, app, shots):
     """Each chunk of at most `rows` steps is one evolution; every record equals the oracle's.
 
     A step holds 2 of each: laws of 20 entries (3 photons on 4 modes),
     unitaries of 16 and, with an apparatus, sample arrays of 4 * shots
-    entries and by-product laws of up to 165 (8 photons on 4 modes). So
+    entries and, with a source, the by-product laws the stream may keep:
+    1,670 entries, one law per useful input of at most 8 photons. So
     without an apparatus 40 entries make one step, and with one at 20
-    shots 330 do; every chunk holds at least one step.
+    shots 3,340 do (counting one 165-entry by-product law instead put 20
+    steps in a chunk of 6,680); every chunk holds at least one step.
     """
     times, seeds = [0.0, 0.4, 1.0, 1.7, 2.5], [5, 6, 7, 8, 9]
     want = tuple(seed_certify(RING, t, MIXTURE, shots, seed, 0.8, 0.9, app)
