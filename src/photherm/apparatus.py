@@ -39,11 +39,12 @@ so far, times KEEP_MARGIN, at most 8192. The block sizes decide which
 draws are made, not the law of the kept events. The stream runs a stack
 of settings, one generator each. The law of each source input is built
 once for the whole stack and kept as its cumulative sum for every later
-block of every setting. A block that meets new by-product inputs builds
-all their laws in one chained engine pass: the engine creates photons in
-mode order, so for one j1 its state after the j2-th mode-2 photon is the
-state of the input (j1, j1, j2, 0, ...), and one chain per j1 runs up to
-the largest j2 the block needs, reading every useful input on the way.
+block of every setting. The engine creates photons in mode order, so for
+one j1 its state after the j2-th mode-2 photon is the state of the
+by-product input (j1, j1, j2, 0, ...). The stream keeps one such chain
+per j1 across blocks, and a block that meets new by-products extends
+each chain to the largest j2 it needs, reading every useful input on the
+way; no creation step is taken twice.
 The species model's own input, and the target without a source, take
 fock._laws. Every law equals the single law of its setting bit for bit,
 so each setting draws what it would draw alone.
@@ -535,6 +536,12 @@ def _pair_floor(j2: np.ndarray, n: int, floor: bool):
     return np.maximum(0, (n - j2 + 1) // 2) if floor else 0
 
 
+def _has_floor(det: DetectionModel | None) -> bool:
+    """Whether a useful shot needs n photons: with no dark counts (None is the ideal detector),
+    each photon fires at most one channel, so fewer than n photons never give n clicks."""
+    return det is None or det.dark_count_prob == 0.0
+
+
 def _first_j2(j1: int, n: int, floor: bool) -> int:
     # fewest crystal-2 pairs a useful shot with j1 crystal-1 pairs has: heralded, and with the
     # floor 2 j1 + j2 >= n
@@ -542,51 +549,65 @@ def _first_j2(j1: int, n: int, floor: bool) -> int:
 
 
 def _kept_law_entries(n: int, m: int, floor: bool) -> int:
-    """Law entries the stream may keep per setting: one law per useful input at or below the cap.
+    """Entries the stream may hold per setting between blocks: laws and live chain states.
 
-    The useful inputs (j1, j1, j2, 0, ...) are those _useful_shots can
-    draw; the law of 2 j1 + j2 photons has C(2 j1 + j2 + m - 1, m - 1)
-    entries.
+    One law of C(2 j1 + j2 + m - 1, m - 1) entries per useful input at or
+    below the cap, and one padded state of at most level cap - 1 per chain
+    of _extend_chains that can stay below it.
     """
-    return sum(math.comb(k + m - 1, m - 1)
-               for j1 in range(INTERFERENCE_PHOTON_CAP // 2 + 1)
-               for k in range(2 * j1 + _first_j2(j1, n, floor), INTERFERENCE_PHOTON_CAP + 1))
+    cap = INTERFERENCE_PHOTON_CAP
+    laws = sum(math.comb(k + m - 1, m - 1) for j1 in range(cap // 2 + 1)
+               for k in range(2 * j1 + _first_j2(j1, n, floor), cap + 1))
+    chains = sum(2 * j1 + _first_j2(j1, n, floor) < cap for j1 in range(cap // 2 + 1))
+    return laws + chains * (math.comb(cap + m - 2, m - 1) + 1)
 
 
-def _chained_cdfs(stack: np.ndarray, inputs, model: str, n: int, floor: bool, known) -> dict:
-    """Cumulative laws (S, size) of by-product inputs under a string model, from one engine pass.
+def _extend_chains(chains: dict, stack: np.ndarray, inputs, model: str, n: int, floor: bool,
+                   known) -> dict:
+    """Cumulative laws (S, size) of new by-product inputs under a string model, along kept chains.
 
-    The engine creates photons in mode order, so on its way to the input
-    (j1, j1, j2, 0, ...) it passes through (j1, j1, j, 0, ...) for every
-    j < j2. The pass runs one chain per j1 of the inputs, each over the
-    whole stack of settings and up to the largest j2 the inputs need of
-    it; its rows leave once they have created that input. On the way it
-    reads every useful input (j from _first_j2) not in known. Every law
-    read equals the one fock._laws gives its input, bit for bit.
+    chains maps j1 to its chain over the stack of settings: the unscaled
+    padded engine state of (j1, j1, j2, 0, ...) and that j2, with no state
+    once it reaches INTERFERENCE_PHOTON_CAP. A new chain starts with j1
+    photons in mode 0, then j1 in mode 1. Each chain of the inputs takes
+    fock._create steps in mode 2 up to the largest j2 they need, reading
+    on the way every useful input not in known, bit for bit the law
+    fock._laws gives it. The first chain checks the model and the stack.
     """
     stack = np.asarray(stack, dtype=complex)
-    fock._resolve_model(model, None, stack.shape[-1])   # a string model names a known law
-    if not linalg.is_unitary(stack):
-        raise ValueError("transfer matrix is not unitary within tolerance")
+    m = stack.shape[-1]
+    if not chains:
+        fock._resolve_model(model, None, m)   # a string model names a known law
+        if not linalg.is_unitary(stack):
+            raise ValueError("transfer matrix is not unitary within tolerance")
+    bosonic = model == fock.MODEL_INDISTINGUISHABLE
+    coupling = stack if bosonic else np.abs(stack) ** 2
+    coupled = coupling.any(axis=0)
     tops: dict = {}
     for j1, _, j2 in (occ[:3] for occ in inputs):
         tops[j1] = max(j2, tops.get(j1, 0))
-    tail = (0,) * (stack.shape[-1] - 3)
-    chains = sorted(tops, key=lambda j1: 2 * j1 + tops[j1], reverse=True)   # by falling total
-    reads, read = [], []
-    for c, j1 in enumerate(chains):
-        rows = np.arange(c * len(stack), (c + 1) * len(stack))
-        for j2 in range(_first_j2(j1, n, floor), tops[j1] + 1):
-            if (j1, j1, j2) + tail not in known:
-                reads.append((2 * j1 + j2, rows))
-                read.append((j1, j1, j2) + tail)
-    bosonic = model == fock.MODEL_INDISTINGUISHABLE
-    coupling = stack if bosonic else np.abs(stack) ** 2
-    states = fock._transfer(np.tile(coupling, (len(chains), 1, 1)),
-                            np.repeat([(j1, j1, tops[j1]) + tail for j1 in chains], len(stack), 0),
-                            bosonic, reads)
-    return {occ: np.cumsum(fock._normalized(np.abs(state) ** 2 if bosonic else state), axis=-1)
-            for occ, state in zip(read, states)}
+    fock._creation_map(max(2 * j1 + j2 for j1, j2 in tops.items()), m)   # one build, every level
+    tail = (0,) * (m - 3)
+    out = {}
+    for j1, top in tops.items():
+        if j1 in chains:
+            padded, j2 = chains[j1]
+        else:
+            padded, j2 = None, 0
+            for k, j in enumerate((0,) * j1 + (1,) * j1, start=1):
+                padded = fock._create(padded, k, coupling[:, :, j], coupled[:, j], bosonic)
+        while j2 < top:
+            j2 += 1
+            padded = fock._create(padded, 2 * j1 + j2, coupling[:, :, 2], coupled[:, 2], bosonic)
+            occ = (j1, j1, j2) + tail
+            if j2 >= _first_j2(j1, n, floor) and occ not in known:
+                state = padded[:, :-1]
+                if bosonic:
+                    state = np.abs(state / math.sqrt(math.factorial(j1) ** 2
+                                                     * math.factorial(j2))) ** 2
+                out[occ] = np.cumsum(fock._normalized(state), axis=-1)
+        chains[j1] = (padded if 2 * j1 + j2 < INTERFERENCE_PHOTON_CAP else None, j2)
+    return out
 
 
 def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
@@ -662,8 +683,8 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     gives (shots, m); or a stack (S, m, m) with a sequence of S generators,
     and gives (S, shots, m). Row s draws only from generator s, and equals
     the stream of setting s alone: the law of each source input is built
-    once for the whole stack, a block's new by-products in one chained
-    engine pass (see the module docstring), and kept as its cumulative sum.
+    once for the whole stack, a by-product's along its chain (see the
+    module docstring), and kept as its cumulative sum.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
     target photon number. A source requires the target it heralds, one
@@ -690,9 +711,7 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     survival = blinding_probability(src.pump_power, det_eff) if blinding_active else 1.0
     if max_attempts is None:
         max_attempts = max(10_000_000, 20_000 * shots)
-    # with no dark counts each photon fires at most one channel, so fewer than n photons
-    # never give n clicks
-    floor = det_eff.dark_count_prob == 0.0
+    floor = _has_floor(det)
 
     # a species model describes its own input only; every other input, a by-product with no
     # calibrated species structure, takes the indistinguishable law
@@ -701,6 +720,7 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
         mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
         plain, own = fock.MODEL_INDISTINGUISHABLE, {fock.partition_input(mix.components[0][1]): mix}
     cdfs: dict = {}   # cumulative laws (S, size) of each input, for every setting of the stack
+    chains: dict = {}   # by-product chains by j1, for _extend_chains
 
     out = np.empty((len(stack), shots, m), dtype=np.int64)
     batch = 8192
@@ -733,7 +753,7 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                           for rows in _group_rows(j1, j2)]
             drawn += count
             # the laws of the inputs met for the first time: the target without a source and the
-            # species model's input through fock._laws, every by-product in one chained pass
+            # species model's input through fock._laws, every by-product along its chain
             new = [occ for occ, _ in groups
                    if occ not in cdfs and fock.total(occ) <= INTERFERENCE_PHOTON_CAP]
             for occ in new:
@@ -741,7 +761,8 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                     cdfs[occ] = np.cumsum(fock._laws(stack, occ, own.get(occ, plain)), axis=-1)
             chained = [occ for occ in new if occ not in cdfs]
             if chained:
-                cdfs.update(_chained_cdfs(stack, chained, plain, n, floor, cdfs.keys() | own.keys()))
+                cdfs.update(_extend_chains(chains, stack, chained, plain, n, floor,
+                                           cdfs.keys() | own.keys()))
             # one true output pattern per shot, drawn from the cached law of its input
             true = np.empty((count, m), dtype=np.int64)
             for occ, rows in groups:

@@ -315,15 +315,11 @@ def _settings(u: np.ndarray, n: int, m: int) -> list:
     Returns 2T pairs, setting 1 then setting 2 of each step, each in the
     order light passes the sections. Setting 1 is u then its inverse;
     setting 2 also applies the Fourier transform on the occupied modes. A
-    setting's ideal unitary is sections[1] @ sections[0]. Every product is
-    taken on its own 2-D matrices: a stacked matmul rounds differently.
+    setting's ideal unitary is sections[1] @ sections[0].
     """
-    fourier = linalg.fourier(n, m)
-    out = []
-    for step in u:
-        back = step.conj().T
-        out += [(step, back), (step, fourier @ back)]
-    return out
+    back = u.conj().swapaxes(-1, -2)
+    turned = linalg.fourier(n, m) @ back
+    return [pair for step, b, f in zip(u, back, turned) for pair in ((step, b), (step, f))]
 
 
 def _ideal_laws(settings, input_occ, model) -> np.ndarray:
@@ -429,9 +425,8 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
     laws = math.comb(n + m - 1, n)
     if sampled and app.source is not None:
         from . import apparatus
-        # the stream keeps the law of every useful input it may draw, up to the cap
-        dark = app.detection is not None and app.detection.dark_count_prob > 0.0
-        laws = max(laws, apparatus._kept_law_entries(n, m, floor=not dark))
+        # the stream keeps the law of every useful input it may draw, up to the cap, and its chains
+        laws = max(laws, apparatus._kept_law_entries(n, m, apparatus._has_floor(app.detection)))
     entries = 2 * max(laws, m * m, shots * m if sampled else 0)
     step = max(1, fock.MAX_PATTERNS // entries)
     sizes = np.diff(cuts, prepend=0)

@@ -326,7 +326,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"config.input: {exc}") from None
             try:
-                apparatus._useful_weights(app.source, n, det is None or det.dark_count_prob == 0.0)
+                apparatus._useful_weights(app.source, n, apparatus._has_floor(det))
             except ValueError as exc:
                 raise ConfigError(f"config.apparatus.source: {exc}") from None
         if det is not None:
@@ -366,6 +366,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         for i, e in enumerate(grid):
             _expect(0.0 < e < 1.0, f"config.certification.epsilon_grid[{i}]",
                     f"must lie in (0, 1), got {e}")
+
+    if eps1 is not None or any(s.kind == "long_range" for s in specs):
+        # the command seeds generators or draws a Haar unitary: load numpy.random with the config
+        import numpy.random  # noqa: F401
 
     resolved = {
         "version": __version__,

@@ -46,19 +46,16 @@ there adds an exact 0, and every row equals the law of its matrix alone,
 bit for bit. Callers that evaluate many unitaries (gge and certify over
 a list of times) keep a stack to at most MAX_PATTERNS law entries at a time.
 
-Photons are created in mode order, so the state after k of them is the
-state of the input's first k photons. One pass may therefore give each
-matrix of the stack its own pattern and hand back chosen rows at chosen
-levels: the hardware event stream builds the laws of the by-product
-inputs (j1, j1, j2, 0, ...) of one j1 for every j2 up to the largest it
-needs along one chain, each again equal to the law built alone.
+The engine is a fold of one creation step, _create, over the input's
+photons in mode order, so its state after k of them is the state of the
+input's first k photons. The hardware event stream uses that: it keeps
+one chain per j1 of the by-product inputs (j1, j1, j2, 0, ...) and
+extends it with _create in mode 2, reading each law on the way.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -300,89 +297,59 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _CREATION_MAPS[k, m]
 
 
-def _transfer(coupling: np.ndarray, input_occ, bosonic: bool, reads=None):
+def _create(prev, k: int, coefs: np.ndarray, swept: np.ndarray, bosonic: bool) -> np.ndarray:
+    """One creation step of the engine: the padded level k from the padded level k - 1, prev.
+
+    coefs (rows, m) holds each row's coupling column of the new photon's
+    mode, and swept the modes i it gathers from; a row whose coupling is
+    zero there adds an exact 0. Padded levels carry one zero slot past
+    their end, which the gather maps read where t_i = 0. Level 1 is coefs
+    itself. A bosonic step takes sqrt(t_i) and leaves the division by
+    sqrt(prod_j r_j!) to the caller.
+    """
+    if k == 1:
+        padded = np.zeros((len(coefs), coefs.shape[1] + 1), dtype=coefs.dtype)
+        padded[:, :-1] += coefs
+        return padded
+    src, counts = _creation_map(k, coefs.shape[1])
+    padded = np.zeros((len(coefs), src.shape[1] + 1), dtype=coefs.dtype)
+    vec = padded[:, :-1]
+    roots = np.sqrt(np.arange(k + 1)) if bosonic else None
+    for i in np.flatnonzero(swept):
+        term = prev.take(src[i], axis=-1)
+        term *= coefs[:, i, None]
+        if bosonic:
+            term *= roots.take(counts[i])
+        vec += term
+    return padded
+
+
+def _transfer(coupling: np.ndarray, input_occ, bosonic: bool) -> np.ndarray:
     """The engine: push the input photons one at a time through each coupling of a stack.
 
-    coupling is (m, m) or a stack (..., m, m). With bosonic, coupling holds
-    unitaries and the rows hold output amplitudes; otherwise it holds |U|^2
-    and the rows hold distinguishable-photon laws. Each matrix creates its
-    photons in mode order (mode_assignment), so its state after k of them
-    is the engine's state for its prefix pattern of k photons: the input
-    (2, 2, 3, 0) passes through (2, 2, 1, 0) and (2, 2, 2, 0) on the way.
-
-    input_occ is one pattern for every matrix, and the result its level,
-    (..., size), one row per matrix over the colex basis. With reads,
-    input_occ may instead give one pattern per matrix of the flattened
-    stack, (rows, m), with non-increasing totals, and reads is a sequence
-    of (level, rows), row indices into that stack; the result is a list
-    with the (len(rows), size) prefix states of those rows at that level,
-    each read at or below the totals of its rows and above 0. A row
-    leaves the pass after its last photon, so the rows in the pass at any
-    level are a leading block of the stack.
-
-    The first photon's level is column j_1 itself. Each level lives in a
-    buffer with one zero slot past its end, which the gather maps read
-    where t_i = 0. Bosonic states are divided by sqrt(prod_j r_j!) of the
-    pattern they are read at.
+    coupling is (m, m) or a stack (..., m, m); the result is (..., size),
+    one row per matrix over the colex basis. With bosonic, coupling holds
+    unitaries and the rows hold output amplitudes, divided at the end by
+    sqrt(prod_j r_j!); otherwise it holds |U|^2 and the rows hold
+    distinguishable-photon laws. Photons are created in mode order
+    (mode_assignment), one _create step each, and every step sweeps the
+    modes coupled to its photon's mode in any matrix of the stack.
     """
     m = coupling.shape[-1]
+    photons = mode_assignment(input_occ)
+    if not photons:
+        return np.ones(coupling.shape[:-2] + (1,), dtype=coupling.dtype)
     stack = coupling.reshape(-1, m, m)
-    # one pattern for every row, or one per row; each pattern's photon modes in creation order
-    orders = [mode_assignment(occ) for occ in np.reshape(input_occ, (-1, m)).tolist()]
-    tops = [len(order) for order in orders]
-    top = max(tops)
-    whole = reads is None
-    if whole:
-        if not top:
-            return np.ones(coupling.shape[:-2] + (1,), dtype=coupling.dtype)
-        reads = [(top, np.arange(len(stack)))]
-    elif len(orders) not in (1, len(stack)):
-        raise ValueError(f"{len(orders)} patterns for a stack of {len(stack)} matrices")
-    elif tops != sorted(tops, reverse=True):
-        raise ValueError(f"pattern totals {tops} rise along the stack")
-    one = len(orders) == 1   # every row creates the same photons
-    roots = np.sqrt(np.arange(top + 1))
-    # sqrt(prod_j r_j!) of each pattern's first k photons: photon k is the c-th of its mode
-    scales = [[math.sqrt(f) for f in itertools.accumulate(
-        (order[:k + 1].count(j) for k, j in enumerate(order)), operator.mul)]
-        for order in orders] if bosonic else None
-    if one:
-        coupled = stack[0] if len(stack) == 1 else stack.any(axis=0)
-    if top > 1:
-        _creation_map(top, m)   # the top level first: one pass builds every level
-    out = [None] * len(reads)
-    for k in range(1, top + 1):
-        # coefs[r, i] is U[i, j_k] of row r; each level sweeps the modes coupled in any row, and
-        # a row whose coupling is zero there adds an exact 0
-        if one:
-            rows = len(stack)
-            coefs, swept = stack[:, :, orders[0][k - 1]], coupled[:, orders[0][k - 1]]
-        else:
-            rows = sum(t >= k for t in tops)   # the rows still in the pass lead the stack
-            coefs = stack[np.arange(rows), :, [order[k - 1] for order in orders[:rows]]]
-            swept = coefs.any(axis=0)
-        if k == 1:
-            padded = np.zeros((rows, m + 1), dtype=coupling.dtype)
-            vec = padded[:, :-1]
-            vec += coefs
-        else:
-            src, counts = _creation_map(k, m)
-            padded, prev = np.zeros((rows, src.shape[1] + 1), dtype=coupling.dtype), padded[:rows]
-            vec = padded[:, :-1]
-            for i in np.flatnonzero(swept):
-                term = prev.take(src[i], axis=-1)
-                term *= coefs[:, i, None]
-                if bosonic:
-                    term *= roots.take(counts[i])
-                vec += term
-        for idx, (level, at) in enumerate(reads):
-            if level == k:
-                state = vec if whole else vec[at]   # one whole read scales the top level in place
-                if bosonic:
-                    state /= (scales[0][k - 1] if one else
-                              np.array([[scales[r][k - 1]] for r in np.ravel(at).tolist()]))
-                out[idx] = state
-    return out[0].reshape(coupling.shape[:-2] + out[0].shape[-1:]) if whole else out
+    coupled = stack[0] if len(stack) == 1 else stack.any(axis=0)
+    if len(photons) > 1:
+        _creation_map(len(photons), m)   # the top level first: one pass builds every level
+    padded = None
+    for k, j in enumerate(photons, start=1):
+        padded = _create(padded, k, stack[:, :, j], coupled[:, j], bosonic)
+    vec = padded[:, :-1]
+    if bosonic:
+        vec /= math.sqrt(math.prod(map(math.factorial, input_occ)))
+    return vec.reshape(coupling.shape[:-2] + vec.shape[-1:])
 
 
 @lru_cache(maxsize=None)

@@ -264,18 +264,30 @@ def seed_marginal(dist, mode: int) -> np.ndarray:
 
 
 def seed_correct_counts(fired, det) -> np.ndarray:
-    """Multiplexing-corrected law by the per-pattern product of resolve probabilities."""
-    from photherm import apparatus, fock
-    pats = apparatus.pattern_from_clicks(fired, det.modes)
-    n = int(pats[0].sum())
-    basis = fock.enumerate_basis(n, det.modes)
-    counts = np.bincount(fock._rank(pats, n), minlength=len(basis))
+    """Multiplexing-corrected law, one shot, mode and channel at a time.
+
+    A shot's pattern counts the fired channels of each mode; patterns are
+    indexed through a dict over seed_enumerate_basis. Each count is divided
+    by the chance that every mode resolves its photons, a product in mode
+    order of the closed forms for 0 to 3 photons in three channels.
+    """
+    m = det.modes
+    shots = [tuple(sum(shot[3 * mode:3 * mode + 3]) for mode in range(m))
+             for shot in np.asarray(fired, dtype=int).tolist()]
+    basis = seed_enumerate_basis(sum(shots[0]), m)
+    index = {occ: i for i, occ in enumerate(basis)}
+    counts = [0] * len(basis)
+    for occ in shots:
+        counts[index[occ]] += 1
     weights = np.zeros(len(basis))
-    for i in np.flatnonzero(counts):
-        resolve = math.prod(apparatus.resolve_probability(det, mode, k)
-                            for mode, k in enumerate(basis[i]))
+    for i, occ in enumerate(basis):
+        if not counts[i]:
+            continue
+        resolve = 1.0
+        for (wp, wq, wr), k in zip(det.weights, occ):
+            resolve *= (1.0, wp + wq + wr, 2.0 * (wp * wq + wq * wr + wr * wp), 6.0 * wp * wq * wr)[k]
         if resolve <= 0.0:
-            raise ValueError(f"pattern {basis[i]} cannot be resolved by 3 channels per mode")
+            raise ValueError(f"pattern {occ} cannot be resolved by 3 channels per mode")
         weights[i] = counts[i] / resolve
     return weights / weights.sum()
 

@@ -462,42 +462,46 @@ def test_certify_hardware_settings_take_at_most_three_blocks(monkeypatch):
         assert max(blocks.values()) <= 3, blocks
 
 
-def test_certify_hardware_builds_by_product_laws_in_one_pass_per_block(monkeypatch):
-    """A block that meets new by-product inputs builds their laws in one chained engine pass.
+def test_certify_hardware_creates_each_chain_level_once(monkeypatch):
+    """The event stream extends its by-product chains across blocks instead of rebuilding them.
 
-    The bench's hardware certify, both steps in one call: by-product laws
-    take at most one pass per event-stream block, fewer passes than the
-    distinct inputs drawn at or below the cap, and only the target's
+    The bench's hardware certify, both steps in one call, so one stream
+    over four settings: chains are extended by more than one block, and
+    the creation steps taken are exactly the levels the chains hold at
+    the end, so no chain level is created twice. Only the target's
     mixture law goes through fock._laws.
     """
-    events, drawn, laws = [], set(), []
-    useful_shots, transfer, laws_of = apparatus._useful_shots, fock._transfer, fock._laws
+    calls, active, held, laws = [], [], {}, []
+    extend_chains, create, laws_of = apparatus._extend_chains, fock._create, fock._laws
 
-    def counted_block(src, n, floor, want, budget, rng):
-        spent, j1, j2 = useful_shots(src, n, floor, want, budget, rng)
-        events.append("block")
-        drawn.update((a, b) for a, b in zip(j1.tolist(), j2.tolist())
-                     if 2 * a + b <= apparatus.INTERFERENCE_PHOTON_CAP)
-        return spent, j1, j2
+    def counted_extend(chains, *args):
+        held["chains"] = chains
+        active.append([])
+        try:
+            return extend_chains(chains, *args)
+        finally:
+            calls.append(active.pop())
 
-    def counted_transfer(coupling, input_occ, bosonic, reads=None):
-        if reads is not None:
-            events.append("pass")
-        return transfer(coupling, input_occ, bosonic, reads)
+    def counted_create(prev, k, coefs, swept, bosonic):
+        padded = create(prev, k, coefs, swept, bosonic)
+        if active:   # a chain step, not a fock._laws or witness pass
+            active[-1].append(k)
+        return padded
 
-    monkeypatch.setattr(apparatus, "_useful_shots", counted_block)
-    monkeypatch.setattr(fock, "_transfer", counted_transfer)
-    monkeypatch.setattr(fock, "_laws", lambda u, occ, model: laws.append(occ) or laws_of(u, occ, model))
     src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    mix = apparatus.distinguishability_mixture(src)
     app = apparatus.Apparatus(source=src,
                               detection=apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 4),
                               mesh_jitter=0.14401414400026624)
     ring = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
-    certify.certify(ring, [0.7, 1.3], apparatus.distinguishability_mixture(src), 4000, [7, 8],
-                    0.9, 0.9, app=app)
-    assert events[0] == "block" and "pass pass" not in " ".join(events), events
-    assert 0 < events.count("pass") < len(drawn), (events, drawn)
+    monkeypatch.setattr(apparatus, "_extend_chains", counted_extend)
+    monkeypatch.setattr(fock, "_create", counted_create)
+    monkeypatch.setattr(fock, "_laws", lambda u, occ, model: laws.append(occ) or laws_of(u, occ, model))
+    certify.certify(ring, [0.7, 1.3], mix, 4000, [7, 8], 0.9, 0.9, app=app)
     assert laws == [(1, 1, 1, 0)]
+    assert len(calls) > 1 and all(calls), calls
+    assert any(min(call) > 1 for call in calls[1:]), calls   # a later block extends a chain
+    assert sum(map(len, calls)) == sum(2 * j1 + j2 for j1, (_, j2) in held["chains"].items())
 
 
 def test_a_chain_through_the_species_input_leaves_its_mixture_law(monkeypatch):
@@ -547,40 +551,86 @@ def chain_stacks(draw):
 @given(chain_stacks(), st.sampled_from([fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE]),
        st.booleans(), st.data())
 def test_chained_laws_equal_the_single_laws(stack, model, floor, data):
-    """Every law a chained pass caches is the cumulative fock._laws of its input, bit for bit.
+    """Every law a chain cache reads, over blocks, is the cumulative fock._laws of its input.
 
-    A pass reads every useful input of its chains up to the highest one
-    asked for, except those already known. Without the floor (dark
-    counts) the inputs of fewer than n = 3 photons are useful too. A
+    Blocks meet inputs as the stream does: those not cached yet, apart
+    from some the caller builds itself (the species model's input). A
+    block extends each chain from where an earlier one left it and reads
+    every useful input on the way that is not known. Without the floor
+    (dark counts) inputs of fewer than n = 3 photons are useful too. A
     block-diagonal matrix has zero couplings where the others have none,
     so each creation step must sweep the union of the rows' supports.
+    Between blocks the laws and live chain states stay within
+    _kept_law_entries, and a chain at the cap keeps no state.
     """
     m, cap = stack.shape[-1], apparatus.INTERFERENCE_PHOTON_CAP
     tail = (0,) * (m - 3)
     useful = [(j1, j1, j2) + tail for j1 in range(cap) for j2 in range(1, cap + 1)
               if 2 * j1 + j2 <= cap and (not floor or 2 * j1 + j2 >= 3)]
-    inputs = data.draw(st.lists(st.sampled_from(useful), min_size=1, max_size=4, unique=True))
-    known = data.draw(st.sets(st.sampled_from(useful), max_size=6))
-    got = apparatus._chained_cdfs(stack, inputs, model, 3, floor, known)
-    assert set(got) == {occ for occ in useful if occ not in known and any(
-        occ[0] == top[0] and occ[2] <= top[2] for top in inputs)}
-    for occ, cdf in got.items():
-        assert cdf.tobytes() == np.cumsum(fock._laws(stack, occ, model), axis=-1).tobytes()
+    own = data.draw(st.sets(st.sampled_from(useful), max_size=2))
+    chains, cdfs, reached = {}, {}, {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        block = data.draw(st.lists(st.sampled_from(useful), min_size=1, max_size=4, unique=True))
+        inputs = [occ for occ in block if occ not in cdfs and occ not in own]
+        if not inputs:
+            continue
+        got = apparatus._extend_chains(chains, stack, inputs, model, 3, floor, cdfs.keys() | own)
+        want = set()
+        for j1 in {occ[0] for occ in inputs}:
+            top = max(occ[2] for occ in inputs if occ[0] == j1)
+            want |= {occ for occ in useful if occ[0] == j1 and reached.get(j1, 0) < occ[2] <= top
+                     and occ not in cdfs and occ not in own}
+            reached[j1] = max(top, reached.get(j1, 0))
+        assert set(got) == want
+        for occ, cdf in got.items():
+            assert cdf.tobytes() == np.cumsum(fock._laws(stack, occ, model), axis=-1).tobytes()
+        cdfs.update(got)
+        assert {j1: j2 for j1, (_, j2) in chains.items()} == reached
+        assert all((state is None) == (2 * j1 + j2 == cap) for j1, (state, j2) in chains.items())
+        held = sum(cdf.shape[-1] for cdf in cdfs.values()) + sum(
+            state.shape[-1] for state, _ in chains.values() if state is not None)
+        assert held <= apparatus._kept_law_entries(3, m, floor)
+    with pytest.raises(ValueError, match="not unitary"):
+        apparatus._extend_chains({}, 1.01 * stack, useful[:1], model, 3, floor, set())
+    with pytest.raises(ValueError, match="unknown distinguishability model"):
+        apparatus._extend_chains({}, stack, useful[:1], "bosons", 3, floor, set())
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("floor", [True, False])
 def test_kept_law_entries_sum_every_useful_input(n, floor):
-    """The chunk bound counts the law of every useful input at or below the cap, brute force."""
+    """The chunk bound counts every useful law and the largest live chain state, brute force.
+
+    Inputs are useful at or below the cap; a chain stays live while its
+    level is below the cap, at most level cap - 1 with one padding slot.
+    """
     cap = apparatus.INTERFERENCE_PHOTON_CAP
     for m in (1, 3, 4, 8, 12):
-        want = sum(math.comb(2 * j1 + j2 + m - 1, m - 1) for j1 in range(cap + 1)
-                   for j2 in range(cap + 1)
-                   if j2 >= 1 and 2 * j1 + j2 <= cap and (not floor or 2 * j1 + j2 >= n))
+        useful = [(j1, j2) for j1 in range(cap + 1) for j2 in range(cap + 1)
+                  if j2 >= 1 and 2 * j1 + j2 <= cap and (not floor or 2 * j1 + j2 >= n)]
+        live = {j1 for j1, j2 in useful if 2 * j1 + j2 < cap}
+        want = (sum(math.comb(2 * j1 + j2 + m - 1, m - 1) for j1, j2 in useful)
+                + len(live) * (math.comb(cap - 1 + m - 1, m - 1) + 1))
         assert apparatus._kept_law_entries(n, m, floor) == want
-    if (n, floor) == (3, True):   # 18 useful inputs; 20 with dark counts
-        assert [apparatus._kept_law_entries(3, m, True) for m in (4, 8, 12)] == [1670, 47_892,
-                                                                                  483_314]
+    if (n, floor) == (3, True):   # 18 useful inputs and 4 chains; 20 inputs with dark counts
+        assert [apparatus._kept_law_entries(3, m, True) for m in (4, 8, 12)] == [2154, 61_624,
+                                                                                  610_614]
+
+
+@pytest.mark.parametrize("det, floor", [
+    (None, True), (apparatus.DetectionModel.ideal(4), True),
+    (apparatus.DetectionModel.uniform(4, loss=0.1), True),
+    (apparatus.DetectionModel.uniform(4, dark_count_prob=0.01), False)])
+def test_the_stream_needs_n_photons_only_without_dark_counts(monkeypatch, det, floor):
+    """A useful shot carries n photons exactly when no channel fires in the dark; None is ideal."""
+    assert apparatus._has_floor(det) is floor
+    seen, useful_shots = [], apparatus._useful_shots
+    monkeypatch.setattr(apparatus, "_useful_shots", lambda src, n, fl, *args:
+                        seen.append(fl) or useful_shots(src, n, fl, *args))
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    apparatus.simulate_setting(linalg.haar_random(4, 1), fock.MODEL_INDISTINGUISHABLE, src, det, 20,
+                               np.random.default_rng(1), (1, 1, 1, 0))
+    assert seen and set(seen) == {floor}
 
 
 def test_event_stream_without_dark_counts_keeps_the_seed_law():

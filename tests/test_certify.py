@@ -498,17 +498,18 @@ def test_stacked_steps_equal_the_per_step_certify(spec, model, app, times, split
 
 @pytest.mark.parametrize("limit, rows, app, shots", [
     (1, 1, None, 200), (40, 1, None, 200), (80, 2, None, 200), (120, 3, None, 200),
-    (1, 1, HARDWARE, 200), (6680, 2, HARDWARE, 20)])
+    (1, 1, HARDWARE, 200), (12923, 2, HARDWARE, 20)])
 def test_certify_chunks_equal_the_per_step_records(limit, rows, app, shots):
     """Each chunk of at most `rows` steps is one evolution; every record equals the oracle's.
 
     A step holds 2 of each: laws of 20 entries (3 photons on 4 modes),
     unitaries of 16 and, with an apparatus, sample arrays of 4 * shots
-    entries and, with a source, the by-product laws the stream may keep:
-    1,670 entries, one law per useful input of at most 8 photons. So
-    without an apparatus 40 entries make one step, and with one at 20
-    shots 3,340 do (counting one 165-entry by-product law instead put 20
-    steps in a chunk of 6,680); every chunk holds at least one step.
+    entries and, with a source, what the stream may hold between blocks:
+    2,154 entries, one law per useful input of at most 8 photons (1,670)
+    and four by-product chain states of at most 121 entries. So without
+    an apparatus 40 entries make one step, and with one at 20 shots 4,308
+    do: 12,923 entries hold 2 steps, where a bound one entry smaller (or
+    the laws alone) would let 3 in; every chunk holds at least one step.
     """
     times, seeds = [0.0, 0.4, 1.0, 1.7, 2.5], [5, 6, 7, 8, 9]
     want = tuple(seed_certify(RING, t, MIXTURE, shots, seed, 0.8, 0.9, app)
@@ -519,6 +520,28 @@ def test_certify_chunks_equal_the_per_step_records(limit, rows, app, shots):
         got = certify.certify(RING, times, MIXTURE, shots, seeds, 0.8, 0.9, app)
     assert calls == [min(rows, len(times) - lo) for lo in range(0, len(times), rows)]
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+def test_settings_equal_the_per_matrix_products(m, steps, seed, data):
+    """Both settings of a stack, built by stacked products, equal the per-matrix loop bit for bit.
+
+    The loop takes each step's inverse and Fourier product on its own 2-D
+    matrices; each setting's ideal unitary is compared too.
+    """
+    n = data.draw(st.integers(1, m))
+    u = np.array([linalg.haar_random(m, (seed, k)) for k in range(steps)])
+    fourier = linalg.fourier(n, m)
+    want = []
+    for step in u:
+        back = step.conj().T
+        want += [(step, back), (step, fourier @ back)]
+    got = certify._settings(u, n, m)
+    assert len(got) == len(want)
+    for (first, second), (step, other) in zip(got, want):
+        assert first.tobytes() == step.tobytes() and second.tobytes() == other.tobytes()
+        assert (second @ first).tobytes() == (other @ step).tobytes()
 
 
 def test_certify_of_no_times_is_empty(monkeypatch):

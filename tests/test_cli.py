@@ -158,6 +158,52 @@ def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+NO_LOAD_DURING_RUN = """
+import sys, tempfile, json
+from pathlib import Path
+from photherm import cli
+load_config, loaded = cli.load_config, []
+
+
+def recorded_load_config(*args, **kwargs):
+    cfg = load_config(*args, **kwargs)
+    loaded.append(set(sys.modules))
+    return cfg
+
+
+cli.load_config = recorded_load_config
+ring, app = {"kind": "hopping", "modes": 4}, {
+    "source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+    "detection": {"weights": [[0.3, 0.3, 0.3]] * 4}, "mesh_jitter": 0.05}
+cert = {"eps1": 0.9, "eps2": 0.9}
+runs = [("gge", {"hamiltonian": ring, "times": [0.0, 1.0]}),
+        ("evolve", {"hamiltonian": {"kind": "long_range", "modes": 4, "seed": 3}, "times": [1.0]}),
+        ("certify", {"hamiltonian": ring, "times": [0.5], "shots": 100, "certification": cert}),
+        ("certify", {"hamiltonian": ring, "times": [0.5], "shots": 100, "certification": cert,
+                     "apparatus": app})]
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    for command, raw in runs:
+        config.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+        during = set(sys.modules) - loaded.pop()
+        assert not during, (command, sorted(during))
+        if command == "gge":
+            assert "numpy.random" not in sys.modules
+"""
+
+
+def test_commands_load_no_module_after_load_config():
+    """Every module a command runs is loaded by the time load_config returns.
+
+    numpy.random loads with a config that draws or seeds (a certification
+    block or a long_range Hamiltonian), and not for a ring gge run.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", NO_LOAD_DURING_RUN], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_package_resolves_its_layers_as_attributes():
     import photherm
     for name in ("apparatus", "certify", "fock", "gge", "hamiltonian", "linalg"):

@@ -465,44 +465,6 @@ def test_stacked_laws_equal_the_single_laws(case):
         assert np.array_equal(row, fock.state_vector(u, occ))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5), st.data())
-def test_transfer_reads_equal_each_prefix_pattern_alone(m, data):
-    """A read of row r at level k is the engine's state for r's first k photons, in mode order.
-
-    Each row has its own pattern, totals falling along the stack, and
-    leaves the pass after its last photon; sparse matrices make the rows'
-    swept modes differ. Rising totals, and a pattern count that is
-    neither 1 nor the stack's, are refused.
-    """
-    count = data.draw(st.integers(1, 4))
-    patterns = sorted((tuple(data.draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)
-                                       .filter(lambda p: 1 <= sum(p) <= 5)))
-                       for _ in range(count)), key=sum, reverse=True)
-    stack = np.array([linalg.haar_random(m, data.draw(st.integers(0, 2**32 - 1)))
-                      if data.draw(st.booleans()) else linalg.fourier(data.draw(st.integers(1, m)), m)
-                      for _ in range(count)])
-    reads = []
-    for _ in range(data.draw(st.integers(1, 6))):
-        rows = sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1)))
-        level = data.draw(st.integers(1, min(sum(patterns[r]) for r in rows)))
-        reads.append((level, np.array(rows)))
-    for bosonic, coupling in ((True, stack), (False, np.abs(stack) ** 2)):
-        states = fock._transfer(coupling, patterns, bosonic, reads)
-        for (level, rows), state in zip(reads, states):
-            assert state.shape == (len(rows), math.comb(level + m - 1, level))
-            for r, row in zip(rows, state):
-                prefix = np.bincount(fock.mode_assignment(patterns[r])[:level], minlength=m)
-                # an exact 0 added for another row's coupling may only flip the sign of a zero
-                assert np.array_equal(row, fock._transfer(coupling[r], tuple(prefix), bosonic))
-    if sum(patterns[0]) > sum(patterns[-1]):
-        with pytest.raises(ValueError, match="rise along the stack"):
-            fock._transfer(stack, patterns[::-1], True, reads)
-    if count > 1:
-        with pytest.raises(ValueError, match=f"2 patterns for a stack of {count + 1} matrices"):
-            fock._transfer(np.vstack([stack, stack[:1]]), patterns[:2], True, reads)
-
-
 def test_stacked_laws_reject_any_non_unitary_matrix():
     stack = np.array([np.eye(3), 1.01 * np.eye(3)], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
