@@ -49,6 +49,20 @@ The species model's own input, and the target without a source, take
 fock._laws. Every law equals the single law of its setting bit for bit,
 so each setting draws what it would draw alone.
 
+A block makes its generator calls in a fixed order: the useful-shot
+count and pair numbers (_useful_shots, whose j2 draw is the one
+rng.choice would make, from the same cumulative law); one rng.random
+call for every group's pattern uniforms, sliced in ascending (j1, j2)
+order, one uniform per shot drawn from a law and one per photon of a
+by-product routed through |U|^2; the routing uniforms, one per photon
+in shot-then-mode order, and then the dark counts (_detect, the body of
+qpnr_detect); and last the blinding draws. Groups are bounds into one
+stable argsort of the (j1, j2) key. Each group gathers its patterns from
+the cached basis _patterns(k, m), and a shot hits the blinding target
+when its input has n photons and it drew the target's index, so no
+pattern rows are compared. Detection sets every fired channel with one
+1-D scatter into the flat click buffer.
+
 By-products of more than INTERFERENCE_PHOTON_CAP photons skip their
 interference law and route each photon independently through |U|^2.
 The exact law is what the cap bounds: for the 12-photon by-product
@@ -66,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -237,21 +251,41 @@ def _check_source_input(input_occ) -> fock.ModeOccupation:
     return input_occ
 
 
-def _route(patterns: np.ndarray, edges: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Send every photon of patterns (k, m) to a bin, one uniform each.
+def _route(mode: np.ndarray, edges: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Bin of each photon in mode[i], by its uniform uniforms[i].
 
-    Uniforms are drawn in shot-then-mode order. A photon in mode j lands
-    in bin b = the number of edges[j] at or below its uniform, so row j
-    of edges holds increasing cumulative bin probabilities. Returns each
-    photon's cell (shot * m + mode) and bin.
+    A photon in mode j lands in bin b = the number of edges[j] at or below
+    its uniform, so row j of edges holds increasing cumulative bin
+    probabilities. Bins come in the narrowest unsigned dtype that holds
+    them.
     """
-    cell = np.repeat(np.arange(patterns.size), patterns.ravel())
-    mode = cell % patterns.shape[1]
-    u = rng.random(cell.size)
-    bins = np.zeros(cell.size, dtype=np.int64)
+    bins = np.zeros(mode.size, dtype=np.min_scalar_type(edges.shape[1]))
     for column in edges.T:
-        bins += u >= column[mode]
-    return cell, bins
+        bins += uniforms >= column.take(mode)
+    return bins
+
+
+def _photon_cells(patterns: np.ndarray) -> np.ndarray:
+    """Cell (shot * m + mode) of every photon of patterns (k, m), in shot-then-mode order."""
+    return np.repeat(np.arange(patterns.size), patterns.ravel())
+
+
+def _detect(patterns: np.ndarray, det: DetectionModel, rng) -> np.ndarray:
+    """The body of qpnr_detect, for int64 patterns the caller has checked.
+
+    One uniform per photon in shot-then-mode order routes it; each live
+    photon sets channel 3 * cell + bin of the flat click buffer, one 1-D
+    scatter for the whole array. Dark counts follow, one uniform per
+    channel.
+    """
+    cell = _photon_cells(patterns)
+    slot = _route(cell % det.modes, det._edges, rng.random(cell.size))
+    fired = np.zeros(CHANNELS_PER_MODE * patterns.size, dtype=bool)
+    fired[(CHANNELS_PER_MODE * cell + slot)[slot < CHANNELS_PER_MODE]] = True
+    fired = fired.reshape(len(patterns), CHANNELS_PER_MODE * patterns.shape[1])
+    if det.dark_count_prob > 0.0:
+        fired |= rng.random(fired.shape) < det.dark_count_prob
+    return fired
 
 
 def qpnr_detect(patterns, det: DetectionModel, rng) -> np.ndarray:
@@ -267,13 +301,7 @@ def qpnr_detect(patterns, det: DetectionModel, rng) -> np.ndarray:
     patterns = np.asarray(patterns, dtype=np.int64)
     if patterns.ndim != 2 or patterns.shape[1] != det.modes or np.any(patterns < 0):
         raise ValueError(f"patterns must be (shots, {det.modes}) non-negative counts")
-    fired = np.zeros((patterns.shape[0], CHANNELS_PER_MODE * det.modes), dtype=bool)
-    cell, slot = _route(patterns, det._edges, rng)
-    live = slot < CHANNELS_PER_MODE
-    fired.reshape(-1, CHANNELS_PER_MODE)[cell[live], slot[live]] = True
-    if det.dark_count_prob > 0.0:
-        fired |= rng.random(fired.shape) < det.dark_count_prob
-    return fired
+    return _detect(patterns, det, rng)
 
 
 def pattern_from_clicks(fired, m: int) -> np.ndarray:
@@ -524,10 +552,14 @@ INTERFERENCE_PHOTON_CAP = 8
 KEEP_MARGIN = 1.1
 
 
-def _scatter(inputs: np.ndarray, u: np.ndarray, rng) -> np.ndarray:
-    """Output patterns of inputs (k, m) whose photons pass u independently (distinguishable law)."""
+def _scatter(inputs: np.ndarray, u: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Output patterns of inputs (k, m) whose photons pass u independently (distinguishable law).
+
+    One uniform per photon, in shot-then-mode order.
+    """
     k, m = inputs.shape
-    cell, out = _route(inputs, np.cumsum(np.abs(u.T) ** 2, axis=1)[:, :-1], rng)
+    cell = _photon_cells(inputs)
+    out = _route(cell % m, np.cumsum(np.abs(u.T) ** 2, axis=1)[:, :-1], uniforms)
     return np.bincount(cell // m * m + out, minlength=k * m).reshape(k, m)
 
 
@@ -610,6 +642,7 @@ def _extend_chains(chains: dict, stack: np.ndarray, inputs, model: str, n: int, 
     return out
 
 
+@lru_cache(maxsize=16)
 def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
     """Chance per source attempt of a useful shot, split by j2; q is their sum.
 
@@ -621,7 +654,8 @@ def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
     tail j2 >= n needs no floor; its mass r^n - (1 - r) s^n / (1 - s),
     s = r (1 - eta), splits by the first idler photon the herald sees:
     one of the first n (entry n, r^n - s^n) or a later one (entry n + 1,
-    eta r s^n / (1 - s)). Raises ValueError if q is 0.
+    eta r s^n / (1 - s)). Raises ValueError if q is 0. Cached read-only
+    by source, so a stream computes it once.
     """
     r = src.squeezing**2
     miss = 1.0 - src.heralding_efficiency
@@ -633,6 +667,7 @@ def _useful_weights(src: SourceModel, n: int, floor: bool) -> np.ndarray:
         raise ValueError(f"a source with squeezing {src.squeezing} and heralding efficiency "
                          f"{src.heralding_efficiency} never heralds a shot that can give "
                          f"{n} clicks")
+    weights.flags.writeable = False
     return weights
 
 
@@ -645,7 +680,8 @@ def _useful_shots(src: SourceModel, n: int, floor: bool, want: int, budget: int,
     usefulness: a fixed value below n, or in the tail n + Geometric(r),
     plus 1 + Geometric(s) when the herald saw a photon after the n-th.
     j1 = a(j2) + Geometric(r) is exact because the geometric law is
-    memoryless.
+    memoryless. The j2 entry is the draw rng.choice(p=weights / q) makes,
+    from the same cumulative law and uniforms, without its checks of p.
     """
     weights = _useful_weights(src, n, floor)
     q = float(weights.sum())
@@ -653,7 +689,9 @@ def _useful_shots(src: SourceModel, n: int, floor: bool, want: int, budget: int,
     s = r * (1.0 - src.heralding_efficiency)
     spent = math.ceil(min(budget, want / q))
     count = int(rng.binomial(spent, q))
-    j2 = rng.choice(weights.size, size=count, p=weights / q)
+    cdf = np.cumsum(weights / q)
+    cdf /= cdf[-1]
+    j2 = cdf.searchsorted(rng.random(count), "right")
     tail, late = j2 >= n, j2 > n
     j2[tail] = n + rng.geometric(1.0 - r, int(tail.sum())) - 1
     j2[late] += rng.geometric(1.0 - s, int(late.sum()))
@@ -661,17 +699,19 @@ def _useful_shots(src: SourceModel, n: int, floor: bool, want: int, budget: int,
     return spent, j1, j2
 
 
-def _group_rows(j1: np.ndarray, j2: np.ndarray) -> list[np.ndarray]:
-    """Shot indices of each distinct (j1, j2), groups in ascending (j1, j2) order, shots in order.
+def _group_rows(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shots sorted by (j1, j2), and the bounds of each distinct (j1, j2) in that order.
 
-    The source input (j1, j1, j2, 0, ...) sorts as (j1, j2), so these are
-    the groups and order of np.unique over the input rows, from one
-    stable argsort of a 1-D key.
+    Group g is order[bounds[g]:bounds[g + 1]], groups in ascending (j1, j2)
+    order and shots in order within each. The source input (j1, j1, j2, 0,
+    ...) sorts as (j1, j2), so these are the groups and order of np.unique
+    over the input rows, from one stable argsort of a 1-D key.
     """
     key = j1 * (int(j2.max(initial=0)) + 1) + j2
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order])) + 1
-    return np.split(order, starts) if order.size else []
+    # a stable sort has one result; on keys of 16 bits or fewer numpy's is a radix sort
+    order = np.argsort(key.astype(np.min_scalar_type(int(key.max(initial=0)))), kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    return order, np.append(starts, order.size)
 
 
 def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
@@ -712,6 +752,8 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
     if max_attempts is None:
         max_attempts = max(10_000_000, 20_000 * shots)
     floor = _has_floor(det)
+    q = 1.0 if src is None else float(_useful_weights(src, n, floor).sum())
+    target_rank = int(fock._rank(np.array([target]), n)[0])
 
     # a species model describes its own input only; every other input, a by-product with no
     # calibrated species structure, takes the indistinguishable law
@@ -730,7 +772,6 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
         while produced < shots:
             missing = shots - produced
             if attempts >= max_attempts:
-                q = 1.0 if src is None else float(_useful_weights(src, n, floor).sum())
                 raise AcceptanceError(produced, shots, attempts, q,
                                       produced / drawn if drawn else 0.0)
             # source shots that can pass post-selection, grouped by input in ascending (j1, j2);
@@ -744,17 +785,19 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
             if src is None:
                 count = want
                 attempts += count
-                groups = [(target, np.arange(count))]
+                order, bounds, inputs = np.arange(count), np.array([0, count]), [target]
             else:
                 spent, j1, j2 = _useful_shots(src, n, floor, want, max_attempts - attempts, rng)
                 attempts += spent
                 count = j1.size
-                groups = [((int(j1[rows[0]]),) * 2 + (int(j2[rows[0]]),) + tail, rows)
-                          for rows in _group_rows(j1, j2)]
+                order, bounds = _group_rows(j1, j2)
+                inputs = [(a,) * 2 + (b,) + tail
+                          for a, b in zip(j1[order[bounds[:-1]]].tolist(),
+                                          j2[order[bounds[:-1]]].tolist())]
             drawn += count
             # the laws of the inputs met for the first time: the target without a source and the
             # species model's input through fock._laws, every by-product along its chain
-            new = [occ for occ, _ in groups
+            new = [occ for occ in inputs
                    if occ not in cdfs and fock.total(occ) <= INTERFERENCE_PHOTON_CAP]
             for occ in new:
                 if src is None or occ in own:
@@ -763,23 +806,33 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
             if chained:
                 cdfs.update(_extend_chains(chains, stack, chained, plain, n, floor,
                                            cdfs.keys() | own.keys()))
-            # one true output pattern per shot, drawn from the cached law of its input
+            # one true output pattern per shot: one uniform per shot of a law, one per photon of
+            # a by-product that routes independently, all in one draw taken in group order; a
+            # shot hits the target when its input has n photons and it draws the target's index
+            per_shot = [k if k > INTERFERENCE_PHOTON_CAP else 1 for k in map(fock.total, inputs)]
+            offsets = np.concatenate(([0], np.cumsum(np.diff(bounds) * per_shot)))
+            uniforms = rng.random(int(offsets[-1]))
             true = np.empty((count, m), dtype=np.int64)
-            for occ, rows in groups:
-                k = fock.total(occ)
+            hit = np.zeros(count, dtype=bool)
+            for occ, lo, hi, at in zip(inputs, bounds, bounds[1:], offsets):
+                rows, k = order[lo:hi], fock.total(occ)
                 if k > INTERFERENCE_PHOTON_CAP:
-                    true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u, rng)
+                    true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u,
+                                          uniforms[at:at + rows.size * k])
                 else:
-                    true[rows] = fock._draw(cdfs[occ][setting], k, m, rows.size, rng)
-            fired = qpnr_detect(true, det_eff, rng)
+                    idx = fock._pick(cdfs[occ][setting], uniforms[at:at + rows.size])
+                    true[rows] = fock._patterns(k, m).take(idx, axis=0)
+                    if k == n:
+                        hit[rows] = idx == target_rank
+            fired = _detect(true, det_eff, rng)
             keep = _click_totals(fired) == n
-            fired, true = fired[keep], true[keep]
+            fired = fired.compress(keep, axis=0)
             # blinding keeps the click total, so blinding only kept shots leaves the law unchanged
             if survival < 1.0:
-                hit = np.flatnonzero((true == target).all(axis=1))
+                hit = np.flatnonzero(hit[keep])
                 hit = hit[rng.random(hit.size) > survival]
                 fired[hit] = _blind_corrupt(fired[hit], det_eff, rng)
-            events = pattern_from_clicks(fired, m)[:shots - produced]
+            events = pattern_from_clicks(fired[:missing], m)
             out[setting, produced:produced + len(events)] = events
             produced += len(events)
     return out if total_u.ndim == 3 else out[0]

@@ -199,6 +199,11 @@ def _parse_source(d, path: str) -> apparatus.SourceModel:
         _expect(len(_occupation(item[0], f"{at}[0]")) == 2, f"{at}[0]",
                 f"expected a pair of photon indices, got {item[0]!r}")
         _number(item[1], f"{at}[1]")
+    # a given list names each pair of the three heralded photons once, in either order
+    pairs = sorted(tuple(sorted(pair)) for pair, _ in vis)
+    _expect("pairwise_visibilities" not in d or pairs == [(0, 1), (0, 2), (1, 2)],
+            f"{path}.pairwise_visibilities",
+            f"expected the pairs (0, 1), (0, 2) and (1, 2) once each, got {pairs}")
     try:
         return apparatus.SourceModel.from_dict(d)
     except ValueError as exc:

@@ -583,8 +583,16 @@ def _draw(cdf: np.ndarray, n: int, m: int, count: int, rng) -> np.ndarray:
     The body of sample, for callers that keep a law's cumulative sum
     across many draws.
     """
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    return _patterns(n, m)[np.minimum(idx, cdf.size - 1)]
+    return _patterns(n, m).take(_pick(cdf, rng.random(count)), axis=0)
+
+
+def _pick(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Basis index that each uniform selects from the cumulative law cdf.
+
+    A uniform above the last entry, which rounding can leave below 1,
+    takes the last pattern.
+    """
+    return np.minimum(np.searchsorted(cdf, uniforms, side="right"), cdf.size - 1)
 
 
 def state_vector(u: np.ndarray, input_occ) -> np.ndarray:

@@ -231,7 +231,7 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
         for i, occ in enumerate(distinct):
             rows = np.flatnonzero(which.ravel() == i)
             if occ.sum() > INTERFERENCE_PHOTON_CAP:
-                true[rows] = _scatter(inputs[rows], total_u, rng)
+                true[rows] = _scatter(inputs[rows], total_u, rng.random(int(inputs[rows].sum())))
             else:
                 true[rows] = fock.sample(law(tuple(occ.tolist())), rows.size, rng)
         fired = qpnr_detect(true, det_eff, rng)
@@ -245,6 +245,125 @@ def seed_event_stream(total_u: np.ndarray, model, src: SourceModel | None,
         kept.append(pattern_from_clicks(fired, m))
         produced += len(fired)
     return np.concatenate(kept)[:shots]
+
+
+def _channel_sets(channels: int):
+    """Every subset of range(channels) as a tuple, with its size."""
+    return [(g, len(g)) for size in range(channels + 1)
+            for g in itertools.combinations(range(channels), size)]
+
+
+def exact_kept_law(u: np.ndarray, model, src: SourceModel | None, det: DetectionModel | None,
+                   target, cap: int) -> np.ndarray:
+    """Law of the event stream's kept, reconstructed patterns over seed_enumerate_basis(n, m).
+
+    Written from the hardware model, not from the stream's code. Source
+    shots carry pairs (j1, j2) with weight (1 - r)^2 r^(j1 + j2) times the
+    herald chance 1 - (1 - eta)^j2, r = lambda^2, j2 >= 1, and inject
+    (j1, j1, j2, 0, ...); without a source the target is injected. An
+    input of at most cap photons takes fock._laws (the species model only
+    on its own input, the indistinguishable law on every other when the
+    model is a species model). Given an output pattern, modes detect
+    independently: P(c of the 3 channels of a mode fire | s photons) is an
+    inclusion-exclusion over the fired channel set F and its subsets G,
+    sum (-1)^(|F| - |G|) (1 - d)^(3 - |G|) (w_G + loss)^s. Above the cap
+    each photon routes independently through |U|^2; over all 3m channels,
+    P(fired = F) = sum_G (-1)^(n - |G|) (1 - d)^(3m - |G|) prod_i a_i(G)^(j_i),
+    with a_i(G) the chance that a photon from source mode i lands in G or
+    is lost, and the pair sum is a geometric series in closed form minus
+    its terms at or below the cap. Post-selection keeps n clicks. With a
+    source and a detection model, the kept mass whose true pattern is the
+    target is blinded with chance 1 - survival: a click leaves mode d with
+    chance c_d / n and one joins mode k != d with chance proportional to
+    3 - c_k.
+    """
+    from photherm import fock
+
+    m = u.shape[0]
+    target = tuple(target)
+    n = sum(target)
+    weights = np.full((m, 3), 1.0 / 3.0) if det is None else np.array(det.weights)
+    dark = 0.0 if det is None else det.dark_count_prob
+    loss = 1.0 - weights.sum(axis=1)
+    basis = seed_enumerate_basis(n, m)
+    index = {occ: i for i, occ in enumerate(basis)}
+    clicks = np.array(basis)
+
+    tables = np.zeros((m, cap + 1, 4))   # tables[mode, s, c] = P(c clicks | s photons)
+    s = np.arange(cap + 1)
+    for mode in range(m):
+        for fired, size in _channel_sets(3):
+            for g, g_size in _channel_sets(size):
+                into = weights[mode, [fired[i] for i in g]].sum() + loss[mode]
+                sign = (-1) ** (size - g_size)
+                tables[mode, :, size] += sign * (1 - dark) ** (3 - g_size) * into**s
+
+    def detected(outs):   # P(click pattern | output pattern), (len(outs), len(basis))
+        given = np.ones((len(outs), len(basis)))
+        for mode in range(m):
+            given *= tables[mode][np.asarray(outs)[:, mode]][:, clicks[:, mode]]
+        return given
+
+    def kept_mass(occ, probs):
+        return probs @ detected(seed_enumerate_basis(sum(occ), m))
+
+    def model_of(occ):
+        if isinstance(model, str):
+            return model
+        mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
+        own = fock.partition_input(mix.components[0][1])
+        return mix if occ == own else fock.MODEL_INDISTINGUISHABLE
+
+    if src is None:
+        mass = kept_mass(target, fock._laws(u, target, model_of(target)))
+        return mass / mass.sum()
+
+    r, eta = src.squeezing**2, src.heralding_efficiency
+
+    def pair(j1, j2):   # chance per source attempt of (j1, j2) pairs and a herald
+        return (1 - r) ** 2 * r ** (j1 + j2) * (1 - (1 - eta) ** j2)
+
+    below = [(j1, j2) for j1 in range(cap // 2 + 1) for j2 in range(1, cap + 1 - 2 * j1)]
+    mass, hit = np.zeros(len(basis)), np.zeros(len(basis))
+    for j1, j2 in below:
+        occ = (j1, j1, j2) + (0,) * (m - 3)
+        law = fock._laws(u, occ, model_of(occ))
+        mass += pair(j1, j2) * kept_mass(occ, law)
+        if sum(occ) == n:   # the kept mass whose true pattern is the target
+            hit += pair(j1, j2) * law[index[target]] * detected([target])[0]
+
+    # above the cap: fired sets F of n of the 3m channels, channel 3 * mode + slot
+    route = np.abs(u[:, :3]) ** 2   # route[o, i]: a photon from source mode i leaves at o
+    chance = (route[:, None, :] * weights[:, :, None]).reshape(3 * m, 3)
+    lost = (route * loss[:, None]).sum(axis=0)
+    spill = r * (1 - eta)
+    for fired in itertools.combinations(range(3 * m), n):
+        p = 0.0
+        for g, g_size in _channel_sets(n):
+            a = chance[[fired[i] for i in g]].sum(axis=0) + lost
+            x, y = a[0] * a[1], a[2]
+            total = (1 - r) ** 2 / (1 - r * x) * (r * y / (1 - r * y) - spill * y / (1 - spill * y))
+            total -= sum(pair(j1, j2) * x**j1 * y**j2 for j1, j2 in below)
+            p += (-1) ** (n - g_size) * (1 - dark) ** (3 * m - g_size) * total
+        mass[index[tuple(np.bincount(np.array(fired) // 3, minlength=m).tolist())]] += p
+
+    if det is not None:
+        survival = min(1.0, max(0.0, det.blinding_intercept + det.blinding_slope * src.pump_power))
+        blinded = hit * (1 - survival)
+        mass -= blinded
+        for i, c in enumerate(basis):
+            for d in range(m):
+                if not c[d]:
+                    continue
+                left = list(c)
+                left[d] -= 1
+                free = {k: 3 - left[k] for k in range(m) if k != d}
+                for k, room in free.items():
+                    moved = list(left)
+                    moved[k] += 1
+                    mass[index[tuple(moved)]] += (blinded[i] * c[d] / n * room
+                                                  / sum(free.values()))
+    return mass / mass.sum()
 
 
 def seed_prob_of(dist, occ) -> float:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (seed_correct_counts, seed_event_stream, seed_heralded_pairs, seed_pair_counts,
-                      seed_qpnr_detect)
+from conftest import (exact_kept_law, seed_correct_counts, seed_event_stream, seed_heralded_pairs,
+                      seed_pair_counts, seed_qpnr_detect)
 from photherm import apparatus, certify, fock, hamiltonian, linalg
 
 
@@ -174,7 +174,8 @@ def test_over_cap_routing_samples_distinguishable_law():
     assert fock.total(occ) > apparatus.INTERFERENCE_PHOTON_CAP
     u = linalg.haar_random(4, 31)
     shots = 200_000
-    got = apparatus._scatter(np.tile(occ, (shots, 1)), u, np.random.default_rng(2))
+    uniforms = np.random.default_rng(2).random(9 * shots)
+    got = apparatus._scatter(np.tile(occ, (shots, 1)), u, uniforms)
     assert np.all(got.sum(axis=1) == 9)
     freq = np.bincount(fock._rank(got, 9), minlength=220) / shots
     classical = fock.output_distribution(u, occ, fock.MODEL_DISTINGUISHABLE).probs
@@ -438,6 +439,74 @@ def test_stacked_stream_rows_equal_single_settings(model, dark, squeezing, count
         assert np.array_equal(got[s], alone)
 
 
+def _pinned_stream(case: str):
+    """(total_u, model, source, detection, seeds) of one pinned event stream on 4 modes.
+
+    bench: the certify-hardware stack shape, 4 settings with a source of
+    squeezing 0.3 and heralding 0.9, balanced lossless channels, blinding
+    and the hardware mixture. dark: loss 0.1 and dark counts 0.01. bright:
+    squeezing 0.75, so by-products pass INTERFERENCE_PHOTON_CAP. plain: no
+    source.
+    """
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    mix = apparatus.distinguishability_mixture(apparatus.SourceModel())
+    seed = ("bench", "dark", "bright", "plain").index(case) + 40
+    u = linalg.haar_random(4, seed)
+    if case == "bench":
+        stack = np.array([linalg.haar_random(4, (seed, s)) for s in range(4)])
+        det = apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 4)
+        return stack, mix, src, det, [(seed, s) for s in range(4)]
+    if case == "dark":
+        det = apparatus.DetectionModel.uniform(4, loss=0.1, dark_count_prob=0.01)
+        return u, fock.MODEL_DISTINGUISHABLE, src, det, [seed]
+    if case == "bright":
+        src = apparatus.SourceModel(squeezing=0.75, heralding_efficiency=0.9)
+        det = apparatus.DetectionModel.uniform(4, loss=0.1)
+        return u, fock.MODEL_INDISTINGUISHABLE, src, det, [seed]
+    return u, mix, None, apparatus.DetectionModel.uniform(4, loss=0.2), [seed]
+
+
+def _run_pinned(case: str, shots: int, salt: int = 0) -> np.ndarray:
+    total_u, model, src, det, seeds = _pinned_stream(case)
+    rngs = [np.random.default_rng((salt, *np.atleast_1d(s))) for s in seeds]
+    return apparatus.simulate_setting(total_u, model, src, det, shots,
+                                      rngs if total_u.ndim == 3 else rngs[0], (1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("case, shots, digest", [
+    ("bench", 4000, "98849d689cdf7568090a1e92e98f8d8004d0d1d88ddc24a899338d1dab011683"),
+    ("dark", 2000, "78d5e07fddd975d896cae9953adc8cb35866339194d5668f0e488a31ad051eb4"),
+    ("bright", 1000, "015f49fba6dfcd74b6cdb6bb2d647c0b9790cb461697fd6f5fbf7f98e93c1f33"),
+    ("plain", 2000, "c9b5a70198fcdfeb765a19f9e138f5f7a8de5b0072ee6ed6b1811dbc6c5dd183"),
+])
+def test_pinned_streams_keep_their_bytes(case, shots, digest):
+    """The sha256 of each pinned stream's output bytes: a faster block must make the same draws."""
+    import hashlib
+
+    assert hashlib.sha256(_run_pinned(case, shots).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["bench", "dark", "bright", "plain"])
+def test_stream_samples_the_exact_kept_law(case):
+    """50k events per setting follow the law of kept events written from the model (conftest).
+
+    Per pattern, the count stays within 5 sigma of its binomial mean, and
+    per setting the chi-square over the 20 patterns stays below its
+    1e-6 upper quantile (Wilson-Hilferty, 19 degrees of freedom).
+    """
+    shots, dof = 50_000, 19
+    bound = dof * (1 - 2 / (9 * dof) + 4.75 * math.sqrt(2 / (9 * dof))) ** 3
+    total_u, model, src, det, _ = _pinned_stream(case)
+    got = _run_pinned(case, shots, salt=1).reshape(-1, shots, 4)
+    for u, events in zip(total_u.reshape(-1, 4, 4), got):
+        law = exact_kept_law(u, model, src, det, (1, 1, 1, 0), apparatus.INTERFERENCE_PHOTON_CAP)
+        assert law.size == dof + 1 and law.min() > 0.0 and abs(law.sum() - 1.0) < 1e-12
+        counts = np.bincount(fock._rank(events, 3), minlength=law.size)
+        expect = shots * law
+        assert np.all(np.abs(counts - expect) <= 5 * np.sqrt(expect * (1 - law))), (counts, expect)
+        assert np.sum((counts - expect) ** 2 / expect) < bound
+
+
 def test_certify_hardware_settings_take_at_most_three_blocks(monkeypatch):
     """Blocks sized by the running keep rate: the bench's hardware certify needs few of them."""
     blocks: dict = {}
@@ -517,17 +586,18 @@ def test_a_chain_through_the_species_input_leaves_its_mixture_law(monkeypatch):
         j1, j2 = next(blocks, (np.ones(want, dtype=np.int64), np.ones(want, dtype=np.int64)))
         return j1.size, j1, j2
 
-    drawn, draw = [], fock._draw
+    drawn, pick = [], fock._pick
     monkeypatch.setattr(apparatus, "_useful_shots", scripted)
-    monkeypatch.setattr(fock, "_draw", lambda cdf, k, m, count, rng:
-                        drawn.append((k, cdf)) or draw(cdf, k, m, count, rng))
+    monkeypatch.setattr(fock, "_pick",
+                        lambda cdf, uniforms: drawn.append(cdf) or pick(cdf, uniforms))
     src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
     mix = apparatus.distinguishability_mixture(src)
     u = linalg.haar_random(4, 3)
     apparatus.simulate_setting(u, mix, src, None, 20, np.random.default_rng(1), (1, 1, 1, 0))
     want = np.cumsum(fock._laws(u, (1, 1, 1, 0), mix)).tobytes()
-    assert [k for k, _ in drawn][:2] == [4, 3]
-    assert all(cdf.tobytes() == want for k, cdf in drawn if k == 3)
+    # laws of 4 photons on 4 modes have 35 entries, of 3 photons 20
+    assert [cdf.size for cdf in drawn][:2] == [35, 20]
+    assert all(cdf.tobytes() == want for cdf in drawn if cdf.size == 20)
 
 
 @st.composite

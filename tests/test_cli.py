@@ -711,8 +711,9 @@ def _certification(**fields):
     return {"certification": {"eps1": 0.9, "eps2": 0.9, **fields}}
 
 
-# 24 malformed variants of the 4-mode certify config; the first eight are the
-# ones that once ended in a traceback, a wrong exit 0, or Python's own message.
+# 27 malformed variants of the 4-mode certify config; the first eight are the
+# ones that once ended in a traceback, a wrong exit 0, or Python's own message,
+# and the last three visibility lists that used to be accepted.
 MALFORMED = [
     (_hamiltonian(modes=4.0), "config.hamiltonian.modes"),
     ({**HARDWARE, "shots": 10**12}, "config.shots"),
@@ -738,6 +739,11 @@ MALFORMED = [
     (_certification(eps1=1.5), "config.certification.eps1"),
     ({"certification": {"eps1": 0.9}}, "config.certification.eps2"),
     (_certification(split=4), "config.certification.split"),
+    (_source_field("pairwise_visibilities", []), "config.apparatus.source.pairwise_visibilities"),
+    (_source_field("pairwise_visibilities", [[[0, 1], 0.2], [[1, 0], 0.9]]),
+     "config.apparatus.source.pairwise_visibilities"),
+    (_source_field("pairwise_visibilities", [[[5, 9], 0.5]]),
+     "config.apparatus.source.pairwise_visibilities"),
 ]
 
 
@@ -756,7 +762,9 @@ FUZZ_BASE = {
     "hamiltonian": {"kind": "hopping", "modes": 4, "coupling": 1.0, "periodic": True},
     "input": [1, 1, 1, 0], "times": [0.5, 1.0], "shots": 200, "seed": 11,
     "model": HARDWARE["model"],
-    "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+    "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9,
+                             "pairwise_visibilities": [[[0, 1], 0.9], [[0, 2], 0.8],
+                                                       [[1, 2], 0.8]]},
                   "detection": {"weights": [[0.3, 0.3, 0.3]] * 4}, "mesh_jitter": 0.05},
     "certification": {"eps1": 0.9, "eps2": 0.9, "split": 2, "epsilon_grid": [0.8]},
 }
@@ -773,7 +781,8 @@ def _json_paths(node, prefix=()):
 FUZZ_PATHS = list(_json_paths(FUZZ_BASE))[1:]
 JUNK = [None, True, False, 0, 1, -1, 2, 3, 7, 2**63, 10**400, 0.0, -0.0, 0.5, -0.5, 1.5,
         1e-320, 1e13, 1e308, float("nan"), float("inf"), -float("inf"), "", "4", "x",
-        [], {}, [0], [1, 1, 1, 0], [[1, 1, 1, 0]], [[0.3, 0.3, 0.3]], {"foo": 1}]
+        [], {}, [0], [1, 1, 1, 0], [[1, 1, 1, 0]], [[0.3, 0.3, 0.3]], {"foo": 1},
+        [[[0, 1], 0.2], [[1, 0], 0.9]], [[[5, 9], 0.5]]]
 mutation = st.tuples(st.sampled_from(FUZZ_PATHS),
                      st.sampled_from(["replace", "delete", "unknown key"]),
                      st.sampled_from(range(len(JUNK))))
