@@ -45,9 +45,10 @@ by-product input (j1, j1, j2, 0, ...). The stream keeps one such chain
 per j1 across blocks, and a block that meets new by-products extends
 each chain to the largest j2 it needs, reading every useful input on the
 way; no creation step is taken twice.
-The species model's own input, and the target without a source, take
-fock._laws. Every law equals the single law of its setting bit for bit,
-so each setting draws what it would draw alone.
+The target's law comes from fock._laws before the first block, under
+the run's model; that call also checks the stack and the model. Every
+law equals the single law of its setting bit for bit, so each setting
+draws what it would draw alone.
 
 A block makes its generator calls in a fixed order: the useful-shot
 count and pair numbers (_useful_shots, whose j2 draw is the one
@@ -102,9 +103,9 @@ class SourceModel:
     mW and only drives the blinding survival factor. The pairwise
     visibilities bound the mutual overlaps of the three injected
     photons: one same-crystal pair (0, 1) and two cross-crystal pairs.
-    They are recorded but set no model: the event stream takes its
-    species model from its caller (a config's "model"), and
-    distinguishability_mixture turns these visibilities into one.
+    distinguishability_mixture turns them into a species model; the
+    event stream takes its model from its caller, and a config that
+    lists the visibilities and gives no "model" uses that mixture.
     """
 
     squeezing: float = 0.1
@@ -137,14 +138,6 @@ class SourceModel:
         return {"squeezing": self.squeezing, "pump_power": self.pump_power,
                 "heralding_efficiency": self.heralding_efficiency,
                 "pairwise_visibilities": [[list(p), v] for p, v in self.pairwise_visibilities]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceModel":
-        kwargs = dict(d)
-        if "pairwise_visibilities" in kwargs:
-            kwargs["pairwise_visibilities"] = tuple(
-                (tuple(p), v) for p, v in kwargs["pairwise_visibilities"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -202,12 +195,6 @@ class DetectionModel:
                 "dark_count_prob": self.dark_count_prob,
                 "blinding_slope": self.blinding_slope,
                 "blinding_intercept": self.blinding_intercept}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectionModel":
-        kwargs = dict(d)
-        kwargs["weights"] = tuple(tuple(row) for row in kwargs["weights"])
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -492,18 +479,14 @@ def mesh_perturb(params: MeshParams, sd: float, seed) -> MeshParams:
     return MeshParams(params.modes, noisy, params.phases)
 
 
-def programmed_unitary(sections, mesh_jitter: float, seed) -> np.ndarray:
-    """Realized transfer matrix of chip sections traversed in order.
+def programmed_unitary(u: np.ndarray, mesh_jitter: float, seed) -> np.ndarray:
+    """Realized transfer matrix of one setting whose ideal unitary is u (m, m).
 
-    The processor compiles the composed circuit into a single mesh per
-    program, so one jitter draw perturbs the whole setting; light passes
-    sections[0] first.
+    The processor compiles a setting's whole circuit into a single mesh,
+    so one jitter draw perturbs the whole setting.
     """
     rng = np.random.default_rng(seed)
-    total = sections[0]
-    for section in sections[1:]:
-        total = section @ total
-    return mesh_compose(mesh_perturb(mesh_decompose(total), mesh_jitter, rng))
+    return mesh_compose(mesh_perturb(mesh_decompose(u), mesh_jitter, rng))
 
 
 def jitter_for_fidelity(target: float, m: int, seed=0, samples: int = 24,
@@ -604,14 +587,9 @@ def _extend_chains(chains: dict, stack: np.ndarray, inputs, model: str, n: int, 
     photons in mode 0, then j1 in mode 1. Each chain of the inputs takes
     fock._create steps in mode 2 up to the largest j2 they need, reading
     on the way every useful input not in known, bit for bit the law
-    fock._laws gives it. The first chain checks the model and the stack.
+    fock._laws gives it. The caller has checked the stack and the model.
     """
-    stack = np.asarray(stack, dtype=complex)
     m = stack.shape[-1]
-    if not chains:
-        fock._resolve_model(model, None, m)   # a string model names a known law
-        if not linalg.is_unitary(stack):
-            raise ValueError("transfer matrix is not unitary within tolerance")
     bosonic = model == fock.MODEL_INDISTINGUISHABLE
     coupling = stack if bosonic else np.abs(stack) ** 2
     coupled = coupling.any(axis=0)
@@ -714,54 +692,54 @@ def _group_rows(j1: np.ndarray, j2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return order, np.append(starts, order.size)
 
 
-def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
-                     det: DetectionModel | None, shots: int, rng, target,
+def simulate_setting(stack: np.ndarray, model, src: SourceModel | None,
+                     det: DetectionModel | None, shots: int, rngs, target,
                      max_attempts: int | None = None) -> np.ndarray:
-    """Post-selected reconstructed patterns of each setting, in the order they occur.
+    """Post-selected reconstructed patterns (S, shots, m) of a stack of settings (S, m, m).
 
-    total_u is one setting's unitary (m, m) with one generator rng, and
-    gives (shots, m); or a stack (S, m, m) with a sequence of S generators,
-    and gives (S, shots, m). Row s draws only from generator s, and equals
-    the stream of setting s alone: the law of each source input is built
-    once for the whole stack, a by-product's along its chain (see the
-    module docstring), and kept as its cumulative sum.
+    rngs holds one generator per setting. Row s draws only from generator
+    s, and equals the stream of a stack of setting s alone: the law of
+    each source input is built once for the whole stack, the target's by
+    fock._laws and a by-product's along its chain (see the module
+    docstring), and kept as its cumulative sum.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
     target photon number. A source requires the target it heralds, one
-    photon in each of the first three modes. Without a source the target
-    pattern itself is injected every shot; without a detection model an
-    ideal balanced multiplexer stands in. By-product inputs brighter than
-    INTERFERENCE_PHOTON_CAP route their photons independently (see the
-    module docstring). Raises ValueError before any draw if the source
-    never gives a shot that can pass, and AcceptanceError once a setting
-    has spent max_attempts source attempts.
+    photon in each of the first three modes. model is the target's law;
+    every other input takes model if it is a name, else the
+    indistinguishable law. Without a source the target pattern itself is
+    injected every shot; without a detection model an ideal balanced
+    multiplexer stands in. The target draws from its law whatever its
+    size; by-product inputs brighter than INTERFERENCE_PHOTON_CAP route
+    their photons independently (see the module docstring). Raises
+    ValueError before any draw if the stack is not unitary, the model does
+    not fit the target, or the source never gives a shot that can pass,
+    and AcceptanceError once a setting has spent max_attempts source
+    attempts.
     """
-    total_u = np.asarray(total_u)
-    stack = total_u.reshape(-1, *total_u.shape[-2:])
-    rngs = [rng] if total_u.ndim == 2 else list(rng)
-    if len(rngs) != len(stack):
-        raise ValueError(f"{len(rngs)} generators for a stack of {len(stack)} settings")
+    stack = np.asarray(stack, dtype=complex)
+    rngs = list(rngs)
+    if stack.ndim != 3 or len(rngs) != len(stack):
+        raise ValueError(f"expected a stack (S, m, m) with one generator per setting, got "
+                         f"shape {stack.shape} and {len(rngs)} generators")
     m = stack.shape[-1]
     target = fock._check_occupation(target, m, "target pattern")
     if src is not None:
         _check_source_input(target)
     n = fock.total(target)
     det_eff = det if det is not None else DetectionModel.ideal(m)
-    blinding_active = src is not None and det is not None
-    survival = blinding_probability(src.pump_power, det_eff) if blinding_active else 1.0
+    survival = blinding_probability(src.pump_power, det_eff) if src is not None else 1.0
     if max_attempts is None:
         max_attempts = max(10_000_000, 20_000 * shots)
     floor = _has_floor(det)
     q = 1.0 if src is None else float(_useful_weights(src, n, floor).sum())
     target_rank = int(fock._rank(np.array([target]), n)[0])
 
-    # a species model describes its own input only; every other input, a by-product with no
-    # calibrated species structure, takes the indistinguishable law
-    plain, own = model, {}
-    if not isinstance(model, str):
-        mix = model if isinstance(model, fock.Mixture) else fock.Mixture(((1.0, tuple(model)),))
-        plain, own = fock.MODEL_INDISTINGUISHABLE, {fock.partition_input(mix.components[0][1]): mix}
-    cdfs: dict = {}   # cumulative laws (S, size) of each input, for every setting of the stack
+    # cumulative laws (S, size) of each input, for every setting of the stack; a species model
+    # describes the target only, and every by-product, with no calibrated species structure,
+    # takes the indistinguishable law
+    cdfs = {target: np.cumsum(fock._laws(stack, target, model), axis=-1)}
+    plain = model if isinstance(model, str) else fock.MODEL_INDISTINGUISHABLE
     chains: dict = {}   # by-product chains by j1, for _extend_chains
 
     out = np.empty((len(stack), shots, m), dtype=np.int64)
@@ -795,35 +773,29 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
                           for a, b in zip(j1[order[bounds[:-1]]].tolist(),
                                           j2[order[bounds[:-1]]].tolist())]
             drawn += count
-            # the laws of the inputs met for the first time: the target without a source and the
-            # species model's input through fock._laws, every by-product along its chain
-            new = [occ for occ in inputs
-                   if occ not in cdfs and fock.total(occ) <= INTERFERENCE_PHOTON_CAP]
-            for occ in new:
-                if src is None or occ in own:
-                    cdfs[occ] = np.cumsum(fock._laws(stack, occ, own.get(occ, plain)), axis=-1)
-            chained = [occ for occ in new if occ not in cdfs]
+            # the laws of the by-products met for the first time, along their chains
+            chained = [occ for occ in inputs
+                       if occ not in cdfs and fock.total(occ) <= INTERFERENCE_PHOTON_CAP]
             if chained:
-                cdfs.update(_extend_chains(chains, stack, chained, plain, n, floor,
-                                           cdfs.keys() | own.keys()))
+                cdfs.update(_extend_chains(chains, stack, chained, plain, n, floor, cdfs.keys()))
             # one true output pattern per shot: one uniform per shot of a law, one per photon of
             # a by-product that routes independently, all in one draw taken in group order; a
             # shot hits the target when its input has n photons and it draws the target's index
-            per_shot = [k if k > INTERFERENCE_PHOTON_CAP else 1 for k in map(fock.total, inputs)]
+            per_shot = [1 if occ in cdfs else fock.total(occ) for occ in inputs]
             offsets = np.concatenate(([0], np.cumsum(np.diff(bounds) * per_shot)))
             uniforms = rng.random(int(offsets[-1]))
             true = np.empty((count, m), dtype=np.int64)
             hit = np.zeros(count, dtype=bool)
             for occ, lo, hi, at in zip(inputs, bounds, bounds[1:], offsets):
                 rows, k = order[lo:hi], fock.total(occ)
-                if k > INTERFERENCE_PHOTON_CAP:
-                    true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u,
-                                          uniforms[at:at + rows.size * k])
-                else:
+                if occ in cdfs:
                     idx = fock._pick(cdfs[occ][setting], uniforms[at:at + rows.size])
                     true[rows] = fock._patterns(k, m).take(idx, axis=0)
                     if k == n:
                         hit[rows] = idx == target_rank
+                else:
+                    true[rows] = _scatter(np.tile(occ, (rows.size, 1)), u,
+                                          uniforms[at:at + rows.size * k])
             fired = _detect(true, det_eff, rng)
             keep = _click_totals(fired) == n
             fired = fired.compress(keep, axis=0)
@@ -835,7 +807,7 @@ def simulate_setting(total_u: np.ndarray, model, src: SourceModel | None,
             events = pattern_from_clicks(fired[:missing], m)
             out[setting, produced:produced + len(events)] = events
             produced += len(events)
-    return out if total_u.ndim == 3 else out[0]
+    return out
 
 
 def distinguishability_mixture(src: SourceModel, input_occ=(1, 1, 1, 0)) -> fock.Mixture:

@@ -309,23 +309,17 @@ def witness_threshold(u: np.ndarray, input_occ, split: int = 1):
     return squares[0] if u.ndim == 2 else np.array(squares).reshape(u.shape[:-2])
 
 
-def _settings(u: np.ndarray, n: int, m: int) -> list:
-    """Chip sections of both settings for each evolution of a stack u (T, m, m).
+def _settings(u: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Ideal unitaries (2T, m, m) of both settings for each evolution of a stack u (T, m, m).
 
-    Returns 2T pairs, setting 1 then setting 2 of each step, each in the
-    order light passes the sections. Setting 1 is u then its inverse;
-    setting 2 also applies the Fourier transform on the occupied modes. A
-    setting's ideal unitary is sections[1] @ sections[0].
+    Setting 1 then setting 2 of each step. Setting 1 is the evolution
+    followed by its inverse, back @ u; setting 2 also applies the Fourier
+    transform on the occupied modes, (fourier @ back) @ u. Each is one
+    stacked product, equal bit for bit to the per-matrix one.
     """
     back = u.conj().swapaxes(-1, -2)
-    turned = linalg.fourier(n, m) @ back
-    return [pair for step, b, f in zip(u, back, turned) for pair in ((step, b), (step, f))]
-
-
-def _ideal_laws(settings, input_occ, model) -> np.ndarray:
-    """Exact output laws (2T, size) of the ideal settings, in one engine pass."""
-    return fock._laws(np.array([sections[1] @ sections[0] for sections in settings]),
-                      input_occ, model)
+    both = np.stack((back @ u, (linalg.fourier(n, m) @ back) @ u), axis=1)
+    return both.reshape(-1, m, m)
 
 
 def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
@@ -335,9 +329,9 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
 
     Setting 1 programs the evolution followed by its inverse; setting 2
     additionally applies the Fourier transform on the occupied modes.
-    With an Apparatus the chip sections are decomposed, jittered and
-    recomposed, and samples pass through source heralding and quasi
-    photon-number detection; otherwise sampling is exact.
+    With an Apparatus each setting's unitary is decomposed into one mesh,
+    jittered and recomposed, and samples pass through source heralding
+    and quasi photon-number detection; otherwise sampling is exact.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -367,10 +361,10 @@ def _sample_settings(settings, model, shots: int, rngs, app: apparatus.Apparatus
     if app is None or app.is_trivial():
         n, m = fock.total(input_occ), len(input_occ)
         return np.array([fock._draw(np.cumsum(law), n, m, shots, rng)
-                         for law, rng in zip(_ideal_laws(settings, input_occ, model), rngs)])
+                         for law, rng in zip(fock._laws(settings, input_occ, model), rngs)])
     from . import apparatus  # cli.load_config has loaded it along with the apparatus block
-    realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
-                         for sections, rng in zip(settings, rngs)])
+    realized = np.array([apparatus.programmed_unitary(u, app.mesh_jitter, rng)
+                         for u, rng in zip(settings, rngs)])
     return apparatus.simulate_setting(realized, model, app.source, app.detection, shots, rngs,
                                       target=input_occ)
 
@@ -445,7 +439,7 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
             hits = [np.cumsum(forbidden_hits(s, fs) if idx % 2 else revival_hits(s, input_occ))
                     [cuts - 1] for idx, s in enumerate(samples)]
         else:
-            laws = _ideal_laws(settings, input_occ, model)
+            laws = fock._laws(settings, input_occ, model)
             probs = [law[_forbidden_mask(n, m, 1)].sum() if idx % 2 else law[revival]
                      for idx, law in enumerate(laws)]
             # a law is checked only to its sum tolerance: a near-delta weight may pass 1

@@ -205,7 +205,7 @@ def _parse_source(d, path: str) -> apparatus.SourceModel:
             f"{path}.pairwise_visibilities",
             f"expected the pairs (0, 1), (0, 2) and (1, 2) once each, got {pairs}")
     try:
-        return apparatus.SourceModel.from_dict(d)
+        return apparatus.SourceModel(**d)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -220,7 +220,7 @@ def _parse_detection(d, path: str) -> apparatus.DetectionModel:
     for key in numbers:
         _get_number(d, key, path)
     try:
-        return apparatus.DetectionModel.from_dict(d)
+        return apparatus.DetectionModel(**d)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -334,6 +334,10 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
                 apparatus._useful_weights(app.source, n, apparatus._has_floor(det))
             except ValueError as exc:
                 raise ConfigError(f"config.apparatus.source: {exc}") from None
+            if "pairwise_visibilities" in raw["apparatus"]["source"]:
+                _expect("model" not in raw, "config.model", "the source's "
+                        "pairwise_visibilities set the model; give one or the other")
+                model = apparatus.distinguishability_mixture(app.source, input_occ)
         if det is not None:
             _expect(det.modes == m, "config.apparatus.detection.weights",
                     f"expected channel weights for {m} modes, got {det.modes}")

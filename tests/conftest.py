@@ -489,20 +489,20 @@ def seed_certify(spec, t: float, model, shots: int, seed, eps1: float, eps2: flo
                     + [shots], dtype=np.int64)
     u = hamiltonian.evolution(spec, t)
     back = u.conj().T
-    settings = ((u, back), (u, linalg.fourier(n, m) @ back))
+    settings = (back @ u, (linalg.fourier(n, m) @ back) @ u)
     rngs = [np.random.default_rng(np.random.SeedSequence((seed, idx))) for idx in range(2)]
     if app is None or app.is_trivial():
         sizes = np.diff(cuts, prepend=0)
         revival = fock._rank(np.array([input_occ]), n)[0]
         hits = []
-        for idx, (sections, rng) in enumerate(zip(settings, rngs)):
-            probs = fock.output_distribution(sections[1] @ sections[0], input_occ, model).probs
+        for idx, (setting, rng) in enumerate(zip(settings, rngs)):
+            probs = fock.output_distribution(setting, input_occ, model).probs
             p = probs[revival] if idx == 0 else probs[certify._forbidden_mask(n, m, 1)].sum()
             hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
     else:
         from photherm import apparatus
-        realized = np.array([apparatus.programmed_unitary(sections, app.mesh_jitter, rng)
-                             for sections, rng in zip(settings, rngs)])
+        realized = np.array([apparatus.programmed_unitary(setting, app.mesh_jitter, rng)
+                             for setting, rng in zip(settings, rngs)])
         samples1, samples2 = apparatus.simulate_setting(realized, model, app.source, app.detection,
                                                         shots, rngs, target=input_occ)
         hits = [np.cumsum(certify.revival_hits(samples1, input_occ))[cuts - 1],

@@ -25,7 +25,7 @@ def test_source_model_validation():
     assert src.visibility(2, 1) == 0.885
     with pytest.raises(KeyError):
         src.visibility(0, 3)
-    assert apparatus.SourceModel.from_dict(src.to_dict()) == src
+    assert apparatus.SourceModel(**src.to_dict()) == src
 
 
 def test_pair_number_law():
@@ -48,7 +48,7 @@ def test_detection_model_validation():
     with pytest.raises(ValueError):
         apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 2, dark_count_prob=1.0)
     det = apparatus.DetectionModel.uniform(4, loss=0.1)
-    assert apparatus.DetectionModel.from_dict(det.to_dict()) == det
+    assert apparatus.DetectionModel(**det.to_dict()) == det
 
 
 def test_resolve_probability_closed_forms():
@@ -317,7 +317,7 @@ def test_programmed_unitary_noise_free_sections():
     u1 = linalg.haar_random(3, 1)
     u2 = linalg.haar_random(3, 2)
     rng = np.random.default_rng(0)
-    total = apparatus.programmed_unitary((u1, u2), 0.0, rng)
+    total = apparatus.programmed_unitary(u2 @ u1, 0.0, rng)
     assert np.max(np.abs(total - u2 @ u1)) < 1e-9
 
 
@@ -338,9 +338,9 @@ def test_simulate_setting_noiseless_revival():
     u = hamiltonian.evolution(spec, 0.9)
     total = u.conj().T @ u
     rng = np.random.default_rng(6)
-    got = apparatus.simulate_setting(total, fock.MODEL_INDISTINGUISHABLE, None, None,
-                                     200, rng, target=(1, 1, 1, 0))
-    assert np.array_equal(got, np.tile((1, 1, 1, 0), (200, 1)))
+    got = apparatus.simulate_setting(total[None], fock.MODEL_INDISTINGUISHABLE, None, None,
+                                     200, [rng], target=(1, 1, 1, 0))
+    assert np.array_equal(got, np.tile((1, 1, 1, 0), (1, 200, 1)))
 
 
 def test_event_stream_guard():
@@ -348,8 +348,8 @@ def test_event_stream_guard():
     src = apparatus.SourceModel(squeezing=1e-4, heralding_efficiency=1e-3)
     rng = np.random.default_rng(1)
     with pytest.raises(apparatus.AcceptanceError) as info:
-        apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                   src, None, 50, rng, target=(1, 1, 1, 0), max_attempts=2000)
+        apparatus.simulate_setting(np.eye(4, dtype=complex)[None], fock.MODEL_INDISTINGUISHABLE,
+                                   src, None, 50, [rng], target=(1, 1, 1, 0), max_attempts=2000)
     err = info.value
     assert err.q == apparatus._useful_weights(src, 3, True).sum()
     assert err.keep_rate == 0.0 and err.projected == math.inf
@@ -359,8 +359,8 @@ def test_event_stream_guard():
     # without a source every attempt is a useful shot; half the light is lost, so few are kept
     det = apparatus.DetectionModel.uniform(4, loss=0.5)
     with pytest.raises(apparatus.AcceptanceError) as info:
-        apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                   None, det, 1000, rng, target=(1, 1, 1, 0), max_attempts=500)
+        apparatus.simulate_setting(np.eye(4, dtype=complex)[None], fock.MODEL_INDISTINGUISHABLE,
+                                   None, det, 1000, [rng], target=(1, 1, 1, 0), max_attempts=500)
     err = info.value
     kept = int(re.match(r"collected (\d+)/1000 events after 1000 source attempts", str(err))[1])
     assert 0 < kept < 1000
@@ -396,15 +396,15 @@ def test_event_stream_with_dark_counts_matches_seed_stream(case):
     det = apparatus.DetectionModel.uniform(4, loss=0.1, dark_count_prob=0.01)
     u = linalg.haar_random(4, 41)
     if not with_source:
-        args = (u, model, None, det, 400)
-        got = apparatus.simulate_setting(*args, np.random.default_rng(5), (1, 1, 1, 0))
-        want = seed_event_stream(*args, np.random.default_rng(5), (1, 1, 1, 0))
-        assert got.shape == (400, 4)
-        assert np.array_equal(got, want)
+        args = (model, None, det, 400)
+        got = apparatus.simulate_setting(u[None], *args, [np.random.default_rng(5)], (1, 1, 1, 0))
+        want = seed_event_stream(u, *args, np.random.default_rng(5), (1, 1, 1, 0))
+        assert got.shape == (1, 400, 4)
+        assert np.array_equal(got[0], want)
         return
-    args = (u, model, src, det, 20_000)
-    got = apparatus.simulate_setting(*args, np.random.default_rng(5), (1, 1, 1, 0))
-    want = seed_event_stream(*args, np.random.default_rng(6), (1, 1, 1, 0))
+    args = (model, src, det, 20_000)
+    got = apparatus.simulate_setting(u[None], *args, [np.random.default_rng(5)], (1, 1, 1, 0))[0]
+    want = seed_event_stream(u, *args, np.random.default_rng(6), (1, 1, 1, 0))
     assert got.shape == (20_000, 4)
     assert_same_pattern_law(got, want)
 
@@ -434,13 +434,13 @@ def test_stacked_stream_rows_equal_single_settings(model, dark, squeezing, count
     assert got.shape == (count, shots, 4)
     assert scatter.called or squeezing != 0.75
     for s in range(count):
-        alone = apparatus.simulate_setting(stack[s], model, src, det, shots,
-                                           np.random.default_rng((seed, s)), target)
-        assert np.array_equal(got[s], alone)
+        alone = apparatus.simulate_setting(stack[s:s + 1], model, src, det, shots,
+                                           [np.random.default_rng((seed, s))], target)
+        assert np.array_equal(got[s], alone[0])
 
 
 def _pinned_stream(case: str):
-    """(total_u, model, source, detection, seeds) of one pinned event stream on 4 modes.
+    """(stack, model, source, detection, seeds) of one pinned event stream on 4 modes.
 
     bench: the certify-hardware stack shape, 4 settings with a source of
     squeezing 0.3 and heralding 0.9, balanced lossless channels, blinding
@@ -451,7 +451,7 @@ def _pinned_stream(case: str):
     src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
     mix = apparatus.distinguishability_mixture(apparatus.SourceModel())
     seed = ("bench", "dark", "bright", "plain").index(case) + 40
-    u = linalg.haar_random(4, seed)
+    u = linalg.haar_random(4, seed)[None]
     if case == "bench":
         stack = np.array([linalg.haar_random(4, (seed, s)) for s in range(4)])
         det = apparatus.DetectionModel(weights=((1 / 3,) * 3,) * 4)
@@ -467,10 +467,9 @@ def _pinned_stream(case: str):
 
 
 def _run_pinned(case: str, shots: int, salt: int = 0) -> np.ndarray:
-    total_u, model, src, det, seeds = _pinned_stream(case)
+    stack, model, src, det, seeds = _pinned_stream(case)
     rngs = [np.random.default_rng((salt, *np.atleast_1d(s))) for s in seeds]
-    return apparatus.simulate_setting(total_u, model, src, det, shots,
-                                      rngs if total_u.ndim == 3 else rngs[0], (1, 1, 1, 0))
+    return apparatus.simulate_setting(stack, model, src, det, shots, rngs, (1, 1, 1, 0))
 
 
 @pytest.mark.parametrize("case, shots, digest", [
@@ -496,9 +495,8 @@ def test_stream_samples_the_exact_kept_law(case):
     """
     shots, dof = 50_000, 19
     bound = dof * (1 - 2 / (9 * dof) + 4.75 * math.sqrt(2 / (9 * dof))) ** 3
-    total_u, model, src, det, _ = _pinned_stream(case)
-    got = _run_pinned(case, shots, salt=1).reshape(-1, shots, 4)
-    for u, events in zip(total_u.reshape(-1, 4, 4), got):
+    stack, model, src, det, _ = _pinned_stream(case)
+    for u, events in zip(stack, _run_pinned(case, shots, salt=1)):
         law = exact_kept_law(u, model, src, det, (1, 1, 1, 0), apparatus.INTERFERENCE_PHOTON_CAP)
         assert law.size == dof + 1 and law.min() > 0.0 and abs(law.sum() - 1.0) < 1e-12
         counts = np.bincount(fock._rank(events, 3), minlength=law.size)
@@ -593,7 +591,8 @@ def test_a_chain_through_the_species_input_leaves_its_mixture_law(monkeypatch):
     src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
     mix = apparatus.distinguishability_mixture(src)
     u = linalg.haar_random(4, 3)
-    apparatus.simulate_setting(u, mix, src, None, 20, np.random.default_rng(1), (1, 1, 1, 0))
+    apparatus.simulate_setting(u[None], mix, src, None, 20, [np.random.default_rng(1)],
+                               (1, 1, 1, 0))
     want = np.cumsum(fock._laws(u, (1, 1, 1, 0), mix)).tobytes()
     # laws of 4 photons on 4 modes have 35 entries, of 3 photons 20
     assert [cdf.size for cdf in drawn][:2] == [35, 20]
@@ -660,10 +659,53 @@ def test_chained_laws_equal_the_single_laws(stack, model, floor, data):
         held = sum(cdf.shape[-1] for cdf in cdfs.values()) + sum(
             state.shape[-1] for state, _ in chains.values() if state is not None)
         assert held <= apparatus._kept_law_entries(3, m, floor)
-    with pytest.raises(ValueError, match="not unitary"):
-        apparatus._extend_chains({}, 1.01 * stack, useful[:1], model, 3, floor, set())
-    with pytest.raises(ValueError, match="unknown distinguishability model"):
-        apparatus._extend_chains({}, stack, useful[:1], "bosons", 3, floor, set())
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_the_stream_checks_the_stack_and_the_model_before_any_draw(with_source):
+    """A non-unitary stack, an unknown model or a bare matrix raises before any draw."""
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9) if with_source else None
+    stack = np.array([linalg.haar_random(4, (9, s)) for s in range(2)])
+    rngs = [np.random.default_rng((9, s)) for s in range(2)]
+    states = [rng.bit_generator.state for rng in rngs]
+    for bad, model, gens, match in (
+            (1.01 * stack, fock.MODEL_INDISTINGUISHABLE, rngs, "not unitary"),
+            (stack, "bosons", rngs, "unknown distinguishability model"),
+            (stack[0], fock.MODEL_INDISTINGUISHABLE, rngs[:1], "one generator per setting"),
+            (stack, fock.MODEL_INDISTINGUISHABLE, rngs[:1], "one generator per setting")):
+        with pytest.raises(ValueError, match=match):
+            apparatus.simulate_setting(bad, model, src, None, 50, gens, (1, 1, 1, 0))
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+
+def test_a_target_past_the_cap_keeps_its_interference_law():
+    """Without a source, a target of more than INTERFERENCE_PHOTON_CAP photons draws from its law.
+
+    Nine photons, one per mode, through the 9-mode Fourier transform land
+    on a forbidden pattern with weight below 1e-28; routed independently,
+    most of them would.
+    """
+    n = apparatus.INTERFERENCE_PHOTON_CAP + 1
+    events = apparatus.simulate_setting(linalg.fourier(n, n)[None], fock.MODEL_INDISTINGUISHABLE,
+                                        None, None, 500, [np.random.default_rng(1)], (1,) * n)[0]
+    assert events.shape == (500, n)
+    assert not certify.forbidden_hits(events, certify.forbidden_patterns(n, n)).any()
+
+
+def test_no_detection_model_is_the_ideal_detector():
+    """Without a detection model the stream draws what it draws with DetectionModel.ideal.
+
+    The ideal stand-in has blinding switched off, so a source run without
+    detection blinds no event.
+    """
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    mix = apparatus.distinguishability_mixture(src)
+    stack = np.array([linalg.haar_random(4, (12, s)) for s in range(2)])
+    got, want = (apparatus.simulate_setting(stack, mix, src, det, 2000,
+                                            [np.random.default_rng((12, s)) for s in range(2)],
+                                            (1, 1, 1, 0))
+                 for det in (None, apparatus.DetectionModel.ideal(4)))
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -698,8 +740,8 @@ def test_the_stream_needs_n_photons_only_without_dark_counts(monkeypatch, det, f
     monkeypatch.setattr(apparatus, "_useful_shots", lambda src, n, fl, *args:
                         seen.append(fl) or useful_shots(src, n, fl, *args))
     src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
-    apparatus.simulate_setting(linalg.haar_random(4, 1), fock.MODEL_INDISTINGUISHABLE, src, det, 20,
-                               np.random.default_rng(1), (1, 1, 1, 0))
+    apparatus.simulate_setting(linalg.haar_random(4, 1)[None], fock.MODEL_INDISTINGUISHABLE, src,
+                               det, 20, [np.random.default_rng(1)], (1, 1, 1, 0))
     assert seen and set(seen) == {floor}
 
 
@@ -710,8 +752,8 @@ def test_event_stream_without_dark_counts_keeps_the_seed_law():
     det = apparatus.DetectionModel.uniform(4, loss=0.1)
     u = linalg.haar_random(4, 42)
     shots = 20_000
-    got = apparatus.simulate_setting(u, model, src, det, shots, np.random.default_rng(3),
-                                     (1, 1, 1, 0))
+    got = apparatus.simulate_setting(u[None], model, src, det, shots, [np.random.default_rng(3)],
+                                     (1, 1, 1, 0))[0]
     want = seed_event_stream(u, model, src, det, shots, np.random.default_rng(4), (1, 1, 1, 0))
     counts, basis = assert_same_pattern_law(got, want)
     assert counts[basis.index((1, 1, 1, 0))] > 1000
@@ -770,22 +812,22 @@ def test_zero_useful_rate_raises_at_once():
     for src in (apparatus.SourceModel(squeezing=0.0), apparatus.SourceModel(heralding_efficiency=0.0),
                 apparatus.SourceModel(squeezing=1e-200)):  # lambda^2 underflows to 0
         with pytest.raises(ValueError, match="never heralds"):
-            apparatus.simulate_setting(np.eye(4, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                       src, None, 10, rng, target=(1, 1, 1, 0))
+            apparatus.simulate_setting(np.eye(4, dtype=complex)[None], fock.MODEL_INDISTINGUISHABLE,
+                                       src, None, 10, [rng], target=(1, 1, 1, 0))
 
 
 def test_source_requires_one_photon_in_each_of_the_first_three_modes():
     src = apparatus.SourceModel()
     rng = np.random.default_rng(2)
     for target in ((1, 1, 0, 0, 0), (2, 1, 0, 0), (1, 1, 1, 1), (1, 1)):
-        u = np.eye(len(target), dtype=complex)
+        u = np.eye(len(target), dtype=complex)[None]
         with pytest.raises(ValueError, match="first three modes"):
-            apparatus.simulate_setting(u, fock.MODEL_INDISTINGUISHABLE, src, None, 10, rng,
+            apparatus.simulate_setting(u, fock.MODEL_INDISTINGUISHABLE, src, None, 10, [rng],
                                        target=target)
     # without a source the target itself is injected, whatever it is
-    out = apparatus.simulate_setting(np.eye(5, dtype=complex), fock.MODEL_INDISTINGUISHABLE,
-                                     None, None, 10, rng, target=(1, 1, 0, 0, 0))
-    assert np.array_equal(out, np.tile((1, 1, 0, 0, 0), (10, 1)))
+    out = apparatus.simulate_setting(np.eye(5, dtype=complex)[None], fock.MODEL_INDISTINGUISHABLE,
+                                     None, None, 10, [rng], target=(1, 1, 0, 0, 0))
+    assert np.array_equal(out, np.tile((1, 1, 0, 0, 0), (1, 10, 1)))
 
 
 def test_distinguishability_mixture_weights():

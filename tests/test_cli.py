@@ -527,6 +527,101 @@ def test_certify_cli_writes_the_library_record(tmp_path, overrides):
     assert trace == list(res.convergence)
 
 
+# Three apparatus certify runs, each file pinned by its sha256. Like the pinned
+# streams in test_apparatus.py, the digests are tied to numpy's Generator
+# algorithms and to the LAPACK behind the mesh decomposition; a change of
+# either would need them re-recorded at a known-good commit.
+GOLDEN_CERTIFY = {
+    "bench-hardware": ({
+        "input": [1, 1, 1, 0], "times": [0.73, 1.21], "shots": 4000, "seed": 481516,
+        "model": {"mixture": [[0.82482, [[1, 1, 1, 0]]],
+                              [0.10718, [[1, 1, 0, 0], [0, 0, 1, 0]]],
+                              [0.068, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]]},
+        "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9},
+                      "detection": {"weights": [[1.0 / 3.0] * 3] * 4},
+                      "mesh_jitter": 0.14401414400026624}}, {
+        "certify_h_t000.json":
+            "861b5739ed45534976c89f54b94909e3dbbdf99d4b44ef2d00ef7ca21e5a5aa3",
+        "certify_h_t000_convergence.csv":
+            "5734ce21f7e968de00c49d4a88a6da2f1856be195a5ad6c5a8a8c11b1e14f5be",
+        "certify_h_t001.json":
+            "7f63e35ff2efe68869ae564d119a2fbb5b8f059436c8e4d97e9b2741f2eeeeab",
+        "certify_h_t001_convergence.csv":
+            "8f103091baa920b54aaf8083a1e3b6a74b55d069d7850c273eabfd980969a313",
+    }),
+    "dark-jitter-no-source": ({
+        "input": [1, 1, 1, 0], "shots": 1500,
+        "apparatus": {"detection": {"weights": [[0.3] * 3] * 4, "dark_count_prob": 0.01},
+                      "mesh_jitter": 0.1}}, {
+        "certify_h_t000.json":
+            "ebaa42c643ddbbc2be345bcd1d3c222bbc4aaa566e695a44bda4dbe5c0317a21",
+        "certify_h_t000_convergence.csv":
+            "e394c22e7e05217898b15709bcf193b69a834fef429b46736131e664e0220c15",
+        "certify_h_t001.json":
+            "fb233f6849ca45e38b9a8ca70c01833003d2f40d866694e4d96f203c33deb0c0",
+        "certify_h_t001_convergence.csv":
+            "6106131ad33c432f22a7210bd045d9d786788d2251219712703a4df7c0acc4c0",
+    }),
+    "species-no-source": ({
+        "input": [1, 1, 1, 0], "shots": 1500,
+        "model": {"species": [[1, 1, 0, 0], [0, 0, 1, 0]]},
+        "apparatus": {"detection": {"weights": [[0.3] * 3] * 4}}}, {
+        "certify_h_t000.json":
+            "5e69f7d5ca35b22e34fa0ea917a402426d5df2c690c387070dc296333ea6b15b",
+        "certify_h_t000_convergence.csv":
+            "de30c7a2bd4372b2de0f067399547d9f74960265f0a79768c162f4645a526353",
+        "certify_h_t001.json":
+            "2803e9809f7c9952a9aa7186315dc74a1946c0397bc4ffb814fa092247fb1a61",
+        "certify_h_t001_convergence.csv":
+            "ff038b2ad987f4535fe57530163585ef69d4b3dd4f2508de83177b7ae85869d3",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CERTIFY))
+def test_golden_certify_runs_keep_their_bytes(tmp_path, case):
+    import hashlib
+
+    overrides, digests = GOLDEN_CERTIFY[case]
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run = next((tmp_path / "out").iterdir())
+    got = {name: hashlib.sha256(body).hexdigest() for name, body in read_tree(run).items()}
+    assert got == digests
+
+
+def test_a_source_visibility_list_sets_the_model(tmp_path):
+    """With no model given, a source's visibility list sets distinguishability_mixture(source).
+
+    Its records equal those of a run that gives that mixture as its model;
+    a source without the list leaves the default model.
+    """
+    def write_without_model(path, **overrides):
+        file = write_config(path, **overrides)
+        file.write_text(json.dumps({key: value for key, value in json.loads(file.read_text())
+                                    .items() if key != "model"}))
+        return file
+
+    listed = _source_field("pairwise_visibilities", [[[1, 2], 0.8], [[0, 1], 0.9], [[0, 2], 0.85]])
+    cfg = cli.load_config(write_without_model(tmp_path, **listed))
+    assert cfg.model == apparatus.distinguishability_mixture(cfg.app.source, cfg.input_occ)
+    assert cfg.resolved["model"] == fock.model_tag(cfg.model)
+    (tmp_path / "listed").mkdir()
+    (tmp_path / "given").mkdir()
+    records = []
+    for name, config in (
+            ("listed", write_without_model(tmp_path / "listed", **listed)),
+            ("given", write_config(tmp_path / "given", **{**HARDWARE,
+                                                           "model": fock.model_tag(cfg.model)}))):
+        assert cli.main(["certify", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        run = next(p for p in (tmp_path / name).iterdir() if p.is_dir())
+        records.append([json.loads((run / f"certify_h_t{ti:03d}.json").read_text())["result"]
+                        for ti in range(2)])
+    assert records[0] == records[1]
+    bare = cli.load_config(write_without_model(tmp_path, **HARDWARE))
+    assert bare.model == fock.MODEL_INDISTINGUISHABLE
+
+
 def test_certify_rejects_input_the_source_cannot_herald(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, hamiltonian={"kind": "hopping", "modes": 5},
@@ -711,9 +806,10 @@ def _certification(**fields):
     return {"certification": {"eps1": 0.9, "eps2": 0.9, **fields}}
 
 
-# 27 malformed variants of the 4-mode certify config; the first eight are the
+# 28 malformed variants of the 4-mode certify config; the first eight are the
 # ones that once ended in a traceback, a wrong exit 0, or Python's own message,
-# and the last three visibility lists that used to be accepted.
+# the next three visibility lists that used to be accepted, and the last a full
+# visibility list given along with a model.
 MALFORMED = [
     (_hamiltonian(modes=4.0), "config.hamiltonian.modes"),
     ({**HARDWARE, "shots": 10**12}, "config.shots"),
@@ -744,6 +840,8 @@ MALFORMED = [
      "config.apparatus.source.pairwise_visibilities"),
     (_source_field("pairwise_visibilities", [[[5, 9], 0.5]]),
      "config.apparatus.source.pairwise_visibilities"),
+    (_source_field("pairwise_visibilities", [[[0, 1], 0.9], [[0, 2], 0.8], [[1, 2], 0.8]]),
+     "config.model"),
 ]
 
 
@@ -758,10 +856,11 @@ def test_malformed_certify_configs_exit_1_at_their_path(tmp_path, capsys, overri
     assert not out.exists()
 
 
+# the source's visibility list sets the model; the base configs without an
+# apparatus take HARDWARE's model instead, so the model's paths are mutated too
 FUZZ_BASE = {
     "hamiltonian": {"kind": "hopping", "modes": 4, "coupling": 1.0, "periodic": True},
     "input": [1, 1, 1, 0], "times": [0.5, 1.0], "shots": 200, "seed": 11,
-    "model": HARDWARE["model"],
     "apparatus": {"source": {"squeezing": 0.3, "heralding_efficiency": 0.9,
                              "pairwise_visibilities": [[[0, 1], 0.9], [[0, 2], 0.8],
                                                        [[1, 2], 0.8]]},
@@ -778,11 +877,12 @@ def _json_paths(node, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-FUZZ_PATHS = list(_json_paths(FUZZ_BASE))[1:]
+FUZZ_PATHS = (list(_json_paths(FUZZ_BASE))[1:]
+              + list(_json_paths({"model": HARDWARE["model"]}))[1:])
 JUNK = [None, True, False, 0, 1, -1, 2, 3, 7, 2**63, 10**400, 0.0, -0.0, 0.5, -0.5, 1.5,
         1e-320, 1e13, 1e308, float("nan"), float("inf"), -float("inf"), "", "4", "x",
         [], {}, [0], [1, 1, 1, 0], [[1, 1, 1, 0]], [[0.3, 0.3, 0.3]], {"foo": 1},
-        [[[0, 1], 0.2], [[1, 0], 0.9]], [[[5, 9], 0.5]]]
+        [[[0, 1], 0.2], [[1, 0], 0.9]], [[[5, 9], 0.5]], "indistinguishable"]
 mutation = st.tuples(st.sampled_from(FUZZ_PATHS),
                      st.sampled_from(["replace", "delete", "unknown key"]),
                      st.sampled_from(range(len(JUNK))))
@@ -821,6 +921,7 @@ def test_mutated_configs_never_crash_or_leave_directories(command, ideal, mutati
     cfg = json.loads(json.dumps(FUZZ_BASE))
     if ideal:
         del cfg["apparatus"]
+        cfg["model"] = HARDWARE["model"]
     for path, action, junk in mutations:
         cfg = _mutate(cfg, path, action, junk)
     with tempfile.TemporaryDirectory() as tmp:
