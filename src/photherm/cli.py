@@ -9,7 +9,11 @@ leaves no directory behind. Existing run directories are never
 overwritten without --force.
 
 apparatus and certify are imported by load_config for the blocks that use
-them, selftest by its command: nothing a run uses is imported later.
+them, selftest by its command: nothing a run uses is imported later. The
+digest's sha256 comes from the interpreter's built-in module, so a gge run
+or a ring evolve never loads hashlib and OpenSSL; a config that draws or
+seeds (a certification block or a long_range Hamiltonian) loads
+numpy.random, which loads them.
 
 Exit codes: 0 success, 1 config validation error (including an evolve or
 gge config with a non-trivial apparatus block, which only certify uses)
@@ -20,7 +24,6 @@ error, 3 selftest failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -29,6 +32,16 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+# hashlib loads OpenSSL's libcrypto (about 3.6 MB resident); as random.py does, try the
+# interpreter's built-in hash first. The digest is the same.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -260,7 +273,7 @@ class ExperimentConfig:
     resolved: dict
 
     def digest(self) -> str:
-        return hashlib.sha256(
+        return sha256(
             json.dumps(self.resolved, sort_keys=True).encode()).hexdigest()[:12]
 
 

@@ -137,7 +137,8 @@ with tempfile.TemporaryDirectory() as tmp:
                                   "times": [0.0, 1.0], "model": "distinguishable"}))
     for command in ("evolve", "gge"):
         assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
-    loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest"} & set(sys.modules)
+    loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest",
+              "hashlib", "_hashlib"} & set(sys.modules)
     assert not loaded, loaded
     config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
                                   "times": [0.0, 1.0], "shots": 100,
@@ -151,11 +152,54 @@ assert not loaded, loaded
 def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
     """A bare import loads no module; evolve, gge and certify load none they do not run.
 
-    A certify run without an apparatus block leaves apparatus unloaded too.
+    Ring evolve and gge runs leave hashlib, and with it OpenSSL, unloaded. A
+    certify run without an apparatus block leaves apparatus unloaded too.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", LAZY_LAYERS], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("raw", [
+    {"hamiltonian": {"kind": "hopping", "modes": 4}},
+    {"hamiltonian": {"kind": "long_range", "modes": 5, "seed": 3}, "input": [1, 1, 0, 0, 0],
+     "times": [0.3, 1.1], "model": "distinguishable"},
+    {"hamiltonian": {"kind": "hopping", "modes": 4}, "times": [0.5], "shots": 100, "seed": 7,
+     "certification": {"eps1": 0.9, "eps2": 0.8}},
+])
+def test_digest_is_the_sha256_of_the_resolved_config(tmp_path, raw):
+    import hashlib
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    cfg = cli.load_config(config)
+    want = hashlib.sha256(json.dumps(cfg.resolved, sort_keys=True).encode()).hexdigest()[:12]
+    assert cfg.digest() == want
+
+
+HASHLIB_FALLBACK = """
+import json, sys, tempfile
+from pathlib import Path
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # no built-in sha256
+from photherm import cli
+import hashlib
+assert cli.sha256 is hashlib.sha256, cli.sha256
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(sys.argv[1])
+    assert cli.main(["gge", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+    print(next((Path(tmp) / "out").iterdir()).name)  # last line, after cli.main's own
+"""
+
+
+def test_a_run_without_the_built_in_sha256_takes_hashlib_and_the_same_directory(tmp_path):
+    body = json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4}, "times": [0.0, 1.0]})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", HASHLIB_FALLBACK, body], check=True,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    config = tmp_path / "config.json"
+    config.write_text(body)
+    assert cli.main(["gge", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert done.stdout.split()[-1] == next((tmp_path / "out").iterdir()).name
 
 
 NO_LOAD_DURING_RUN = """
