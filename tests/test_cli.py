@@ -419,6 +419,116 @@ def test_evolve_csv_writer_holds_no_whole_file(tmp_path):
     assert peak < 200_000, (peak, size)
 
 
+def _count_forks(monkeypatch) -> list:
+    """Wrap os.fork; the returned list gets the pid of each worker this process forks."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _cores(monkeypatch, count: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("model", ["indistinguishable", "distinguishable",
+                                   {"species": [[1, 0, 0, 0], [0, 1, 0, 0]]}])
+def test_evolve_writes_the_same_bytes_on_any_core_count(tmp_path, monkeypatch, model):
+    """Each law is a job; min(jobs, cores) processes share them, and the files do not change."""
+    cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 4, "seeds": [3, 8]},
+                       input=[1, 1, 0, 0], times=[0.2, 0.5, 0.9], model=model,
+                       certification=None)
+    evolutions = []
+    evolution = hamiltonian.evolution
+    monkeypatch.setattr(hamiltonian, "evolution",
+                        lambda spec, t: evolutions.append(t) or evolution(spec, t))
+    forks = _count_forks(monkeypatch)
+    _cores(monkeypatch, 2)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+    assert forks == []   # 10 patterns per law, below cli.FORK_MIN_PATTERNS
+    assert evolutions == [(0.2, 0.5, 0.9)] * 2   # one stacked call per Hamiltonian
+    want = read_tree(next((tmp_path / "one").iterdir()))
+    jobs = 6 if model == "indistinguishable" else 12
+    assert len(want) == 18
+
+    monkeypatch.setattr(cli, "FORK_MIN_PATTERNS", 1)
+    for cores in (2, 3):
+        _cores(monkeypatch, cores)
+        forks.clear()
+        out = tmp_path / f"cores{cores}"
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(forks) == min(jobs, cores) - 1
+        assert read_tree(next(out.iterdir())) == want
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("suffix", ["_exact", ""], ids=["worker", "parent"])
+@pytest.mark.parametrize("error", [OSError("disk full"), RuntimeError("no law")],
+                         ids=["oserror", "other"])
+def test_a_failed_law_writer_fails_the_run_and_leaves_no_directory(tmp_path, monkeypatch, capfd,
+                                                                   suffix, error):
+    """The worker writes _exact.csv, the parent the model's law: either failing gives exit 2."""
+    cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 4, "seed": 3},
+                       input=[1, 1, 0, 0], times=[0.5], model="distinguishable",
+                       certification=None)
+    write_law = cli._write_law
+
+    def failing(path, preamble, law):
+        if path.stem.endswith("_t000" + suffix):
+            raise error
+        write_law(path, preamble, law)
+
+    monkeypatch.setattr(cli, "_write_law", failing)
+    monkeypatch.setattr(cli, "FORK_MIN_PATTERNS", 1)
+    _cores(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(forks) == 1
+    assert f"error: evolve_h_t000{suffix}.csv: {error}" in capfd.readouterr().err
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("suffix", ["_exact", ""], ids=["worker", "parent"])
+def test_an_interrupted_law_writer_leaves_no_worker_or_directory(tmp_path, monkeypatch, capfd,
+                                                                 suffix):
+    """An interrupted worker fails the run; an interrupted parent reaps its worker and unwinds."""
+    cfg = write_config(tmp_path, hamiltonian={"kind": "long_range", "modes": 4, "seed": 3},
+                       input=[1, 1, 0, 0], times=[0.5], model="distinguishable",
+                       certification=None)
+    write_law = cli._write_law
+
+    def interrupted(path, preamble, law):
+        if path.stem.endswith("_t000" + suffix):
+            raise KeyboardInterrupt
+        write_law(path, preamble, law)
+
+    monkeypatch.setattr(cli, "_write_law", interrupted)
+    monkeypatch.setattr(cli, "FORK_MIN_PATTERNS", 1)
+    _cores(monkeypatch, 2)
+    out = tmp_path / "out"
+    if suffix:
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: KeyboardInterrupt" in capfd.readouterr().err
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["evolve", "--config", str(cfg), "--out", str(out)])
+    assert list(out.iterdir()) == []
+    _assert_no_child_left()
+
+
 def test_evolve_writes_two_digit_counts(tmp_path):
     """Ten photons in two modes: the pattern column keeps every digit of each count."""
     cfg = write_config(tmp_path, hamiltonian={"kind": "hopping", "modes": 2}, input=[10, 0],
