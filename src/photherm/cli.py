@@ -11,9 +11,12 @@ overwritten without --force.
 apparatus and certify are imported by load_config for the blocks that use
 them, selftest by its command: nothing a run uses is imported later. The
 digest's sha256 comes from the interpreter's built-in module, so a gge run
-or a ring evolve never loads hashlib and OpenSSL; a config that draws or
-seeds (a certification block or a long_range Hamiltonian) loads
-numpy.random, which loads them.
+or a ring evolve never loads hashlib. A config that draws or seeds (a
+certification block or a long_range Hamiltonian) loads numpy.random, whose
+secrets import loads hashlib. main blocks hashlib's OpenSSL module
+(_hashlib) before that, unless the process already holds it, so hashlib
+takes the built-in hashes and no CLI run maps libcrypto; a library caller
+of load_config keeps its own hashlib.
 
 evolve writes its laws with up to one process per usable core (the CPU
 affinity, so taskset restricts it): the parent and forked workers, each
@@ -649,6 +652,13 @@ def main(argv=None) -> int:
         p.add_argument("--force", action="store_true", help="replace an existing run directory")
     sub.add_parser("selftest", help="run the built-in oracle checks")
     args = parser.parse_args(argv)
+    # numpy.random imports bit_generator -> secrets -> hmac -> hashlib -> _hashlib, and
+    # _hashlib maps OpenSSL's libcrypto (about 3.6 MB resident). numpy only calls
+    # secrets.randbits (os.urandom), and hmac and hashlib fall back to the interpreter's
+    # built-in hashes when _hashlib cannot be imported. main owns its process, so it
+    # blocks _hashlib here; library callers keep theirs, and setdefault leaves alone a
+    # _hashlib that is already loaded.
+    sys.modules.setdefault("_hashlib", None)
 
     if args.command == "selftest":
         from . import selftest

@@ -138,14 +138,19 @@ with tempfile.TemporaryDirectory() as tmp:
     for command in ("evolve", "gge"):
         assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
     loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest",
-              "hashlib", "_hashlib"} & set(sys.modules)
-    assert not loaded, loaded
+              "hashlib"} & set(sys.modules)
+    assert not loaded and sys.modules.get("_hashlib") is None, loaded
     config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
                                   "times": [0.0, 1.0], "shots": 100,
                                   "certification": {"eps1": 0.9, "eps2": 0.9}}))
     assert cli.main(["certify", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
 loaded = {"photherm.apparatus", "photherm.selftest"} & set(sys.modules)
 assert not loaded, loaded
+assert "numpy.random" in sys.modules and sys.modules.get("_hashlib") is None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        mapped = [line for line in maps if "libcrypto" in line]
+    assert not mapped, mapped
 """
 
 
@@ -153,11 +158,53 @@ def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
     """A bare import loads no module; evolve, gge and certify load none they do not run.
 
     Ring evolve and gge runs leave hashlib, and with it OpenSSL, unloaded. A
-    certify run without an apparatus block leaves apparatus unloaded too.
+    certify run without an apparatus block leaves apparatus unloaded too. It
+    loads numpy.random, whose hashlib then takes the interpreter's built-in
+    hashes: _hashlib stays blocked and, on Linux, no libcrypto is mapped.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", LAZY_LAYERS], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+HASHLIB_BLOCK_SCOPE = """
+import json, sys, tempfile
+from pathlib import Path
+case = sys.argv[1]
+if case == "hashlib-first":
+    import hashlib
+    openssl = sys.modules.get("_hashlib")
+    if openssl is None:
+        sys.exit("no OpenSSL hashlib on this interpreter")
+from photherm import cli
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
+                                  "times": [0.5], "shots": 100,
+                                  "certification": {"eps1": 0.9, "eps2": 0.9}}))
+    if case == "hashlib-first":
+        assert cli.main(["certify", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+        assert sys.modules["_hashlib"] is openssl
+    else:
+        cli.load_config(config)
+        assert "numpy.random" in sys.modules
+        assert sys.modules.get("_hashlib", False) is not None
+"""
+
+
+@pytest.mark.parametrize("case", ["hashlib-first", "load-config-only"])
+def test_only_the_cli_blocks_openssl_and_never_unloads_it(case):
+    """cli.main blocks _hashlib only where it is not loaded yet, and load_config never does.
+
+    A host process that imported hashlib keeps OpenSSL's module through a
+    certify run; a library caller of load_config keeps its own hashlib.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", HASHLIB_BLOCK_SCOPE, case], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    if done.stderr.startswith("no OpenSSL hashlib"):
+        pytest.skip(done.stderr.strip())
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("raw", [
@@ -732,13 +779,30 @@ GOLDEN_CERTIFY = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_CERTIFY))
-def test_golden_certify_runs_keep_their_bytes(tmp_path, case):
+@pytest.mark.parametrize("case, fresh", [
+    *(pytest.param(case, False, id=case) for case in sorted(GOLDEN_CERTIFY)),
+    *(pytest.param(case, True, id=f"{case}-dev-mode-cli") for case in sorted(GOLDEN_CERTIFY))])
+def test_golden_certify_runs_keep_their_bytes(tmp_path, case, fresh):
+    """Each pinned certify run writes the same bytes in process and from a fresh CLI.
+
+    In process, pytest has already loaded OpenSSL's hashlib (hypothesis
+    imports it). The fresh `python -X dev -W error -m photherm.cli` process
+    blocks it and hashes with the interpreter's built-in modules, and must
+    neither warn nor write anything to stderr.
+    """
     import hashlib
 
     overrides, digests = GOLDEN_CERTIFY[case]
     cfg = write_config(tmp_path, **overrides)
-    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    args = ["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if fresh:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "photherm.cli",
+                               *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+    else:
+        assert cli.main(args) == 0
     run = next((tmp_path / "out").iterdir())
     got = {name: hashlib.sha256(body).hexdigest() for name, body in read_tree(run).items()}
     assert got == digests
