@@ -10,7 +10,9 @@ one row per pattern, by a colex recursion over the modes. That array is
 the source of truth: enumerate_basis is its rows as tuples, _rank maps
 rows back to their indices, and samplers index into it. The per-basis
 caches come from it by array work, with no Python loop over patterns:
-the engine's gather maps (_creation_map) follow the same recursion. A
+the engine's gather maps (_creation_map) follow the same recursion. Each
+cached index table is stored in the narrowest unsigned dtype of its
+largest value, and the engine's counts are views of the basis. A
 FockDistribution holds only n, m and its probability vector over that
 basis; readers of a law index the array instead of walking the basis
 pattern by pattern. Its CSV rows are labelled CSV_BLOCK patterns at a
@@ -258,7 +260,9 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     src[i, t] is the index of t - e_i at level k - 1, or the size of that
     level (one zero slot appended to the source vector) where t_i = 0;
-    counts[i, t] is t_i. Both are read-only and shared by every caller.
+    counts[i, t] is t_i, the view _patterns(k, m).T. Both are read-only and
+    shared by every caller. src takes the narrowest unsigned dtype of its
+    sentinel, the size of level k - 1, chosen per level.
 
     src follows the colex recursion of _patterns, one mode at a time, for
     every level up to k in one pass. Widening from w to w + 1 modes, level
@@ -267,33 +271,34 @@ def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     the w-mode map of level r with its sentinel renumbered, and row w is
     the sentinel. In block 2, row w is arange, and rows i < w are the
     (w + 1)-mode map of level r - 1 offset by the size of its block 1; by
-    Pascal's rule the offset also renumbers its sentinel. Only the current
-    width is kept, and a miss caches every level from 2 to k at width m,
-    so asking for the top level first builds them all at once.
+    Pascal's rule the offset also renumbers its sentinel. Every value at a
+    narrower width is at most the sentinel at width m, so each level is
+    built in its final dtype. Only the current width is kept, and a miss
+    caches every level from 2 to k at width m, so asking for the top level
+    first builds them all at once.
     """
     if (k, m) in _CREATION_MAPS:
         return _CREATION_MAPS[k, m]
-    maps = [np.zeros((1, 1), dtype=np.int32)] * (k + 1)   # one mode: (r,) comes from (r - 1,)
+    maps = [np.zeros((1, 1), dtype=np.uint8)] * (k + 1)   # one mode: (r,) comes from (r - 1,)
     for w in range(1, m):
-        wider = [np.zeros((w + 1, 1), dtype=np.int32)]   # level 0: nothing below it
+        wider = [np.zeros((w + 1, 1), dtype=np.uint8)]   # level 0: nothing below it
         for r in range(1, k + 1):
             head = maps[r]
             split = head.shape[1]
             old, new = math.comb(r + w - 2, r - 1), math.comb(r + w - 1, r - 1)
-            src = np.empty((w + 1, split + new), dtype=np.int32)
+            src = np.empty((w + 1, split + new), np.min_scalar_type(math.comb(r + m - 2, r - 1)))
             src[:w, :split] = head
             src[:w, :split][head == old] = new
             src[w, :split] = new
-            np.add(wider[r - 1][:w], old, out=src[:w, split:])
+            np.add(wider[r - 1][:w], old, out=src[:w, split:], dtype=src.dtype)
             src[w, split:] = np.arange(new)
             wider.append(src)
         maps = wider
     _patterns(k, m)   # the top level first: one build caches every level
     for r in range(min(k, 2), k + 1):
         if (r, m) not in _CREATION_MAPS:
-            counts = np.ascontiguousarray(_patterns(r, m).T)
-            maps[r].flags.writeable = counts.flags.writeable = False
-            _CREATION_MAPS[r, m] = maps[r], counts
+            maps[r].flags.writeable = False
+            _CREATION_MAPS[r, m] = maps[r], _patterns(r, m).T
     return _CREATION_MAPS[k, m]
 
 
@@ -354,10 +359,13 @@ def _transfer(coupling: np.ndarray, input_occ, bosonic: bool) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
-    """Level-(a + b) index of s + t for every pattern s of level a and t of level b, row-major."""
+    """Level-(a + b) index of s + t for every pattern s of level a and t of level b, row-major.
+
+    Read-only, in the narrowest unsigned dtype of the level's last index.
+    """
     sums = (_patterns(a, m)[:, None, :].astype(np.min_scalar_type(a + b))
             + _patterns(b, m)[None, :, :]).reshape(-1, m)
-    out = _rank(sums, a + b).astype(np.int32)
+    out = _rank(sums, a + b).astype(np.min_scalar_type(math.comb(a + b + m - 1, a + b) - 1))
     out.flags.writeable = False
     return out
 

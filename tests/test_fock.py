@@ -31,8 +31,13 @@ def test_basis_order_and_count():
 @example(0, 9)
 @example(7, 1)
 @example(7, 9)
+@example(256, 2)  # level 255 on 2 modes has 256 patterns: level 256's sentinel needs uint16
 def test_basis_arrays_match_the_recursive_oracle(n, m):
-    """The array-built basis, its tuples, ranks and every level's creation map equal the seed builders."""
+    """The array-built basis, its tuples, ranks and every level's creation map equal the seed builders.
+
+    Each map's src takes the narrowest dtype of its sentinel, the size of
+    level k - 1, and its counts are a view of the level's basis.
+    """
     want = seed_enumerate_basis(n, m)
     assert fock.enumerate_basis(n, m) == want
     pats = fock._patterns(n, m)
@@ -41,8 +46,10 @@ def test_basis_arrays_match_the_recursive_oracle(n, m):
     assert np.array_equal(pats, np.array(want, dtype=pats.dtype).reshape(-1, m))
     assert np.array_equal(fock._rank(pats, n), np.arange(len(want)))
     for k in range(1, n + 1):
-        for got, oracle in zip(fock._creation_map(k, m), seed_creation_map(k, m)):
-            assert got.dtype == oracle.dtype
+        src, counts = fock._creation_map(k, m)
+        assert src.dtype == np.min_scalar_type(math.comb(k + m - 2, m - 1))
+        assert np.shares_memory(counts, fock._patterns(k, m))
+        for got, oracle in zip((src, counts), seed_creation_map(k, m)):
             assert not got.flags.writeable
             assert np.array_equal(got, oracle)
 
@@ -477,17 +484,52 @@ def test_stacked_laws_reject_any_non_unitary_matrix():
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (5, 4), (6, 7)])
 def test_creation_maps_do_not_depend_on_call_order(n, m):
-    """The top level first (one pass fills every level) or level by level, the maps are the same."""
+    """The top level first (one pass fills every level) or level by level, the maps are the same.
+
+    Values and dtypes both: each level's dtype is its own, not the top level's.
+    """
     want = [seed_creation_map(k, m) for k in range(1, n + 1)]
+    dtypes = {}
     for order in ([n, 2], [2, n], list(range(n, 0, -1)), list(range(1, n + 1))):
         fock._CREATION_MAPS.clear()
         for k in order + list(range(1, n + 1)):
-            for got, oracle in zip(fock._creation_map(k, m), want[k - 1]):
+            maps = fock._creation_map(k, m)
+            for got, oracle in zip(maps, want[k - 1]):
                 assert np.array_equal(got, oracle)
+            got_dtypes = tuple(a.dtype for a in maps)
+            assert dtypes.setdefault(k, got_dtypes) == got_dtypes
     fock._CREATION_MAPS.clear()
     top = fock._creation_map(n, m)
     assert fock._creation_map(n, m) is top
     assert set(fock._CREATION_MAPS) == {(k, m) for k in range(2, n + 1)}
+
+
+def test_creation_maps_of_six_photons_on_twelve_modes_fit_their_byte_budget():
+    """The tables of evolve-large's basis: src by level in uint8 or uint16, counts owning no bytes.
+
+    In int32 with contiguous uint8 counts they held 890,448 + 222,612 bytes.
+    """
+    fock._CREATION_MAPS.clear()
+    fock._creation_map(6, 12)
+    tables = [fock._CREATION_MAPS[k, 12] for k in range(2, 7)]
+    assert [src.dtype for src, _ in tables] == [np.uint8] * 2 + [np.uint16] * 3
+    assert sum(src.nbytes for src, _ in tables) == 439_920
+    assert not any(counts.flags.owndata for _, counts in tables)
+
+
+@pytest.mark.parametrize("a, b, m", [
+    (1, 1, 3), (2, 3, 4), (3, 3, 12),
+    (128, 127, 2),  # 256 patterns on level 255: ranks up to 255 fit uint8
+    (128, 128, 2),  # 257 patterns: rank 256 needs uint16
+])
+def test_pair_ranks_are_the_ranks_of_pair_sums_in_the_narrowest_dtype(a, b, m):
+    """_pair_rank holds the level-(a + b) rank of every pair sum, read-only, in the narrowest dtype."""
+    got = fock._pair_rank(a, b, m)
+    sums = (fock._patterns(a, m)[:, None, :].astype(np.int64)
+            + fock._patterns(b, m)[None, :, :]).reshape(-1, m)
+    assert np.array_equal(got, fock._rank(sums, a + b))
+    assert got.dtype == np.min_scalar_type(math.comb(a + b + m - 1, a + b) - 1)
+    assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("occ, model, top", [
