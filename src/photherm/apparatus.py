@@ -64,6 +64,15 @@ when its input has n photons and it drew the target's index, so no
 pattern rows are compared. Detection sets every fired channel with one
 1-D scatter into the flat click buffer.
 
+Integer arrays made per shot or per photon take the narrowest unsigned
+dtype their largest value needs: the returned events min_scalar_type(n),
+since a kept event has n clicks; a block's true patterns its largest
+input total, which a by-product above INTERFERENCE_PHOTON_CAP can push
+past 255; photon cells 3 k m for a block of k shots on m modes, so no
+channel or output index computed from them wraps. The uniforms stay the
+generator's float64 draws, and click totals and pattern_from_clicks
+stay int64.
+
 By-products of more than INTERFERENCE_PHOTON_CAP photons skip their
 interference law and route each photon independently through |U|^2.
 The exact law is what the cap bounds: for the 12-photon by-product
@@ -253,12 +262,17 @@ def _route(mode: np.ndarray, edges: np.ndarray, uniforms: np.ndarray) -> np.ndar
 
 
 def _photon_cells(patterns: np.ndarray) -> np.ndarray:
-    """Cell (shot * m + mode) of every photon of patterns (k, m), in shot-then-mode order."""
-    return np.repeat(np.arange(patterns.size), patterns.ravel())
+    """Cell (shot * m + mode) of every photon of patterns (k, m), in shot-then-mode order.
+
+    Cells take the narrowest unsigned dtype that holds 3 * k * m, so the
+    channel index 3 * cell + slot of _detect never wraps.
+    """
+    dtype = np.min_scalar_type(CHANNELS_PER_MODE * patterns.size)
+    return np.repeat(np.arange(patterns.size, dtype=dtype), patterns.ravel())
 
 
 def _detect(patterns: np.ndarray, det: DetectionModel, rng) -> np.ndarray:
-    """The body of qpnr_detect, for int64 patterns the caller has checked.
+    """The body of qpnr_detect, for non-negative integer patterns the caller has checked.
 
     One uniform per photon in shot-then-mode order routes it; each live
     photon sets channel 3 * cell + bin of the flat click buffer, one 1-D
@@ -704,18 +718,18 @@ def simulate_setting(stack: np.ndarray, model, src: SourceModel | None,
     docstring), and kept as its cumulative sum.
 
     Post-selection keeps heralded shots with exactly n clicks, n the
-    target photon number. A source requires the target it heralds, one
-    photon in each of the first three modes. model is the target's law;
-    every other input takes model if it is a name, else the
-    indistinguishable law. Without a source the target pattern itself is
-    injected every shot; without a detection model an ideal balanced
-    multiplexer stands in. The target draws from its law whatever its
-    size; by-product inputs brighter than INTERFERENCE_PHOTON_CAP route
-    their photons independently (see the module docstring). Raises
-    ValueError before any draw if the stack is not unitary, the model does
-    not fit the target, or the source never gives a shot that can pass,
-    and AcceptanceError once a setting has spent max_attempts source
-    attempts.
+    target photon number, so the events come in np.min_scalar_type(n). A
+    source requires the target it heralds, one photon in each of the
+    first three modes. model is the target's law; every other input takes
+    model if it is a name, else the indistinguishable law. Without a
+    source the target pattern itself is injected every shot; without a
+    detection model an ideal balanced multiplexer stands in. The target
+    draws from its law whatever its size; by-product inputs brighter than
+    INTERFERENCE_PHOTON_CAP route their photons independently (see the
+    module docstring). Raises ValueError before any draw if the stack is
+    not unitary, the model does not fit the target, or the source never
+    gives a shot that can pass, and AcceptanceError once a setting has
+    spent max_attempts source attempts.
     """
     stack = np.asarray(stack, dtype=complex)
     rngs = list(rngs)
@@ -742,7 +756,7 @@ def simulate_setting(stack: np.ndarray, model, src: SourceModel | None,
     plain = model if isinstance(model, str) else fock.MODEL_INDISTINGUISHABLE
     chains: dict = {}   # by-product chains by j1, for _extend_chains
 
-    out = np.empty((len(stack), shots, m), dtype=np.int64)
+    out = np.empty((len(stack), shots, m), dtype=np.min_scalar_type(n))
     batch = 8192
     tail = (0,) * (m - 3)
     for setting, (u, rng) in enumerate(zip(stack, rngs)):
@@ -784,7 +798,7 @@ def simulate_setting(stack: np.ndarray, model, src: SourceModel | None,
             per_shot = [1 if occ in cdfs else fock.total(occ) for occ in inputs]
             offsets = np.concatenate(([0], np.cumsum(np.diff(bounds) * per_shot)))
             uniforms = rng.random(int(offsets[-1]))
-            true = np.empty((count, m), dtype=np.int64)
+            true = np.empty((count, m), np.min_scalar_type(max([n, *map(fock.total, inputs)])))
             hit = np.zeros(count, dtype=bool)
             for occ, lo, hi, at in zip(inputs, bounds, bounds[1:], offsets):
                 rows, k = order[lo:hi], fock.total(occ)

@@ -362,10 +362,26 @@ def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
     """Level-(a + b) index of s + t for every pattern s of level a and t of level b, row-major.
 
     Read-only, in the narrowest unsigned dtype of the level's last index.
+    With R_j the photons of s + t in modes 0..j, the sum of the factors'
+    prefix sums, _rank's walk adds C(R_j + j, j) - C(R_{j-1} + j, j) for
+    each mode j >= 1. Every such term, and so every partial sum, is at
+    most the rank, so the table accumulates one mode at a time in its own
+    dtype, and no pair sum is materialized.
     """
-    sums = (_patterns(a, m)[:, None, :].astype(np.min_scalar_type(a + b))
-            + _patterns(b, m)[None, :, :]).reshape(-1, m)
-    out = _rank(sums, a + b).astype(np.min_scalar_type(math.comb(a + b + m - 1, a + b) - 1))
+    top = a + b
+    out = np.zeros((math.comb(a + m - 1, a), math.comb(b + m - 1, b)),
+                   np.min_scalar_type(math.comb(top + m - 1, top) - 1))
+    prefix_a, prefix_b = (np.cumsum(_patterns(k, m), axis=1, dtype=np.min_scalar_type(top)).T
+                          for k in (a, b))
+    below = np.add.outer(prefix_a[0], prefix_b[0])
+    for j in range(1, m):
+        comb = _binomials(top, m)[:, j]
+        # steps[p, r] = C(r + j, j) - C(p + j, j), read only where p <= r
+        steps = np.maximum(comb - comb[:, None], 0).astype(out.dtype)
+        upto = np.add.outer(prefix_a[j], prefix_b[j])
+        out += steps[below, upto]
+        below = upto
+    out = out.reshape(-1)
     out.flags.writeable = False
     return out
 

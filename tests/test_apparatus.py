@@ -185,6 +185,54 @@ def test_over_cap_routing_samples_distinguishable_law():
     assert 0.5 * np.abs(freq - quantum).sum() > 0.05
 
 
+def test_a_block_past_255_photons_in_one_mode_keeps_every_photon(monkeypatch):
+    """A block's true patterns take the dtype of its largest input total, so no count wraps.
+
+    The first block holds the by-product (0, 0, 300, 0), which routes
+    independently, and the target. Through the identity every photon
+    stays in its mode, so the true patterns _detect receives hold the
+    int64 inputs' photons, mode by mode, and each photon gets its own cell.
+    """
+    blocks = iter([(np.array([0, 1]), np.array([300, 1]))])
+
+    def scripted(src, n, floor, want, budget, rng):
+        j1, j2 = next(blocks, (np.ones(want, dtype=np.int64), np.ones(want, dtype=np.int64)))
+        return j1.size, j1, j2
+
+    seen, detect = [], apparatus._detect
+    monkeypatch.setattr(apparatus, "_useful_shots", scripted)
+    monkeypatch.setattr(apparatus, "_detect",
+                        lambda true, det, rng: seen.append(true) or detect(true, det, rng))
+    src = apparatus.SourceModel(squeezing=0.3, heralding_efficiency=0.9)
+    apparatus.simulate_setting(np.eye(4)[None], fock.MODEL_INDISTINGUISHABLE, src, None, 5,
+                               [np.random.default_rng(1)], (1, 1, 1, 0))
+    inputs = np.array([[0, 0, 300, 0], [1, 1, 1, 0]], dtype=np.int64)
+    true = seen[0]
+    assert fock.total((0, 0, 300, 0)) > apparatus.INTERFERENCE_PHOTON_CAP
+    assert true.dtype == np.uint16
+    assert np.array_equal(true.sum(axis=0, dtype=np.int64), inputs.sum(axis=0))
+    cells = apparatus._photon_cells(true)
+    assert np.array_equal(np.bincount(cells % 4, minlength=4), inputs.sum(axis=0))
+
+
+def test_detect_past_two_to_the_sixteen_channels_fires_what_int64_cells_fire(monkeypatch):
+    """5,462 shots on 4 modes have 65,544 channels: uint32 cells, the same fired as int64 cells."""
+    shots, m = 5462, 4
+    channels = apparatus.CHANNELS_PER_MODE * m
+    assert shots * channels >= 2**16
+    patterns = np.random.default_rng(3).integers(0, 4, (shots, m)).astype(np.uint8)
+    patterns[-1] = (0, 1, 2, 3)   # channels 65,535 and up
+    det = apparatus.DetectionModel(weights=((0.5, 0.3, 0.15),) * m)
+    assert apparatus._photon_cells(patterns).dtype == np.uint32
+    got = apparatus._detect(patterns, det, np.random.default_rng(4))
+    monkeypatch.setattr(apparatus, "_photon_cells",
+                        lambda p: np.repeat(np.arange(p.size, dtype=np.int64), p.ravel()))
+    want = apparatus._detect(patterns, det, np.random.default_rng(4))
+    assert got.shape == (shots, channels)
+    assert np.array_equal(got, want)
+    assert want[-1, 3:].any()
+
+
 def test_correction_recovers_truth():
     """Unequal channel weights bias raw click patterns; dividing them out repairs the estimate."""
     u = linalg.fourier(3, 4)
@@ -479,10 +527,16 @@ def _run_pinned(case: str, shots: int, salt: int = 0) -> np.ndarray:
     ("plain", 2000, "c9b5a70198fcdfeb765a19f9e138f5f7a8de5b0072ee6ed6b1811dbc6c5dd183"),
 ])
 def test_pinned_streams_keep_their_bytes(case, shots, digest):
-    """The sha256 of each pinned stream's output bytes: a faster block must make the same draws."""
+    """The sha256 of each pinned stream's events as int64 bytes: a faster block makes the same draws.
+
+    The events come in the narrowest dtype of the 3 clicks a kept event
+    has; the digest is of their values, so it does not pin the dtype.
+    """
     import hashlib
 
-    assert hashlib.sha256(_run_pinned(case, shots).tobytes()).hexdigest() == digest
+    out = _run_pinned(case, shots)
+    assert out.dtype == np.min_scalar_type(3)
+    assert hashlib.sha256(np.asarray(out, dtype=np.int64).tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("case", ["bench", "dark", "bright", "plain"])
