@@ -78,8 +78,11 @@ interference law and route each photon independently through |U|^2.
 The exact law is what the cap bounds: for the 12-photon by-product
 (4, 4, 4, 0, ...) on 12 modes it has 1,352,078 patterns and took 13 s
 and 1.2 GB of peak memory to build, against 1.5 s for a 9-photon one
-(167,960 patterns). Post-selection on the target click total removes
-nearly all such shots anyway.
+(167,960 patterns). Post-selection on the target click total keeps few
+such shots: of the 16,000 events of a two-step certify on 4 modes (seed
+7, heralding 0.9, balanced channels, mesh jitter 0.144), 0 came from
+inputs above the cap at squeezing 0.3, 9 (0.06 %) at 0.6 and 393
+(2.5 %) at 0.8.
 
 Detector blinding by by-product light is folded into a linear survival
 factor for revival-pattern events as a function of pump power, not a
@@ -503,22 +506,24 @@ def programmed_unitary(u: np.ndarray, mesh_jitter: float, seed) -> np.ndarray:
     return mesh_compose(mesh_perturb(mesh_decompose(u), mesh_jitter, rng))
 
 
-def jitter_for_fidelity(target: float, m: int, seed=0, samples: int = 24,
-                        sd_max: float = 1.0, iters: int = 40) -> float:
-    """Jitter width whose mean amplitude fidelity over Haar targets hits the target value."""
+def jitter_for_fidelity(target: float, m: int) -> float:
+    """Jitter width whose mean amplitude fidelity over Haar targets hits the target value.
+
+    24 Haar targets of seed 0; 40 bisection steps on widths in [0, 1].
+    """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target fidelity must lie in (0, 1), got {target}")
-    meshes = [(linalg.haar_random(m, (seed, k)), mesh_decompose(linalg.haar_random(m, (seed, k))))
-              for k in range(samples)]
+    meshes = [(linalg.haar_random(m, (0, k)), mesh_decompose(linalg.haar_random(m, (0, k))))
+              for k in range(24)]
 
     def mean_fidelity(sd: float) -> float:
-        rng = np.random.default_rng((seed, 987, int(sd * 1e9)))
+        rng = np.random.default_rng((0, 987, int(sd * 1e9)))
         return float(np.mean([
             linalg.amplitude_fidelity(u, mesh_compose(mesh_perturb(p, sd, rng)))
             for u, p in meshes]))
 
-    lo, hi = 0.0, sd_max
-    for _ in range(iters):
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if mean_fidelity(mid) > target:
             lo = mid

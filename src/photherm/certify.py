@@ -34,42 +34,41 @@ CONVERGENCE_BATCHES = 16
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Output patterns suppressed by the Fourier interference of a periodic input.
+    """Output patterns suppressed by the Fourier interference of one photon per mode.
 
-    Built by forbidden_patterns; forbidden_hits reads its n, m and period.
+    Built by forbidden_patterns; forbidden_hits reads its n and m.
     """
 
     n: int
     m: int
-    period: int
 
     @cached_property
     def patterns(self) -> tuple[fock.ModeOccupation, ...]:
         """The forbidden patterns as tuples, in basis order."""
-        forb = fock._patterns(self.n, self.m)[_forbidden_mask(self.n, self.m, self.period)]
+        forb = fock._patterns(self.n, self.m)[_forbidden_mask(self.n, self.m)]
         return tuple(map(tuple, forb.tolist()))
 
 
 @lru_cache(maxsize=None)
-def _forbidden_mask(n: int, m: int, period: int) -> np.ndarray:
+def _forbidden_mask(n: int, m: int) -> np.ndarray:
     """Read-only boolean mask over fock._patterns(n, m) of the forbidden patterns.
 
     The rule of forbidden_patterns, applied to the whole basis at once;
     patterns with photons beyond mode n are never forbidden.
     """
     pats = fock._patterns(n, m)
-    mask = (period * (pats[:, :n] @ np.arange(1, n + 1))) % n != 0
+    mask = (pats[:, :n] @ np.arange(1, n + 1)) % n != 0
     mask &= ~pats[:, n:].any(axis=1)
     mask.flags.writeable = False
     return mask
 
 
 @lru_cache(maxsize=None)
-def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
-    """Suppressed output patterns for a period-p input of n photons under fourier(n, m).
+def forbidden_patterns(n: int, m: int) -> ForbiddenSet:
+    """Suppressed output patterns of one photon per mode on modes 0..n-1 under fourier(n, m).
 
     A pattern s on the first n modes is forbidden iff
-    p * sum(mode_assignment(s)) is nonzero mod n (1-based mode numbers).
+    sum(mode_assignment(s)) is nonzero mod n (1-based mode numbers).
     Patterns placing photons beyond mode n cannot arise from the ideal
     input, the apparatus filter handles them; they are not enumerated.
     Cached; the returned set is frozen.
@@ -78,9 +77,7 @@ def forbidden_patterns(n: int, m: int, period: int = 1) -> ForbiddenSet:
         raise ValueError(f"need at least 2 photons, got {n}")
     if m < n:
         raise ValueError(f"need m >= n modes, got n={n}, m={m}")
-    if period < 1 or n % period:
-        raise ValueError(f"period {period} must divide the photon number {n}")
-    return ForbiddenSet(n, m, period)
+    return ForbiddenSet(n, m)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +172,7 @@ def forbidden_hits(samples, fs: ForbiddenSet) -> np.ndarray:
     samples = np.asarray(samples).reshape(len(samples), fs.m)
     hits = np.zeros(len(samples), dtype=bool)
     full = samples.sum(axis=1) == fs.n
-    hits[full] = _forbidden_mask(fs.n, fs.m, fs.period)[fock._rank(samples[full], fs.n)]
+    hits[full] = _forbidden_mask(fs.n, fs.m)[fock._rank(samples[full], fs.n)]
     return hits
 
 
@@ -248,8 +245,7 @@ class CertificationResult:
 
 
 def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
-                   eps1: float, eps2: float, variance: float = DEFAULT_VARIANCE,
-                   witness: float | None = None) -> CertificationResult:
+                   eps1: float, eps2: float, witness: float | None = None) -> CertificationResult:
     """Assemble the certified fidelity lower bound from the two estimates.
 
     lambdas holds (sizes, lambda) pairs as returned by lambda_coefficients;
@@ -263,8 +259,8 @@ def fidelity_bound(p1: float, k1: int, p2: float, k2: int, lambdas,
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name}={p} outside [0, 1]")
     lam_min = min(vals)
-    d1 = chebyshev_delta(variance, k1, eps1)
-    d2 = chebyshev_delta(variance, k2, eps2)
+    d1 = chebyshev_delta(DEFAULT_VARIANCE, k1, eps1)
+    d2 = chebyshev_delta(DEFAULT_VARIANCE, k2, eps2)
     f_lower = p1 - p2 / lam_min - d1 - d2
     return CertificationResult(
         p1=p1, p2=p2, k1=k1, k2=k2, epsilon1=eps1, epsilon2=eps2,
@@ -440,7 +436,7 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
                     [cuts - 1] for idx, s in enumerate(samples)]
         else:
             laws = fock._laws(settings, input_occ, model)
-            probs = [law[_forbidden_mask(n, m, 1)].sum() if idx % 2 else law[revival]
+            probs = [law[_forbidden_mask(n, m)].sum() if idx % 2 else law[revival]
                      for idx, law in enumerate(laws)]
             # a law is checked only to its sum tolerance: a near-delta weight may pass 1
             hits = [np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0)))

@@ -345,7 +345,7 @@ def _transfer(coupling: np.ndarray, input_occ, bosonic: bool) -> np.ndarray:
     if not photons:
         return np.ones(coupling.shape[:-2] + (1,), dtype=coupling.dtype)
     stack = coupling.reshape(-1, m, m)
-    coupled = stack[0] if len(stack) == 1 else stack.any(axis=0)
+    coupled = stack.any(axis=0)
     if len(photons) > 1:
         _creation_map(len(photons), m)   # the top level first: one pass builds every level
     padded = None

@@ -9,7 +9,6 @@ folding the entire geometric tail k >= n into the last bin; the raw
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,8 @@ def geometric_photon_probability(k: int, density: float) -> float:
     return density**k / (density + 1.0) ** (k + 1)
 
 
-def gge_marginal(n: int, m: int, mode: int = 0) -> MarginalDistribution:
-    """Stationary single-mode reference for n photons in m modes, support 0..n.
+def gge_marginal(n: int, m: int) -> MarginalDistribution:
+    """Stationary mode-0 reference for n photons in m modes, support 0..n.
 
     Bins k < n carry the raw geometric values; bin n absorbs the whole
     geometric tail (D/(D+1))^n so the truncated law sums to exactly 1.
@@ -56,7 +55,7 @@ def gge_marginal(n: int, m: int, mode: int = 0) -> MarginalDistribution:
     d = n / m
     probs = np.array([geometric_photon_probability(k, d) for k in range(n)]
                      + [(d / (d + 1.0)) ** n])
-    return MarginalDistribution(mode, probs)
+    return MarginalDistribution(0, probs)
 
 
 def _prob_vector(p) -> np.ndarray:
@@ -82,22 +81,19 @@ class TracePoint:
     tvd_to_gge: float
 
 
-def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, model,
-               mode: int) -> np.ndarray:
-    """Single-mode marginals at each time, one row per time: (len(times), n + 1).
+def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, model) -> np.ndarray:
+    """Mode-0 marginals at each time, one row per time: (len(times), n + 1).
 
     The times go through hamiltonian.evolution and the stacked transition
     engine in chunks of at most fock.MAX_PATTERNS law entries (and as many
     unitary entries), so a long list of times never holds more than one
     law of the largest accepted basis. Each row equals
-    marginal(fock.output_distribution(hamiltonian.evolution(spec, t), ...))
+    marginal(fock.output_distribution(hamiltonian.evolution(spec, t), ...), 0)
     bit for bit.
     """
     n, m = fock.total(input_occ), spec.modes
-    if not 0 <= mode < m:
-        raise ValueError(f"mode {mode} out of range for {m} modes")
     times = np.asarray(times, dtype=float).reshape(-1)
-    counts = fock._patterns(n, m)[:, mode]
+    counts = fock._patterns(n, m)[:, 0]
     step = max(1, fock.MAX_PATTERNS // max(counts.size, m * m))
     out = np.empty((times.size, n + 1))
     for lo in range(0, times.size, step):
@@ -108,43 +104,38 @@ def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, model,
 
 
 def equilibration_trace(spec: hamiltonian.HamiltonianSpec, input_occ, times,
-                        model=fock.MODEL_INDISTINGUISHABLE, mode: int = 0) -> list[TracePoint]:
-    """Single-mode marginal and its distance to the stationary reference over time.
+                        model=fock.MODEL_INDISTINGUISHABLE) -> list[TracePoint]:
+    """Mode-0 marginal and its distance to the stationary reference over time.
 
     All times are evaluated as stacks (see _marginals), one evolution and
     one engine pass per chunk.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
-    ref = gge_marginal(fock.total(input_occ), spec.modes, mode)
+    ref = gge_marginal(fock.total(input_occ), spec.modes)
     times = [float(t) for t in times]
     out = []
-    for t, probs in zip(times, _marginals(spec, input_occ, times, model, mode)):
-        marg = MarginalDistribution(mode, probs)
+    for t, probs in zip(times, _marginals(spec, input_occ, times, model)):
+        marg = MarginalDistribution(0, probs)
         out.append(TracePoint(t, marg, tvd(marg, ref)))
     return out
 
 
-def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ,
-                    model=fock.MODEL_INDISTINGUISHABLE, t_max: float = 6.0,
-                    samples: int = 240, mode: int = 0) -> float:
-    """Scan for the first revival of the initial single-mode marginal.
+def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ) -> float:
+    """Scan for the first revival of the initial mode-0 marginal of indistinguishable photons.
 
-    A coarse grid of samples points on (0, t_max], evaluated as one stack,
-    then a golden-section search, to 1e-12 in t, of the distance to the
-    t=0 marginal around the best grid point.
+    A coarse grid of 240 points on (0, 6], evaluated as one stack, then a
+    golden-section search, to 1e-12 in t, of the distance to the t=0
+    marginal around the best grid point.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be a finite time > 0, got {t_max!r}")
+    model = fock.MODEL_INDISTINGUISHABLE
 
     def dist_to_start(t: float) -> float:
-        return tvd(_marginals(spec, input_occ, t, model, mode)[0], start)
+        return tvd(_marginals(spec, input_occ, t, model)[0], start)
 
-    start = _marginals(spec, input_occ, 0.0, model, mode)[0]
-    ts = np.linspace(0.0, t_max, samples + 1)[1:]
-    vals = np.array([tvd(row, start) for row in _marginals(spec, input_occ, ts, model, mode)])
+    start = _marginals(spec, input_occ, 0.0, model)[0]
+    ts = np.linspace(0.0, 6.0, 241)[1:]
+    vals = np.array([tvd(row, start) for row in _marginals(spec, input_occ, ts, model)])
     # skip the initial departure, then take the best later grid point
     ceiling = 0.5 * vals.max()
     past = np.nonzero(vals >= ceiling)[0]

@@ -66,7 +66,7 @@ def seed_lambda_coefficients(n: int, m: int) -> dict:
         return outs
 
     u = linalg.fourier(n, m)
-    forb = set(certify.forbidden_patterns(n, m, 1).patterns)
+    forb = set(certify.forbidden_patterns(n, m).patterns)
     classes: dict = {}
     for blocks in set_partitions(tuple(range(n))):
         if len(blocks) < 2:
@@ -497,7 +497,7 @@ def seed_certify(spec, t: float, model, shots: int, seed, eps1: float, eps2: flo
         hits = []
         for idx, (setting, rng) in enumerate(zip(settings, rngs)):
             probs = fock.output_distribution(setting, input_occ, model).probs
-            p = probs[revival] if idx == 0 else probs[certify._forbidden_mask(n, m, 1)].sum()
+            p = probs[revival] if idx == 0 else probs[certify._forbidden_mask(n, m)].sum()
             hits.append(np.cumsum(rng.binomial(sizes, min(max(p, 0.0), 1.0))))
     else:
         from photherm import apparatus
@@ -526,7 +526,7 @@ def m_mode_lambda_coefficients(n: int, m: int) -> tuple:
     """
     from photherm import certify, fock, linalg
     u = linalg.fourier(n, m)
-    forbidden = certify._forbidden_mask(n, m, 1)
+    forbidden = certify._forbidden_mask(n, m)
     exit_laws: dict = {}
 
     def exit_law(block):
@@ -562,7 +562,7 @@ def n_mode_lambda_coefficients(n: int) -> tuple:
     """
     from photherm import certify, fock, linalg
     u = linalg.fourier(n)
-    forbidden = certify._forbidden_mask(n, n, 1)
+    forbidden = certify._forbidden_mask(n, n)
     exit_laws: dict = {}
 
     def exit_law(block):

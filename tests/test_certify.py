@@ -39,11 +39,9 @@ def test_forbidden_patterns_are_suppressed():
             assert fock.prob_indistinguishable(u, r, s) < 1e-12
 
 
-def test_forbidden_period_two():
-    fs = certify.forbidden_patterns(2, 2, period=1)
+def test_forbidden_set_two_photons():
+    fs = certify.forbidden_patterns(2, 2)
     assert fs.patterns == ((1, 1),)
-    with pytest.raises(ValueError):
-        certify.forbidden_patterns(3, 4, period=2)
 
 
 def test_lambda_constants():
@@ -108,11 +106,10 @@ def test_bunching_mask_matches_the_tuple_scan(size, extra):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 2), st.data())
-def test_forbidden_set_patterns_match_the_per_pattern_rule(n, extra, data):
-    period = data.draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
-    fs = certify.forbidden_patterns(n, n + extra, period)
-    assert fs.patterns == seed_forbidden_patterns(n, n + extra, period)
+@given(st.integers(2, 6), st.integers(0, 2))
+def test_forbidden_set_patterns_match_the_per_pattern_rule(n, extra):
+    fs = certify.forbidden_patterns(n, n + extra)
+    assert fs.patterns == seed_forbidden_patterns(n, n + extra, 1)
 
 
 def test_lambda_monte_carlo_agrees():
@@ -133,11 +130,10 @@ def test_lambda_monte_carlo_fixed_seed_values():
 
 @st.composite
 def estimator_cases(draw):
-    """A forbidden set (any period), a target and rows mixing the awkward kinds."""
+    """A forbidden set, a target and rows mixing the awkward kinds."""
     n = draw(st.integers(2, 5))
     m = draw(st.integers(n, n + 2))
-    period = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
-    fs = certify.forbidden_patterns(n, m, period)
+    fs = certify.forbidden_patterns(n, m)
     tail = (0,) * (m - n)
     ideal = st.sampled_from([p + tail for p in fock.enumerate_basis(n, n)])
     free = st.lists(st.integers(0, 2 * n), min_size=m, max_size=m).map(tuple)
@@ -225,9 +221,9 @@ def test_chebyshev_delta():
 
 def test_fidelity_bound_arithmetic():
     lams = certify.lambda_coefficients(3, 4)
-    res = certify.fidelity_bound(0.5, 10**9, 0.1, 10**9, lams, 0.9, 0.9, variance=0.0)
-    assert abs(res.f_lower - 0.275) < 1e-12
-    assert res.delta == 0.0
+    res = certify.fidelity_bound(0.5, 10**9, 0.1, 10**9, lams, 0.9, 0.9)
+    assert res.delta == 2 * certify.chebyshev_delta(certify.DEFAULT_VARIANCE, 10**9, 0.9)
+    assert abs(res.f_lower + res.delta - 0.275) < 1e-12
     assert abs(res.epsilon - 0.81) < 1e-15
 
 

@@ -113,7 +113,7 @@ with tempfile.TemporaryDirectory() as tmp:
                                   "times": [0.7]}))
     assert cli.main(["evolve", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
 ring = hamiltonian.HamiltonianSpec(kind="hopping", modes=4)
-t_rec = gge.recurrence_time(ring, (1, 1, 1, 0), t_max=4.0, samples=160)
+t_rec = gge.recurrence_time(ring, (1, 1, 1, 0))
 assert abs(t_rec - np.pi / 2) < 1e-6, t_rec
 """
 

@@ -98,7 +98,7 @@ def test_recurrence_time_on_ring():
     The full state only revives at pi; the marginal scan must find the
     earlier time and the distance there must vanish to solver precision.
     """
-    t_rec = gge.recurrence_time(RING, INPUT, t_max=4.0, samples=160)
+    t_rec = gge.recurrence_time(RING, INPUT)
     assert abs(t_rec - np.pi / 2) < 1e-6
     u = hamiltonian.evolution(RING, t_rec)
     d = fock.output_distribution(u, INPUT)
@@ -131,11 +131,11 @@ MODELS = (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE,
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(MODELS),
        st.lists(st.floats(0.0, 4.0, allow_subnormal=False), min_size=0, max_size=9),
-       st.integers(1, 4), st.integers(0, 3))
-@example(MODELS[2], [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 2, 0)
-@example(MODELS[3], [0.0], 1, 1)
-@example(MODELS[0], [], 1, 0)
-def test_trace_chunks_equal_the_per_time_laws(model, times, rows, mode):
+       st.integers(1, 4))
+@example(MODELS[2], [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 2)
+@example(MODELS[3], [0.0], 1)
+@example(MODELS[0], [], 1)
+def test_trace_chunks_equal_the_per_time_laws(model, times, rows):
     """Each chunk of at most `rows` times is one evolution; every point equals the single law.
 
     The chunk bound is lowered so that a few times already span several
@@ -144,14 +144,14 @@ def test_trace_chunks_equal_the_per_time_laws(model, times, rows, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fock, "MAX_PATTERNS", rows * 20)  # 20 patterns: 3 photons on 4 modes
         calls = counted_evolution(mp)
-        trace = gge.equilibration_trace(RING, INPUT, times, model, mode)
+        trace = gge.equilibration_trace(RING, INPUT, times, model)
     assert calls == [min(rows, len(times) - lo) for lo in range(0, len(times), rows)]
-    ref = gge.gge_marginal(3, 4, mode)
+    ref = gge.gge_marginal(3, 4)
     assert [p.t for p in trace] == times
     for pt in trace:
-        want = seed_trace_marginal(RING, INPUT, pt.t, model, mode)
+        want = seed_trace_marginal(RING, INPUT, pt.t, model, 0)
         assert np.array_equal(pt.marginal.probs, want)
-        assert pt.marginal.mode == mode
+        assert pt.marginal.mode == 0
         assert pt.tvd_to_gge == gge.tvd(want, ref)
 
 
@@ -162,23 +162,12 @@ def test_trace_of_no_times_is_empty_and_long_traces_take_one_evolution(monkeypat
     trace = gge.equilibration_trace(RING, INPUT, np.linspace(0.0, 3.0, 500))
     assert calls == [500]
     assert len(trace) == 500
-    with pytest.raises(ValueError, match="mode 4 out of range"):
-        gge.equilibration_trace(RING, INPUT, [1.0], mode=4)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"t_max": 4.0, "samples": 160},
-                                    {"model": fock.MODEL_DISTINGUISHABLE, "t_max": 2.0,
-                                     "samples": 40, "mode": 1}])
+@pytest.mark.parametrize("kwargs", [{}, {"input_occ": (2, 1, 0, 0)},
+                                    {"spec": hamiltonian.HamiltonianSpec(kind="hopping", modes=5),
+                                     "input_occ": (1, 1, 1, 0, 0)}])
 def test_recurrence_time_equals_the_per_time_scan(kwargs):
     """The stacked coarse grid finds the same grid point, so the search returns the same float."""
-    assert gge.recurrence_time(RING, INPUT, **kwargs) == seed_recurrence_time(RING, INPUT, **kwargs)
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"samples": 0}, "samples"), ({"samples": -3}, "samples"), ({"samples": 2.5}, "samples"),
-    ({"t_max": -1.0}, "t_max"), ({"t_max": 0.0}, "t_max"),
-    ({"t_max": float("nan")}, "t_max"), ({"t_max": float("inf")}, "t_max"),
-])
-def test_recurrence_time_rejects_empty_grids_and_bad_horizons(kwargs, name):
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        gge.recurrence_time(RING, INPUT, **kwargs)
+    case = {"spec": RING, "input_occ": INPUT, **kwargs}
+    assert gge.recurrence_time(**case) == seed_recurrence_time(**case)
