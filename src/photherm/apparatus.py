@@ -92,12 +92,11 @@ microscopic dead-time model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import fock, linalg
+from . import fock, linalg, record
 
 CHANNELS_PER_MODE = 3
 WEIGHT_SUM_TOL = 1e-9
@@ -106,7 +105,7 @@ BLINDING_SLOPE = -0.0020   # per mW, fitted survival of revival events
 BLINDING_INTERCEPT = 0.9534
 
 
-@dataclass(frozen=True)
+@record
 class SourceModel:
     """Two-crystal downconversion source with heralding.
 
@@ -152,7 +151,7 @@ class SourceModel:
                 "pairwise_visibilities": [[list(p), v] for p, v in self.pairwise_visibilities]}
 
 
-@dataclass(frozen=True)
+@record
 class DetectionModel:
     """Per-mode multiplexing weights and detection pathologies.
 
@@ -209,7 +208,7 @@ class DetectionModel:
                 "blinding_intercept": self.blinding_intercept}
 
 
-@dataclass(frozen=True)
+@record
 class Apparatus:
     """Bundle of the optional hardware imperfections used by a run."""
 
@@ -387,7 +386,7 @@ def blinding_probability(pump_power: float, det: DetectionModel) -> float:
 # Rectangular mesh programming
 
 
-@dataclass(frozen=True)
+@record
 class MeshParams:
     """Rectangular mesh: output phases followed by m(m-1)/2 two-mode crossings.
 

@@ -20,19 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import fock, hamiltonian, linalg
+from . import fock, hamiltonian, linalg, record
 
 LAMBDA_MAX_PHOTONS = 6
 DEFAULT_VARIANCE = 0.25
 CONVERGENCE_BATCHES = 16
 
 
-@dataclass(frozen=True)
+@record
 class ForbiddenSet:
     """Output patterns suppressed by the Fourier interference of one photon per mode.
 
@@ -209,7 +208,7 @@ def chebyshev_delta(variance: float, k: int, epsilon: float) -> float:
     return math.sqrt(2.0 * variance / (k * math.log(1.0 / epsilon)))
 
 
-@dataclass(frozen=True)
+@record
 class CertificationResult:
     """Everything needed to audit one certification run.
 
@@ -227,10 +226,10 @@ class CertificationResult:
     delta: float
     f_lower: float
     lambda_min: float
-    lambdas: tuple = field(default=())
+    lambdas: tuple = ()
     witness_threshold: float | None = None
     entangled: bool | None = None
-    convergence: tuple = field(default=())
+    convergence: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -447,5 +446,5 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
                 p1, p2 = k1 / cut, k2 / cut
                 result = fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
                 trace.append((cut, p1, p2, result.f_lower))
-            out.append(replace(result, convergence=tuple(trace)))
+            out.append(result.replace(convergence=tuple(trace)))
     return out[0] if times.ndim == 0 else tuple(out)

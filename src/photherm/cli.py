@@ -9,7 +9,9 @@ leaves no directory behind. Existing run directories are never
 overwritten without --force.
 
 apparatus and certify are imported by load_config for the blocks that use
-them, selftest by its command: nothing a run uses is imported later. The
+them, gge by main before load_config for its own command, and selftest by
+its command: nothing a run uses is imported later, and no command loads
+dataclasses (the record classes come from photherm.record). The
 digest's sha256 comes from the interpreter's built-in module, so a gge run
 or a ring evolve never loads hashlib. A config that draws or seeds (a
 certification block or a long_range Hamiltonian) loads numpy.random, whose
@@ -40,7 +42,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 # hashlib loads OpenSSL's libcrypto (about 3.6 MB resident); as random.py does, try the
@@ -55,7 +56,7 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__, fock, gge, hamiltonian
+from . import __version__, fock, hamiltonian, record
 
 DEFAULT_EPSILON_GRID = (0.7, 0.8, 0.9)
 # Most shots a run with a non-trivial apparatus may ask for; its event stream samples each one.
@@ -269,7 +270,7 @@ def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
     return apparatus.Apparatus(source=src, detection=det, mesh_jitter=jitter)
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Validated run description with every default resolved."""
 
@@ -580,6 +581,7 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
     """Marginal traces and distances to the stationary reference, per transition law."""
+    from . import gge  # loaded by main before load_config
     n = fock.total(cfg.input_occ)
     m = cfg.specs[0].modes
     ref = gge.gge_marginal(n, m)
@@ -669,6 +671,8 @@ def main(argv=None) -> int:
         print("all checks passed")
         return 0
 
+    if args.command == "gge":
+        from . import gge  # noqa: F401  cmd_gge's layer: a run loads nothing after load_config
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         _expect(args.command == "certify" or cfg.app is None or cfg.app.is_trivial(),

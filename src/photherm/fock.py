@@ -58,12 +58,11 @@ extends it with _create in mode 2, reading each law on the way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
+from . import linalg, record
 
 ModeOccupation = tuple[int, ...]
 SpeciesPartition = tuple[ModeOccupation, ...]
@@ -425,7 +424,7 @@ def partition_input(partition: SpeciesPartition) -> ModeOccupation:
     return tuple(sum(counts) for counts in zip(*partition))
 
 
-@dataclass(frozen=True)
+@record
 class Mixture:
     """Convex combination of species partitions modelling partial distinguishability."""
 
@@ -462,7 +461,7 @@ def _check_probs(probs, size: int | None = None) -> np.ndarray:
     return np.maximum(probs, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class FockDistribution:
     """Probability distribution of n photons over the canonical basis enumerate_basis(n, m)."""
 

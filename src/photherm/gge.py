@@ -9,14 +9,12 @@ folding the entire geometric tail k >= n into the last bin; the raw
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import fock, hamiltonian
+from . import fock, hamiltonian, record
 
 
-@dataclass(frozen=True)
+@record
 class MarginalDistribution:
     """Photon-number distribution of one spatial mode, support 0..n."""
 
@@ -74,7 +72,7 @@ def tvd(p, q) -> float:
     return float(0.5 * np.sum(np.abs(pv - qv)))
 
 
-@dataclass(frozen=True)
+@record
 class TracePoint:
     t: float
     marginal: MarginalDistribution

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from . import linalg
+from . import linalg, record
 
 KINDS = ("hopping", "long_range", "explicit")
 
 
-@dataclass(frozen=True)
+@record
 class HamiltonianSpec:
     """Declarative description of a mode-coupling Hamiltonian.
 
@@ -27,7 +25,7 @@ class HamiltonianSpec:
     coupling: float = 1.0
     seed: int | None = None
     periodic: bool = True
-    matrix: tuple | None = field(default=None)
+    matrix: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -49,7 +47,7 @@ class HamiltonianSpec:
                 raise ValueError(f"matrix shape {a.shape} does not match modes={self.modes}")
             if not linalg.is_hermitian(a):
                 raise ValueError("explicit matrix is not Hermitian within tolerance")
-            # store hashable nested tuples so the dataclass stays frozen
+            # store hashable nested tuples so the record hashes
             object.__setattr__(self, "matrix", tuple(tuple(x) for x in a.tolist()))
 
     def to_dict(self) -> dict:

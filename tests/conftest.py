@@ -474,8 +474,6 @@ def seed_certify(spec, t: float, model, shots: int, seed, eps1: float, eps2: flo
     setting, with one a two-setting event stream; the witness from one
     state vector.
     """
-    from dataclasses import replace
-
     from photherm import certify, fock, hamiltonian, linalg
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -515,7 +513,7 @@ def seed_certify(spec, t: float, model, shots: int, seed, eps1: float, eps2: flo
         p1, p2 = h1 / cut, h2 / cut
         result = certify.fidelity_bound(p1, cut, p2, cut, lambdas, eps1, eps2, witness=thresh)
         trace.append((cut, p1, p2, result.f_lower))
-    return replace(result, convergence=tuple(trace))
+    return result.replace(convergence=tuple(trace))
 
 
 def m_mode_lambda_coefficients(n: int, m: int) -> tuple:

@@ -131,40 +131,57 @@ from pathlib import Path
 import photherm
 assert not [k for k in sys.modules if k.startswith("photherm.")], sorted(sys.modules)
 from photherm import cli
+command = sys.argv[1]
+raw = {"hamiltonian": {"kind": "hopping", "modes": 4}, "times": [0.0, 1.0]}
+if command == "certify":
+    raw.update(shots=100, certification={"eps1": 0.9, "eps2": 0.9})
+else:
+    raw["model"] = "distinguishable"
+load_config = cli.load_config
+
+
+def checked_load_config(*args, **kwargs):
+    cfg = load_config(*args, **kwargs)
+    assert ("photherm.gge" in sys.modules) == (command == "gge"), command
+    return cfg
+
+
+cli.load_config = checked_load_config
 with tempfile.TemporaryDirectory() as tmp:
     config = Path(tmp) / "config.json"
-    config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
-                                  "times": [0.0, 1.0], "model": "distinguishable"}))
-    for command in ("evolve", "gge"):
-        assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
-    loaded = {"photherm.apparatus", "photherm.certify", "photherm.selftest",
-              "hashlib"} & set(sys.modules)
-    assert not loaded and sys.modules.get("_hashlib") is None, loaded
-    config.write_text(json.dumps({"hamiltonian": {"kind": "hopping", "modes": 4},
-                                  "times": [0.0, 1.0], "shots": 100,
-                                  "certification": {"eps1": 0.9, "eps2": 0.9}}))
-    assert cli.main(["certify", "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
-loaded = {"photherm.apparatus", "photherm.selftest"} & set(sys.modules)
+    config.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(config), "--out", str(Path(tmp) / "out")]) == 0
+unused = {"photherm.apparatus", "photherm.selftest", "dataclasses"}
+if command != "gge":
+    unused.add("photherm.gge")
+if command != "certify":
+    unused |= {"photherm.certify", "hashlib"}
+loaded = unused & set(sys.modules)
 assert not loaded, loaded
-assert "numpy.random" in sys.modules and sys.modules.get("_hashlib") is None
-if sys.platform.startswith("linux"):
-    with open("/proc/self/maps") as maps:
-        mapped = [line for line in maps if "libcrypto" in line]
-    assert not mapped, mapped
+assert sys.modules.get("_hashlib") is None
+if command == "certify":
+    assert "numpy.random" in sys.modules
+    if sys.platform.startswith("linux"):
+        with open("/proc/self/maps") as maps:
+            mapped = [line for line in maps if "libcrypto" in line]
+        assert not mapped, mapped
 """
 
 
 def test_evolve_and_gge_load_no_apparatus_certify_or_selftest():
-    """A bare import loads no module; evolve, gge and certify load none they do not run.
+    """A bare import loads no module; each command loads none it does not run.
 
-    Ring evolve and gge runs leave hashlib, and with it OpenSSL, unloaded. A
-    certify run without an apparatus block leaves apparatus unloaded too. It
+    Ring evolve, gge and certify runs, each in its own process, load neither
+    apparatus, selftest nor dataclasses, and only the gge run loads gge, by
+    the time load_config returns. Ring evolve and gge runs leave hashlib,
+    and with it OpenSSL, unloaded. A certify run without an apparatus block
     loads numpy.random, whose hashlib then takes the interpreter's built-in
     hashes: _hashlib stays blocked and, on Linux, no libcrypto is mapped.
     """
     src = str(Path(cli.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", LAZY_LAYERS], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    for command in ("evolve", "gge", "certify"):
+        subprocess.run([sys.executable, "-c", LAZY_LAYERS, command], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 HASHLIB_BLOCK_SCOPE = """
