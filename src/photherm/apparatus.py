@@ -601,32 +601,32 @@ def _extend_chains(chains: dict, stack: np.ndarray, inputs, model: str, n: int, 
 
     chains maps j1 to its chain over the stack of settings: the unscaled
     padded engine state of (j1, j1, j2, 0, ...) and that j2, with no state
-    once it reaches INTERFERENCE_PHOTON_CAP. A new chain starts with j1
-    photons in mode 0, then j1 in mode 1. Each chain of the inputs takes
-    fock._create steps in mode 2 up to the largest j2 they need, reading
-    on the way every useful input not in known, bit for bit the law
-    fock._laws gives it. The caller has checked the stack and the model.
+    once it reaches INTERFERENCE_PHOTON_CAP. A new chain starts from the
+    padded vacuum with j1 photons in mode 0, then j1 in mode 1. Each chain
+    of the inputs takes fock._create steps in mode 2 up to the largest j2
+    they need, reading on the way every useful input not in known, bit for
+    bit the law fock._laws gives it. The caller has checked the stack and
+    the model.
     """
     m = stack.shape[-1]
     bosonic = model == fock.MODEL_INDISTINGUISHABLE
     coupling = stack if bosonic else np.abs(stack) ** 2
-    coupled = coupling.any(axis=0)
     tops: dict = {}
     for j1, _, j2 in (occ[:3] for occ in inputs):
         tops[j1] = max(j2, tops.get(j1, 0))
-    fock._creation_map(max(2 * j1 + j2 for j1, j2 in tops.items()), m)   # one build, every level
+    fock._levels(max(2 * j1 + j2 for j1, j2 in tops.items()), m)   # one build, every level
     tail = (0,) * (m - 3)
     out = {}
     for j1, top in tops.items():
         if j1 in chains:
             padded, j2 = chains[j1]
         else:
-            padded, j2 = None, 0
+            padded, j2 = np.eye(1, 2, dtype=coupling.dtype).repeat(len(coupling), axis=0), 0
             for k, j in enumerate((0,) * j1 + (1,) * j1, start=1):
-                padded = fock._create(padded, k, coupling[:, :, j], coupled[:, j], bosonic)
+                padded = fock._create(padded, k, coupling[:, :, j], bosonic)
         while j2 < top:
             j2 += 1
-            padded = fock._create(padded, 2 * j1 + j2, coupling[:, :, 2], coupled[:, 2], bosonic)
+            padded = fock._create(padded, 2 * j1 + j2, coupling[:, :, 2], bosonic)
             occ = (j1, j1, j2) + tail
             if j2 >= _first_j2(j1, n, floor) and occ not in known:
                 state = padded[:, :-1]

@@ -6,18 +6,19 @@ package is colexicographic: patterns sorted by the last mode count first.
 For one photon in two modes that reads [(1, 0), (0, 1)].
 
 Each basis is built once, as the cached read-only array _patterns(n, m),
-one row per pattern, by a colex recursion over the modes. That array is
-the source of truth: enumerate_basis is its rows as tuples, _rank maps
-rows back to their indices, and samplers index into it. The per-basis
-caches come from it by array work, with no Python loop over patterns:
-the engine's gather maps (_creation_map) follow the same recursion. Each
-cached index table is stored in the narrowest unsigned dtype of its
-largest value, and the engine's counts are views of the basis. A
-FockDistribution holds only n, m and its probability vector over that
-basis; readers of a law index the array instead of walking the basis
-pattern by pattern. Its CSV rows are labelled CSV_BLOCK patterns at a
-time, by gathering a byte table of the counts with a slice of the basis
-array, so no label of the whole basis is ever kept.
+one row per pattern. One colex recursion over the modes, _levels, builds
+every level 0..n of the m-mode basis in one pass, together with each
+level's gather map from the level below, which the engine reads. The
+basis array is the source of truth: enumerate_basis is its rows as
+tuples, _rank maps rows back to their indices, and samplers index into
+it. The per-basis caches come from it by array work, with no Python loop
+over patterns. Each cached array is stored in the narrowest unsigned
+dtype of its largest value. A FockDistribution holds only n, m and its
+probability vector over that basis; readers of a law index the array
+instead of walking the basis pattern by pattern. Its CSV rows are
+labelled CSV_BLOCK patterns at a time, by gathering a byte table of the
+counts with a slice of the basis array, so no label of the whole basis
+is ever kept.
 
 Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
@@ -42,22 +43,24 @@ O(n m |basis|) array work in place of O(|basis| 2^n n) Python loops.
 
 The engine runs over a stack of unitaries (..., m, m) at once and gives
 one law per matrix, (..., size); a single (m, m) unitary is the stack of
-one. Each creation step sweeps the modes i whose coupling to j_k is
-non-zero for any matrix of the stack, so a matrix whose coupling is zero
-there adds an exact 0, and every row equals the law of its matrix alone,
-bit for bit. Callers that evaluate many unitaries (gge and certify over
-a list of times) keep a stack to at most MAX_PATTERNS law entries at a time.
+one. Each creation step sweeps every mode i, so a coupling that is zero
+there adds an exact 0. Adding an exact 0 never changes a sum that started
+at +0.0, so every row equals the law of its matrix alone, bit for bit.
+Callers that evaluate many unitaries (gge and certify over a list of
+times) keep a stack to at most MAX_PATTERNS law entries at a time.
 
 The engine is a fold of one creation step, _create, over the input's
-photons in mode order, so its state after k of them is the state of the
-input's first k photons. The hardware event stream uses that: it keeps
-one chain per j1 of the by-product inputs (j1, j1, j2, 0, ...) and
-extends it with _create in mode 2, reading each law on the way.
+photons in mode order, starting from the padded vacuum [1, 0], so its
+state after k of them is the state of the input's first k photons. The
+hardware event stream uses that: it keeps one chain per j1 of the
+by-product inputs (j1, j1, j2, 0, ...) and extends it with _create in
+mode 2, reading each law on the way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -84,7 +87,11 @@ def total(occ: ModeOccupation) -> int:
 
 
 def _check_occupation(occ, m: int | None = None, name: str = "occupation") -> ModeOccupation:
-    occ = tuple(int(x) for x in occ)
+    """occ as a tuple of ints; a bool, or a count that operator.index refuses, raises ValueError."""
+    occ = tuple(occ)
+    if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in occ):
+        raise ValueError(f"{name} has a count that is not an integer: {occ}")
+    occ = tuple(map(operator.index, occ))
     if any(x < 0 for x in occ):
         raise ValueError(f"{name} has negative counts: {occ}")
     if m is not None and len(occ) != m:
@@ -183,43 +190,67 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     return float(permanent(np.abs(sub) ** 2).real / _occ_factorial(tuple(output_occ)))
 
 
-# Bases by (n, m); _patterns fills it.
-_PATTERNS: dict[tuple[int, int], np.ndarray] = {}
+# Levels of a basis by (k, m): the patterns and the gather map of each; _levels fills it.
+_LEVELS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _patterns(n: int, m: int) -> np.ndarray:
-    """The colex basis of n photons in m modes: a read-only (count, m) array.
+    """The colex basis of n photons in m modes: a read-only (count, m) array."""
+    return _levels(n, m)[0]
 
-    The dtype is the narrowest unsigned one that holds n. Built one mode
-    at a time, for every photon number up to n: the patterns of k photons
-    on w + 1 modes are those of k photons on w modes with a zero appended
-    (last count 0), then those of k - 1 photons on w + 1 modes with the
-    last count raised by one (last count 1, 2, ... in order). A miss
-    caches every level 0..n at width m, each in its own narrowest dtype,
-    so asking for the top level first builds them all at once.
+
+def _levels(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level k of the m-mode basis: its patterns and its gather map from level k - 1.
+
+    basis holds one pattern per row, in the narrowest unsigned dtype that
+    holds k. src[i, t] is the index of t - e_i at level k - 1, or the size
+    of that level (the zero slot past a padded level) where t_i = 0; it
+    takes the narrowest unsigned dtype of that sentinel. Both are
+    read-only and shared by every caller.
+
+    Both follow one colex recursion, one mode at a time, for every level
+    up to k. Widening from w to w + 1 modes, level r is block 1 (its
+    w-mode patterns, last count 0), then block 2 (level r - 1 on w + 1
+    modes, last count raised by one). In block 1, rows i < w of src are
+    the w-mode map of level r with its sentinel renumbered, and row w is
+    the sentinel. In block 2, row w is arange, and rows i < w are the
+    (w + 1)-mode map of level r - 1 offset by the size of its block 1; by
+    Pascal's rule the offset also renumbers its sentinel. Every value at a
+    narrower width is at most the one at width m, so each level is built
+    in its final dtype, and is dropped once it is widened. A miss caches
+    every level 0..k at width m, so asking for the top level first builds
+    them all at once.
     """
-    if (n, m) in _PATTERNS:
-        return _PATTERNS[n, m]
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={n}, m={m}")
-    dtype = np.min_scalar_type(n)
-    levels = [np.full((1, 1), k, dtype) for k in range(n + 1)]
+    if (k, m) in _LEVELS:
+        return _LEVELS[k, m]
+    if k < 0 or m < 1:
+        raise ValueError(f"need n >= 0 photons and m >= 1 modes, got n={k}, m={m}")
+    # one mode: (r,) comes from (r - 1,), index 0; level 0 has nothing below it
+    levels = [(np.full((1, 1), r, np.min_scalar_type(r)), np.zeros((1, 1), np.uint8))
+              for r in range(k + 1)]
     for w in range(1, m):
-        wider = [np.zeros((1, w + 1), dtype)]
-        for k in range(1, n + 1):
-            head, tail = levels[k], wider[k - 1]
-            block = np.zeros((len(head) + len(tail), w + 1), dtype)
-            block[:len(head), :w] = head
-            block[len(head):] = tail
-            block[len(head):, w] += 1
-            wider.append(block)
+        wider = [(np.zeros((1, w + 1), np.uint8), np.zeros((w + 1, 1), np.uint8))]
+        for r in range(1, k + 1):
+            (head, head_src), (tail, tail_src) = levels[r], wider[r - 1]
+            levels[r] = None
+            split = len(head)
+            old, new = math.comb(r + w - 2, r - 1), math.comb(r + w - 1, r - 1)
+            basis = np.zeros((split + new, w + 1), np.min_scalar_type(r))
+            basis[:split, :w] = head
+            basis[split:] = tail
+            basis[split:, w] += 1
+            src = np.empty((w + 1, split + new), np.min_scalar_type(math.comb(r + m - 2, r - 1)))
+            src[:w, :split] = head_src
+            src[:w, :split][head_src == old] = new
+            src[w, :split] = new
+            np.add(tail_src[:w], old, out=src[:w, split:], dtype=src.dtype)
+            src[w, split:] = np.arange(new)
+            wider.append((basis, src))
         levels = wider
-    for k, level in enumerate(levels):
-        if (k, m) not in _PATTERNS:
-            level = level.astype(np.min_scalar_type(k), copy=False)
-            level.flags.writeable = False
-            _PATTERNS[k, m] = level
-    return _PATTERNS[n, m]
+    for r, (basis, src) in enumerate(levels):
+        basis.flags.writeable = src.flags.writeable = False
+        _LEVELS.setdefault((r, m), (basis, src))
+    return _LEVELS[k, m]
 
 
 @lru_cache(maxsize=None)
@@ -250,80 +281,24 @@ def _rank(patterns: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-# Creation maps by (k, m), width m only; _creation_map fills it.
-_CREATION_MAPS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _creation_map(k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather map from level k - 1 to level k of the m-mode basis.
-
-    src[i, t] is the index of t - e_i at level k - 1, or the size of that
-    level (one zero slot appended to the source vector) where t_i = 0;
-    counts[i, t] is t_i, the view _patterns(k, m).T. Both are read-only and
-    shared by every caller. src takes the narrowest unsigned dtype of its
-    sentinel, the size of level k - 1, chosen per level.
-
-    src follows the colex recursion of _patterns, one mode at a time, for
-    every level up to k in one pass. Widening from w to w + 1 modes, level
-    r is block 1 (its w-mode patterns, last count 0), then block 2 (level
-    r - 1 on w + 1 modes, last count raised). In block 1, rows i < w are
-    the w-mode map of level r with its sentinel renumbered, and row w is
-    the sentinel. In block 2, row w is arange, and rows i < w are the
-    (w + 1)-mode map of level r - 1 offset by the size of its block 1; by
-    Pascal's rule the offset also renumbers its sentinel. Every value at a
-    narrower width is at most the sentinel at width m, so each level is
-    built in its final dtype. Only the current width is kept, and a miss
-    caches every level from 2 to k at width m, so asking for the top level
-    first builds them all at once.
-    """
-    if (k, m) in _CREATION_MAPS:
-        return _CREATION_MAPS[k, m]
-    maps = [np.zeros((1, 1), dtype=np.uint8)] * (k + 1)   # one mode: (r,) comes from (r - 1,)
-    for w in range(1, m):
-        wider = [np.zeros((w + 1, 1), dtype=np.uint8)]   # level 0: nothing below it
-        for r in range(1, k + 1):
-            head = maps[r]
-            split = head.shape[1]
-            old, new = math.comb(r + w - 2, r - 1), math.comb(r + w - 1, r - 1)
-            src = np.empty((w + 1, split + new), np.min_scalar_type(math.comb(r + m - 2, r - 1)))
-            src[:w, :split] = head
-            src[:w, :split][head == old] = new
-            src[w, :split] = new
-            np.add(wider[r - 1][:w], old, out=src[:w, split:], dtype=src.dtype)
-            src[w, split:] = np.arange(new)
-            wider.append(src)
-        maps = wider
-    _patterns(k, m)   # the top level first: one build caches every level
-    for r in range(min(k, 2), k + 1):
-        if (r, m) not in _CREATION_MAPS:
-            maps[r].flags.writeable = False
-            _CREATION_MAPS[r, m] = maps[r], _patterns(r, m).T
-    return _CREATION_MAPS[k, m]
-
-
-def _create(prev, k: int, coefs: np.ndarray, swept: np.ndarray, bosonic: bool) -> np.ndarray:
+def _create(prev, k: int, coefs: np.ndarray, bosonic: bool) -> np.ndarray:
     """One creation step of the engine: the padded level k from the padded level k - 1, prev.
 
     coefs (rows, m) holds each row's coupling column of the new photon's
-    mode, and swept the modes i it gathers from; a row whose coupling is
-    zero there adds an exact 0. Padded levels carry one zero slot past
-    their end, which the gather maps read where t_i = 0. Level 1 is coefs
-    itself. A bosonic step takes sqrt(t_i) and leaves the division by
-    sqrt(prod_j r_j!) to the caller.
+    mode. Every mode i is swept, so a row whose coupling is zero there
+    adds an exact 0. Padded levels carry one zero slot past their end,
+    which the gather map reads where t_i = 0. A bosonic step takes
+    sqrt(t_i) and leaves the division by sqrt(prod_j r_j!) to the caller.
     """
-    if k == 1:
-        padded = np.zeros((len(coefs), coefs.shape[1] + 1), dtype=coefs.dtype)
-        padded[:, :-1] += coefs
-        return padded
-    src, counts = _creation_map(k, coefs.shape[1])
-    padded = np.zeros((len(coefs), src.shape[1] + 1), dtype=coefs.dtype)
+    basis, src = _levels(k, coefs.shape[1])
+    padded = np.zeros((len(coefs), len(basis) + 1), dtype=coefs.dtype)
     vec = padded[:, :-1]
     roots = np.sqrt(np.arange(k + 1)) if bosonic else None
-    for i in np.flatnonzero(swept):
+    for i in range(coefs.shape[1]):
         term = prev.take(src[i], axis=-1)
         term *= coefs[:, i, None]
         if bosonic:
-            term *= roots.take(counts[i])
+            term *= roots.take(basis[:, i])
         vec += term
     return padded
 
@@ -335,21 +310,17 @@ def _transfer(coupling: np.ndarray, input_occ, bosonic: bool) -> np.ndarray:
     one row per matrix over the colex basis. With bosonic, coupling holds
     unitaries and the rows hold output amplitudes, divided at the end by
     sqrt(prod_j r_j!); otherwise it holds |U|^2 and the rows hold
-    distinguishable-photon laws. Photons are created in mode order
-    (mode_assignment), one _create step each, and every step sweeps the
-    modes coupled to its photon's mode in any matrix of the stack.
+    distinguishable-photon laws. The fold starts from the padded vacuum
+    and creates the photons in mode order (mode_assignment), one _create
+    step each.
     """
     m = coupling.shape[-1]
-    photons = mode_assignment(input_occ)
-    if not photons:
-        return np.ones(coupling.shape[:-2] + (1,), dtype=coupling.dtype)
     stack = coupling.reshape(-1, m, m)
-    coupled = stack.any(axis=0)
-    if len(photons) > 1:
-        _creation_map(len(photons), m)   # the top level first: one pass builds every level
-    padded = None
+    photons = mode_assignment(input_occ)
+    _levels(len(photons), m)   # the top level first: one pass builds every level
+    padded = np.eye(1, 2, dtype=stack.dtype).repeat(len(stack), axis=0)
     for k, j in enumerate(photons, start=1):
-        padded = _create(padded, k, stack[:, :, j], coupled[:, j], bosonic)
+        padded = _create(padded, k, stack[:, :, j], bosonic)
     vec = padded[:, :-1]
     if bosonic:
         vec /= math.sqrt(math.prod(map(math.factorial, input_occ)))
@@ -436,7 +407,7 @@ class Mixture:
             w = float(w)
             if w < 0:
                 raise ValueError(f"mixture weight {w} is negative")
-            comps.append((w, tuple(tuple(int(x) for x in s) for s in part)))
+            comps.append((w, tuple(_check_occupation(s, name="species pattern") for s in part)))
         object.__setattr__(self, "components", tuple(comps))
         s = sum(w for w, _ in self.components)
         if abs(s - 1.0) > PROB_SUM_TOL:
@@ -585,7 +556,8 @@ def output_distribution(u: np.ndarray, input_occ,
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2:
         raise ValueError(f"transfer matrix must be square, got shape {u.shape}")
-    return FockDistribution(total(input_occ), u.shape[0], _laws(u, input_occ, model))
+    probs = _laws(u, input_occ, model)   # checks the unitary and the input first
+    return FockDistribution(total(_check_occupation(input_occ)), u.shape[0], probs)
 
 
 def sample(dist: FockDistribution, count: int, seed) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from . import linalg, record
@@ -30,6 +32,9 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown hamiltonian kind {self.kind!r}, expected one of {KINDS}")
+        if isinstance(self.modes, bool) or not hasattr(self.modes, "__index__"):
+            raise ValueError(f"modes must be an integer, got {self.modes!r}")
+        object.__setattr__(self, "modes", operator.index(self.modes))
         if self.modes < 2:
             raise ValueError(f"need at least 2 modes, got {self.modes}")
         if not isinstance(self.periodic, bool):

@@ -608,8 +608,8 @@ def test_certify_hardware_creates_each_chain_level_once(monkeypatch):
         finally:
             calls.append(active.pop())
 
-    def counted_create(prev, k, coefs, swept, bosonic):
-        padded = create(prev, k, coefs, swept, bosonic)
+    def counted_create(prev, k, coefs, bosonic):
+        padded = create(prev, k, coefs, bosonic)
         if active:   # a chain step, not a fock._laws or witness pass
             active[-1].append(k)
         return padded

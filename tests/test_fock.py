@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (naive_permanent, oracle_prob_species, seed_creation_map,
                       seed_enumerate_basis, seed_prob_of)
-from photherm import fock, hamiltonian, linalg
+from photherm import certify, fock, gge, hamiltonian, linalg
 
 BS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -36,7 +37,8 @@ def test_basis_arrays_match_the_recursive_oracle(n, m):
     """The array-built basis, its tuples, ranks and every level's creation map equal the seed builders.
 
     Each map's src takes the narrowest dtype of its sentinel, the size of
-    level k - 1, and its counts are a view of the level's basis.
+    level k - 1, and its counts are the transposed basis of the level.
+    Level 0 has nothing below it, so its map is the sentinel 0 everywhere.
     """
     want = seed_enumerate_basis(n, m)
     assert fock.enumerate_basis(n, m) == want
@@ -45,42 +47,50 @@ def test_basis_arrays_match_the_recursive_oracle(n, m):
     assert not pats.flags.writeable
     assert np.array_equal(pats, np.array(want, dtype=pats.dtype).reshape(-1, m))
     assert np.array_equal(fock._rank(pats, n), np.arange(len(want)))
+    basis, src = fock._levels(0, m)
+    assert src.dtype == np.uint8 and not src.flags.writeable
+    assert np.array_equal(src, np.zeros((m, 1)))
     for k in range(1, n + 1):
-        src, counts = fock._creation_map(k, m)
+        basis, src = fock._levels(k, m)
         assert src.dtype == np.min_scalar_type(math.comb(k + m - 2, m - 1))
-        assert np.shares_memory(counts, fock._patterns(k, m))
-        for got, oracle in zip((src, counts), seed_creation_map(k, m)):
+        assert basis is fock._patterns(k, m)
+        for got, oracle in zip((src, basis.T), seed_creation_map(k, m)):
             assert not got.flags.writeable
             assert np.array_equal(got, oracle)
 
 
 def _with_empty_basis_cache(build):
-    """build() with fock._PATTERNS empty, and the bases it cached; the cache is restored after."""
-    saved, fock._PATTERNS = fock._PATTERNS, {}
+    """build() with fock._LEVELS empty, and the levels it cached; the cache is restored after."""
+    saved, fock._LEVELS = fock._LEVELS, {}
     try:
-        return build(), fock._PATTERNS
+        return build(), fock._LEVELS
     finally:
-        fock._PATTERNS = saved
+        fock._LEVELS = saved
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7), st.integers(1, 9), st.randoms(use_true_random=False))
 @example(300, 1, None)  # levels below 256 narrow to uint8 under a uint16 top level
 def test_basis_build_caches_every_level_as_its_own_fresh_build(n, m, order):
-    """One build caches every level 0..n; each equals a fresh build, read-only, in any call order."""
+    """One build caches every level 0..n; each equals a fresh build, read-only, in any call order.
+
+    Both arrays of a level: its basis and its gather map.
+    """
     top, cached = _with_empty_basis_cache(lambda: fock._patterns(n, m))
     assert sorted(cached) == [(k, m) for k in range(n + 1)]
-    assert cached[n, m] is top
+    assert cached[n, m][0] is top
     levels = list(range(n + 1))
     if order is not None:
         order.shuffle(levels)
-    shuffled, _ = _with_empty_basis_cache(lambda: {k: fock._patterns(k, m) for k in levels})
+    shuffled, _ = _with_empty_basis_cache(lambda: {k: fock._levels(k, m) for k in levels})
     for k in levels:
-        want, _ = _with_empty_basis_cache(lambda: fock._patterns(k, m))
+        fresh, _ = _with_empty_basis_cache(lambda: fock._levels(k, m))
         for got in (cached[k, m], shuffled[k]):
-            assert got.dtype == want.dtype == np.min_scalar_type(k)
-            assert not got.flags.writeable
-            assert np.array_equal(got, want)
+            for got_array, want in zip(got, fresh):
+                assert got_array.dtype == want.dtype
+                assert not got_array.flags.writeable
+                assert np.array_equal(got_array, want)
+            assert got[0].dtype == np.min_scalar_type(k)
 
 
 def test_one_photon_on_many_modes():
@@ -272,6 +282,39 @@ def test_mixture_weight_validation():
         fock.Mixture(((0.5, part),))
     with pytest.raises(ValueError):
         fock.Mixture(((-0.2, part), (1.2, part)))
+
+
+_EYE3 = np.eye(3, dtype=complex)
+# Each entry point with one integer it checks replaced by c; the second entry
+# is the value that integer takes in a valid call.
+_INTEGER_ENTRY_POINTS = {
+    "state_vector": (lambda c: fock.state_vector(_EYE3, (c, 1, 0)), 1),
+    "output_distribution": (lambda c: fock.output_distribution(_EYE3, (c, 1, 0)), 1),
+    "mixture": (lambda c: fock.Mixture(((1.0, ((c, 1, 0),)),)), 1),
+    "witness_threshold": (lambda c: certify.witness_threshold(_EYE3, (c, 1, 0)), 1),
+    "equilibration_trace": (lambda c: gge.equilibration_trace(
+        hamiltonian.HamiltonianSpec(kind="hopping", modes=3), (c, 1, 0), [0.5]), 1),
+    "hamiltonian_modes": (lambda c: hamiltonian.HamiltonianSpec(kind="hopping", modes=c), 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [lambda v: v + 0.5, float, np.float64, str,
+                                 lambda v: True, lambda v: np.True_],
+                         ids=["half", "float", "float64", "str", "bool", "numpy_bool"])
+def test_photon_counts_and_mode_counts_must_be_integers(entry, bad):
+    """A float, a bool or a string is refused, where int() once truncated 1.5 to 1 silently."""
+    call, good = _INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="integer"):
+        call(bad(good))
+    for numpy_int in (np.int64(good), np.uint8(good)):
+        call(numpy_int)
+
+
+def test_numpy_integer_counts_are_kept_as_python_ints():
+    """A law's n and a spec's modes stay Python ints, so they serialize to JSON and never wrap."""
+    assert type(fock.output_distribution(_EYE3, (np.uint8(1), 1, 0)).n) is int
+    assert type(hamiltonian.HamiltonianSpec(kind="hopping", modes=np.int64(3)).modes) is int
 
 
 def test_distribution_helpers():
@@ -472,6 +515,57 @@ def test_stacked_laws_equal_the_single_laws(case):
         assert np.array_equal(row, fock.state_vector(u, occ))
 
 
+def _two_haar_blocks() -> np.ndarray:
+    u = np.zeros((6, 6), dtype=complex)
+    u[:3, :3], u[3:, 3:] = linalg.haar_random(3, 21), linalg.haar_random(3, 22)
+    return u
+
+
+# sha256 of each law's float64 bytes and of the state vector's complex128 bytes
+# of (2, 1, 0, 1, 0, 0), recorded when the engine still skipped zero couplings.
+_ZERO_COUPLING_DIGESTS = {
+    "identity": {
+        "indistinguishable": "30ac5c2d1f780ab785148c873cb3fd9456a3562091d7bc779bcbfcbf38df5944",
+        "distinguishable": "30ac5c2d1f780ab785148c873cb3fd9456a3562091d7bc779bcbfcbf38df5944",
+        "mixture": "30ac5c2d1f780ab785148c873cb3fd9456a3562091d7bc779bcbfcbf38df5944",
+        "state_vector": "fdee00f2fb255c034343e135c745e2183fb73b608b61e230ed519777c082b703",
+    },
+    "fourier": {
+        "indistinguishable": "76bdcf7af01642eadb60faa917c8e248cee85c4aa46d9946c979c4bed5594e6c",
+        "distinguishable": "8e533eef11fc8916f544fbf6664379c05121d6db5607db6975a0acf53082abdf",
+        "mixture": "a06fc39c5a4314be206be8cd6b1d1fbb81353d2143a6e73dd332eed825572fb7",
+        "state_vector": "d68a30f9dc0dd3710fb1939040e43188a945a13384ca646d30b9964636ed2e10",
+    },
+    "blocks": {
+        "indistinguishable": "7f2591c0480fbd3085f508fe251b0de88141169d21dbcf2c01f8aaf09278b679",
+        "distinguishable": "c734852029bd4f92216bcf501c9bff83569f6b8bb2382d0eb6230bc6a68cdb88",
+        "mixture": "354668e26bf303984ffc5637dc1ff192b572594862424228fbba462e35623785",
+        "state_vector": "8345888bec3457ead1d2c267a47f2f825a79b0f67c4e8244bbdf8d8473a5c4c3",
+    },
+}
+
+
+@pytest.mark.parametrize("name, u", [
+    ("identity", np.eye(6, dtype=complex)),
+    ("fourier", linalg.fourier(3, 6)),
+    ("blocks", _two_haar_blocks()),
+])
+def test_laws_of_couplings_with_exact_zeros_keep_their_bytes(name, u):
+    """Sweeping every mode adds an exact 0 where a coupling is zero, and no bit moves.
+
+    Each creation step once skipped the modes not coupled to its photon's
+    mode; these bytes were recorded then, under all three models.
+    """
+    occ = (2, 1, 0, 1, 0, 0)
+    mix = fock.Mixture(((0.6, ((1, 1, 0, 0, 0, 0), (1, 0, 0, 1, 0, 0))), (0.4, (occ,))))
+    models = {"indistinguishable": fock.MODEL_INDISTINGUISHABLE,
+              "distinguishable": fock.MODEL_DISTINGUISHABLE, "mixture": mix}
+    got = {key: hashlib.sha256(fock.output_distribution(u, occ, model).probs.tobytes()).hexdigest()
+           for key, model in models.items()}
+    got["state_vector"] = hashlib.sha256(fock.state_vector(u, occ).tobytes()).hexdigest()
+    assert got == _ZERO_COUPLING_DIGESTS[name]
+
+
 def test_stacked_laws_reject_any_non_unitary_matrix():
     stack = np.array([np.eye(3), 1.01 * np.eye(3)], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
@@ -483,38 +577,64 @@ def test_stacked_laws_reject_any_non_unitary_matrix():
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (5, 4), (6, 7)])
-def test_creation_maps_do_not_depend_on_call_order(n, m):
+def test_creation_maps_do_not_depend_on_call_order(n, m, monkeypatch):
     """The top level first (one pass fills every level) or level by level, the maps are the same.
 
     Values and dtypes both: each level's dtype is its own, not the top level's.
     """
+    monkeypatch.setattr(fock, "_LEVELS", {})
     want = [seed_creation_map(k, m) for k in range(1, n + 1)]
     dtypes = {}
     for order in ([n, 2], [2, n], list(range(n, 0, -1)), list(range(1, n + 1))):
-        fock._CREATION_MAPS.clear()
+        fock._LEVELS.clear()
         for k in order + list(range(1, n + 1)):
-            maps = fock._creation_map(k, m)
-            for got, oracle in zip(maps, want[k - 1]):
+            basis, src = fock._levels(k, m)
+            for got, oracle in zip((src, basis.T), want[k - 1]):
                 assert np.array_equal(got, oracle)
-            got_dtypes = tuple(a.dtype for a in maps)
+            got_dtypes = (src.dtype, basis.dtype)
             assert dtypes.setdefault(k, got_dtypes) == got_dtypes
-    fock._CREATION_MAPS.clear()
-    top = fock._creation_map(n, m)
-    assert fock._creation_map(n, m) is top
-    assert set(fock._CREATION_MAPS) == {(k, m) for k in range(2, n + 1)}
+    fock._LEVELS.clear()
+    top = fock._levels(n, m)
+    assert fock._levels(n, m) is top
+    assert set(fock._LEVELS) == {(k, m) for k in range(n + 1)}
 
 
-def test_creation_maps_of_six_photons_on_twelve_modes_fit_their_byte_budget():
-    """The tables of evolve-large's basis: src by level in uint8 or uint16, counts owning no bytes.
+def test_creation_maps_of_six_photons_on_twelve_modes_fit_their_byte_budget(monkeypatch):
+    """The tables of evolve-large's basis: src by level in uint8 or uint16, and the basis as counts.
 
-    In int32 with contiguous uint8 counts they held 890,448 + 222,612 bytes.
+    In int32 with contiguous uint8 counts they held 890,448 + 222,612
+    bytes. The engine reads each level's counts from its basis, so the
+    cache holds no other table.
     """
-    fock._CREATION_MAPS.clear()
-    fock._creation_map(6, 12)
-    tables = [fock._CREATION_MAPS[k, 12] for k in range(2, 7)]
-    assert [src.dtype for src, _ in tables] == [np.uint8] * 2 + [np.uint16] * 3
-    assert sum(src.nbytes for src, _ in tables) == 439_920
-    assert not any(counts.flags.owndata for _, counts in tables)
+    monkeypatch.setattr(fock, "_LEVELS", {})
+    fock._levels(6, 12)
+    tables = [fock._LEVELS[k, 12] for k in range(2, 7)]
+    assert [src.dtype for _, src in tables] == [np.uint8] * 2 + [np.uint16] * 3
+    assert sum(src.nbytes for _, src in tables) == 439_920
+    assert [basis.dtype for basis, _ in tables] == [np.uint8] * 5
+    assert sum(basis.nbytes for basis, _ in tables) == 12 * sum(math.comb(k + 11, k)
+                                                                 for k in range(2, 7))
+    assert all(len(level) == 2 for level in fock._LEVELS.values())
+
+
+def test_basis_levels_of_six_photons_on_twelve_modes_build_within_their_peak(monkeypatch):
+    """The one-pass build of every level up to (6, 12) peaks near the cache it leaves.
+
+    It keeps about 667 KB and peaks at 1,019 KB, because each narrower
+    level is dropped once it is widened. Keeping them peaks at about
+    1,161 KB; the two separate passes for bases and maps it replaced
+    peaked at 1,024 KB.
+    """
+    import tracemalloc
+
+    monkeypatch.setattr(fock, "_LEVELS", {})
+    tracemalloc.start()
+    try:
+        fock._levels(6, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_050_000, peak
 
 
 @pytest.mark.parametrize("a, b, m", [
@@ -558,12 +678,12 @@ def test_pair_ranks_of_three_and_three_photons_on_twelve_modes_trace_a_few_table
     ((1, 1, 1, 1, 0, 0, 0), [(1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0)], 2),
     ((1, 0, 0), fock.MODEL_INDISTINGUISHABLE, 1),
 ])
-def test_a_law_caches_creation_maps_of_its_width_only(occ, model, top):
-    """A law on m modes leaves the maps of levels 2..top on m modes, none of a narrower width."""
-    fock._CREATION_MAPS.clear()
+def test_a_law_caches_creation_maps_of_its_width_only(occ, model, top, monkeypatch):
+    """A law on m modes leaves the levels 0..top on m modes, none of a narrower width."""
+    monkeypatch.setattr(fock, "_LEVELS", {})
     m = len(occ)
     fock.output_distribution(linalg.haar_random(m, 5), occ, model)
-    assert set(fock._CREATION_MAPS) == {(k, m) for k in range(2, top + 1)}
+    assert set(fock._LEVELS) == {(k, m) for k in range(top + 1)}
 
 
 def test_check_probs_clips_like_clip():
