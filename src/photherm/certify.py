@@ -127,7 +127,7 @@ def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[fl
     forbidden and every multi-photon species exited bunched. Returns the
     frequency and its binomial standard error.
     """
-    sizes = tuple(int(x) for x in sizes)
+    sizes = fock._check_occupation(sizes, name="species sizes")
     if sum(sizes) != n:
         raise ValueError(f"species sizes {sizes} do not total {n} photons")
     if shots < 1:
@@ -153,8 +153,12 @@ def lambda_monte_carlo(n: int, m: int, sizes, shots: int, seed=None) -> tuple[fl
 
 
 def revival_hits(samples, target) -> np.ndarray:
-    """Boolean mask of the samples (rows of a (k, m) pattern array) equal to target."""
-    target = [int(x) for x in target]
+    """Boolean mask of the samples (rows of a (k, m) pattern array) equal to target.
+
+    target is checked once, by fock._check_occupation, so a count that is
+    not an integer raises ValueError.
+    """
+    target = fock._check_occupation(target, name="revival target")
     samples = np.asarray(samples).reshape(len(samples), len(target))
     hit = np.ones(len(samples), dtype=bool)
     for j, count in enumerate(target):

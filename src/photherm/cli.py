@@ -580,27 +580,31 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
 
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
-    """Marginal traces and distances to the stationary reference, per transition law."""
+    """Marginal traces and distances to the stationary reference, per transition law.
+
+    Each Hamiltonian's marginals of every law come from one stacked pass
+    (gge._marginals), and its CSV rows straight from those arrays.
+    """
     from . import gge  # loaded by main before load_config
     n = fock.total(cfg.input_occ)
-    m = cfg.specs[0].modes
-    ref = gge.gge_marginal(n, m)
+    ref = gge.gge_marginal(n, cfg.specs[0].modes).probs
     preamble = _csv_preamble(cfg)
     _write_csv(run / "gge_reference.csv", preamble, "k,probability",
-               (f"{k},{float(p)!r}" for k, p in enumerate(ref.probs)))
+               (f"{k},{p!r}" for k, p in enumerate(ref.tolist())))
     models: list = [fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE]
     if not isinstance(cfg.model, str):
         models.append(cfg.model)
     for si, spec in enumerate(cfg.specs):
         tag = _spec_tag(cfg, si)
-        for model in models:
+        margs = gge._marginals(spec, cfg.input_occ, cfg.times, models)
+        dists = 0.5 * np.sum(np.abs(margs - ref), axis=-1)
+        for model, marg, dist in zip(models, margs.tolist(), dists.tolist()):
             name = model if isinstance(model, str) else "mixture"
-            trace = gge.equilibration_trace(spec, cfg.input_occ, cfg.times, model)
             _write_csv(run / f"gge_{tag}_{name}_marginal.csv", preamble, "t,k,probability",
-                       (f"{pt.t!r},{k},{float(p)!r}"
-                        for pt in trace for k, p in enumerate(pt.marginal.probs)))
+                       (f"{t!r},{k},{p!r}" for t, row in zip(cfg.times, marg)
+                        for k, p in enumerate(row)))
             _write_csv(run / f"gge_{tag}_{name}_tvd.csv", preamble, "t,tvd",
-                       (f"{pt.t!r},{pt.tvd_to_gge!r}" for pt in trace))
+                       (f"{t!r},{d!r}" for t, d in zip(cfg.times, dist)))
 
 
 def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:

@@ -47,7 +47,12 @@ one. Each creation step sweeps every mode i, so a coupling that is zero
 there adds an exact 0. Adding an exact 0 never changes a sum that started
 at +0.0, so every row equals the law of its matrix alone, bit for bit.
 Callers that evaluate many unitaries (gge and certify over a list of
-times) keep a stack to at most MAX_PATTERNS law entries at a time.
+times) keep a stack to at most MAX_PATTERNS law entries at a time. A
+species law convolves its species' stacks of laws in chunks of rows
+whose pair products stay within MAX_PATTERNS entries, one np.bincount
+per chunk, and gge reduces a chunk's laws to marginals with one
+np.bincount per model; both offset each row's bins by the row, so every
+row still equals its own law bit for bit.
 
 The engine is a fold of one creation step, _create, over the input's
 photons in mode order, starting from the padded vacuum [1, 0], so its
@@ -86,12 +91,17 @@ def total(occ: ModeOccupation) -> int:
     return sum(occ)
 
 
-def _check_occupation(occ, m: int | None = None, name: str = "occupation") -> ModeOccupation:
+def _integers(occ, name: str) -> tuple[int, ...]:
     """occ as a tuple of ints; a bool, or a count that operator.index refuses, raises ValueError."""
     occ = tuple(occ)
     if any(isinstance(x, bool) or not hasattr(x, "__index__") for x in occ):
         raise ValueError(f"{name} has a count that is not an integer: {occ}")
-    occ = tuple(map(operator.index, occ))
+    return tuple(map(operator.index, occ))
+
+
+def _check_occupation(occ, m: int | None = None, name: str = "occupation") -> ModeOccupation:
+    """occ as a tuple of non-negative ints (see _integers), of m modes if m is given."""
+    occ = _integers(occ, name)
     if any(x < 0 for x in occ):
         raise ValueError(f"{name} has negative counts: {occ}")
     if m is not None and len(occ) != m:
@@ -166,17 +176,10 @@ def submatrix(u: np.ndarray, input_occ, output_occ) -> np.ndarray:
     return u[np.ix_(rows, cols)]
 
 
-def _occ_factorial(occ: ModeOccupation) -> float:
-    out = 1.0
-    for c in occ:
-        out *= math.factorial(c)
-    return out
-
-
 def prob_indistinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     """Transition probability for fully indistinguishable photons."""
     sub = submatrix(u, input_occ, output_occ)
-    norm = _occ_factorial(tuple(input_occ)) * _occ_factorial(tuple(output_occ))
+    norm = math.prod(map(math.factorial, (*input_occ, *output_occ)))
     return float(abs(permanent(sub)) ** 2 / norm)
 
 
@@ -187,7 +190,7 @@ def prob_distinguishable(u: np.ndarray, input_occ, output_occ) -> float:
     transmission through the mode-coupling graph.
     """
     sub = submatrix(u, input_occ, output_occ)
-    return float(permanent(np.abs(sub) ** 2).real / _occ_factorial(tuple(output_occ)))
+    return float(permanent(np.abs(sub) ** 2).real / math.prod(map(math.factorial, output_occ)))
 
 
 # Levels of a basis by (k, m): the patterns and the gather map of each; _levels fills it.
@@ -359,14 +362,24 @@ def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
 def _convolve(p: np.ndarray, a: int, q: np.ndarray, b: int, m: int) -> np.ndarray:
     """Law of s + t for independent s ~ p on level a and t ~ q on level b.
 
-    p and q may be equal stacks of laws (..., size); their rows are
-    convolved one at a time, so the pair buffer holds one row's products.
+    p and q may be equal stacks of laws (..., size). Each chunk of rows is
+    one np.bincount over the bins _pair_rank + size * row, weighted by
+    the rows' pair products p[:, :, None] * q[:, None, :]. A chunk takes
+    as many rows as keep its pair products within MAX_PATTERNS entries,
+    and at least one. Every pattern of level a + b is a pair sum, so a
+    row's bins reach each of its size slots. bincount adds each bin's
+    weights in input order, so every row equals the convolution of its
+    own pair alone, bit for bit.
     """
-    size = math.comb(a + b + m - 1, a + b)
-    if p.ndim > 1:
-        rows = [_convolve(pr, a, qr, b, m) for pr, qr in zip(p, q)]
-        return np.array(rows).reshape(p.shape[:-1] + (size,))
-    return np.bincount(_pair_rank(a, b, m), weights=np.outer(p, q).ravel(), minlength=size)
+    size, rank = math.comb(a + b + m - 1, a + b), _pair_rank(a, b, m)
+    out = np.empty(p.shape[:-1] + (size,))
+    p, q, rows = p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]), out.reshape(-1, size)
+    step = max(1, MAX_PATTERNS // rank.size)
+    for lo in range(0, len(p), step):
+        pairs = p[lo:lo + step, :, None] * q[lo:lo + step, None, :]
+        bins = rank + size * np.arange(len(pairs))[:, None]
+        rows[lo:lo + step] = np.bincount(bins.ravel(), pairs.ravel()).reshape(-1, size)
+    return out
 
 
 def _species_law(u: np.ndarray, partition: SpeciesPartition) -> np.ndarray:
@@ -415,21 +428,33 @@ class Mixture:
 
 
 def _check_probs(probs, size: int | None = None) -> np.ndarray:
-    """A 1-d probability vector, of length size if given, clipped at 0.
-
-    Entries may dip below 0 and the sum may miss 1 by PROB_SUM_TOL at most.
-    """
+    """A 1-d probability vector, of length size if given, checked and clipped by _clipped."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or not probs.size or size not in (None, probs.size):
         raise ValueError(f"expected a 1-d probability vector of length {size or '>= 1'}, "
                          f"got shape {probs.shape}")
+    return _clipped(probs)
+
+
+def _clipped(probs: np.ndarray) -> np.ndarray:
+    """A stack of probability vectors (..., size), each clipped at 0.
+
+    Entries may dip below 0, and each vector's sum may miss 1, by
+    PROB_SUM_TOL at most; otherwise ValueError.
+    """
     # The reductions call the ufuncs, skipping the ndarray-method wrappers, and
     # maximum gives clip's values (-0.0 becomes 0.0) in a third of its time.
-    if not np.minimum.reduce(probs) >= -PROB_SUM_TOL:
+    if not np.minimum.reduce(probs, axis=None, initial=0.0) >= -PROB_SUM_TOL:
         raise ValueError(f"negative probability {probs.min()}")
-    if not abs(np.add.reduce(probs) - 1.0) <= PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+    _check_sums(np.add.reduce(probs, axis=-1), "probabilities sum to")
     return np.maximum(probs, 0.0)
+
+
+def _check_sums(sums: np.ndarray, what: str) -> None:
+    """ValueError naming the worst of sums, if any misses 1 by more than PROB_SUM_TOL."""
+    dev = np.abs(sums - 1.0)
+    if not np.maximum.reduce(dev, axis=None, initial=0.0) <= PROB_SUM_TOL:
+        raise ValueError(f"{what} {float(np.ravel(sums)[np.argmax(dev)])!r}, expected 1")
 
 
 @record
@@ -451,8 +476,11 @@ class FockDistribution:
         return enumerate_basis(self.n, self.m)
 
     def prob_of(self, occ) -> float:
-        """Probability of one pattern; 0.0 for a pattern outside the basis."""
-        occ = np.array([[int(x) for x in occ]], dtype=np.int64)
+        """Probability of one pattern; 0.0 for a pattern outside the basis.
+
+        A count that is not an integer raises ValueError (see _integers).
+        """
+        occ = np.array([_integers(occ, "pattern")], dtype=np.int64)
         if occ.shape[1] != self.m or occ.min() < 0 or occ.sum() != self.n:
             return 0.0
         return float(self.probs[_rank(occ, self.n)[0]])
@@ -536,10 +564,7 @@ def _laws(u: np.ndarray, input_occ, model) -> np.ndarray:
 def _normalized(probs: np.ndarray) -> np.ndarray:
     """Each law of a stack (..., size) divided by its sum, which must be 1 within PROB_SUM_TOL."""
     s = probs.sum(axis=-1, keepdims=True)
-    dev = np.abs(s - 1.0)
-    if not dev.max(initial=0.0) <= PROB_SUM_TOL:
-        raise ValueError(f"output probabilities sum to {s.flat[np.argmax(dev)]!r}; "
-                         "unitarity loss?")
+    _check_sums(s, "output probabilities (unitarity loss?) sum to")
     return probs / s
 
 
@@ -604,8 +629,5 @@ def state_vector(u: np.ndarray, input_occ) -> np.ndarray:
         raise ValueError("transfer matrix is not unitary within tolerance")
     m = u.shape[-1]
     amps = _transfer(u, _check_occupation(input_occ, m, "input pattern"), bosonic=True)
-    norm = np.sum(np.abs(amps) ** 2, axis=-1)
-    dev = np.abs(norm - 1.0)
-    if not dev.max(initial=0.0) <= PROB_SUM_TOL:
-        raise ValueError(f"state vector norm {float(norm.flat[np.argmax(dev)])!r} deviates from 1")
+    _check_sums(np.sum(np.abs(amps) ** 2, axis=-1), "state vector norm")
     return amps

@@ -56,17 +56,13 @@ def gge_marginal(n: int, m: int) -> MarginalDistribution:
     return MarginalDistribution(0, probs)
 
 
-def _prob_vector(p) -> np.ndarray:
-    return np.asarray(getattr(p, "probs", p), dtype=float)
-
-
 def tvd(p, q) -> float:
     """Total variation distance between two distributions on a common support.
 
     Accepts MarginalDistribution, FockDistribution or plain probability
     vectors; mismatched supports raise.
     """
-    pv, qv = _prob_vector(p), _prob_vector(q)
+    pv, qv = (np.asarray(getattr(x, "probs", x), dtype=float) for x in (p, q))
     if pv.shape != qv.shape:
         raise ValueError(f"support mismatch: {pv.shape} vs {qv.shape}")
     return float(0.5 * np.sum(np.abs(pv - qv)))
@@ -79,43 +75,48 @@ class TracePoint:
     tvd_to_gge: float
 
 
-def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, model) -> np.ndarray:
-    """Mode-0 marginals at each time, one row per time: (len(times), n + 1).
+def _marginals(spec: hamiltonian.HamiltonianSpec, input_occ, times, models) -> np.ndarray:
+    """Mode-0 marginals of each model at each time: (len(models), len(times), n + 1).
 
-    The times go through hamiltonian.evolution and the stacked transition
-    engine in chunks of at most fock.MAX_PATTERNS law entries (and as many
-    unitary entries), so a long list of times never holds more than one
-    law of the largest accepted basis. Each row equals
+    The times go through hamiltonian.evolution in chunks of at most
+    fock.MAX_PATTERNS law entries (and as many unitary entries), so a long
+    list of times never holds more than one law of the largest accepted
+    basis. Each chunk's evolution is shared by every model; each model
+    takes one engine pass (fock._laws) and one np.bincount over the whole
+    chunk, with bins counts + (n + 1) * row. bincount adds each bin's
+    weights in input order, so each row equals
     marginal(fock.output_distribution(hamiltonian.evolution(spec, t), ...), 0)
-    bit for bit.
+    bit for bit. Every row is checked and clipped as a
+    MarginalDistribution's probabilities are (fock._clipped).
     """
     n, m = fock.total(input_occ), spec.modes
     times = np.asarray(times, dtype=float).reshape(-1)
     counts = fock._patterns(n, m)[:, 0]
     step = max(1, fock.MAX_PATTERNS // max(counts.size, m * m))
-    out = np.empty((times.size, n + 1))
+    out = np.empty((len(models), times.size, n + 1))
     for lo in range(0, times.size, step):
-        laws = fock._laws(hamiltonian.evolution(spec, times[lo:lo + step]), input_occ, model)
-        for row, law in zip(out[lo:lo + step], laws):
-            row[:] = np.bincount(counts, weights=law, minlength=n + 1)
-    return out
+        u = hamiltonian.evolution(spec, times[lo:lo + step])
+        bins = (counts + (n + 1) * np.arange(len(u))[:, None]).ravel()
+        for marg, model in zip(out, models):
+            weights = fock._laws(u, input_occ, model).ravel()
+            marg[lo:lo + step] = np.bincount(bins, weights, len(u) * (n + 1)).reshape(-1, n + 1)
+    return fock._clipped(out)
 
 
 def equilibration_trace(spec: hamiltonian.HamiltonianSpec, input_occ, times,
                         model=fock.MODEL_INDISTINGUISHABLE) -> list[TracePoint]:
     """Mode-0 marginal and its distance to the stationary reference over time.
 
-    All times are evaluated as stacks (see _marginals), one evolution and
-    one engine pass per chunk.
+    The marginals come from _marginals, the one model's stack of them,
+    and the distances are taken over that stack at once.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
     ref = gge_marginal(fock.total(input_occ), spec.modes)
     times = [float(t) for t in times]
-    out = []
-    for t, probs in zip(times, _marginals(spec, input_occ, times, model)):
-        marg = MarginalDistribution(0, probs)
-        out.append(TracePoint(t, marg, tvd(marg, ref)))
-    return out
+    margs = _marginals(spec, input_occ, times, [model])[0]
+    dists = 0.5 * np.sum(np.abs(margs - ref.probs), axis=-1)
+    return [TracePoint(t, MarginalDistribution(0, probs), d)
+            for t, probs, d in zip(times, margs, dists.tolist())]
 
 
 def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ) -> float:
@@ -126,14 +127,14 @@ def recurrence_time(spec: hamiltonian.HamiltonianSpec, input_occ) -> float:
     marginal around the best grid point.
     """
     input_occ = fock._check_occupation(input_occ, spec.modes, "input pattern")
-    model = fock.MODEL_INDISTINGUISHABLE
+    models = [fock.MODEL_INDISTINGUISHABLE]
 
     def dist_to_start(t: float) -> float:
-        return tvd(_marginals(spec, input_occ, t, model)[0], start)
+        return tvd(_marginals(spec, input_occ, t, models)[0, 0], start)
 
-    start = _marginals(spec, input_occ, 0.0, model)[0]
+    start = _marginals(spec, input_occ, 0.0, models)[0, 0]
     ts = np.linspace(0.0, 6.0, 241)[1:]
-    vals = np.array([tvd(row, start) for row in _marginals(spec, input_occ, ts, model)])
+    vals = 0.5 * np.sum(np.abs(_marginals(spec, input_occ, ts, models)[0] - start), axis=-1)
     # skip the initial departure, then take the best later grid point
     ceiling = 0.5 * vals.max()
     past = np.nonzero(vals >= ceiling)[0]

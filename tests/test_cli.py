@@ -825,6 +825,93 @@ def test_golden_certify_runs_keep_their_bytes(tmp_path, case, fresh):
     assert got == digests
 
 
+# sha256 of every file of two gge runs, recorded before the sweep became one stacked pass over
+# its models: the benchmark's 8-mode ring with 2 + 2 species over 20 times, and a long_range seed
+# list of two (tags h00, h01) with a three-component mixture.
+GGE_RING_TIMES = [0.05 + 0.15 * k for k in range(20)]
+GOLDEN_GGE = {
+    "ring-2+2-species": ({
+        "hamiltonian": {"kind": "hopping", "modes": 8}, "input": [1, 0, 1, 0, 1, 0, 1, 0],
+        "times": GGE_RING_TIMES,
+        "model": {"species": [[1, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 1, 0]]}}, {
+        "gge_h_distinguishable_marginal.csv":
+            "67a36fd348a47a704f9755056fa4cef8cf08e017b0932d66c929f8a51195458d",
+        "gge_h_distinguishable_tvd.csv":
+            "bd0ee3a1850d0ea878c33e7af84d7997884f09b08eabc2ef09dc4f0e17ffdd43",
+        "gge_h_indistinguishable_marginal.csv":
+            "a79493867fd939643fb2f9a8fedf6745407359294f1d205bfbddc4c2bf4b6317",
+        "gge_h_indistinguishable_tvd.csv":
+            "0da687c564bf286c168e27f2450a79e50aca4da6a2e290caeca97c6bc5a07f7c",
+        "gge_h_mixture_marginal.csv":
+            "4a9c16d4c54542b112b29bdd6424507c564aa4e9741240beb254cfe001245f18",
+        "gge_h_mixture_tvd.csv":
+            "42c665a6525ce1452cd47ddb9ad5b8caf82ce3709cd34ca734e4996f3802300a",
+        "gge_reference.csv":
+            "d4ff208f46dbf869ffdfc0c2276dc06aeb091fe235246e53f9bbc88a63a08a33",
+    }),
+    "long-range-seeds-mixture": ({
+        "hamiltonian": {"kind": "long_range", "modes": 4, "seeds": [3, 8]},
+        "input": [1, 1, 1, 0], "times": [0.0, 0.7, 1.9],
+        "model": {"mixture": [[0.82482, [[1, 1, 1, 0]]],
+                              [0.10718, [[1, 1, 0, 0], [0, 0, 1, 0]]],
+                              [0.068, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]]}}, {
+        "gge_h00_distinguishable_marginal.csv":
+            "a259d9934ac105aff7e8e3e2bc0e5f2346ce56af9c80c50a2b9af459b896e9e3",
+        "gge_h00_distinguishable_tvd.csv":
+            "2e5678206b31ca621ec81441bb533107abd511ff49c09f2ce65a15bd399692fb",
+        "gge_h00_indistinguishable_marginal.csv":
+            "ecf670ecb5c098be06c813679552c2f7d534ce8cd7b98178198eb501505c154a",
+        "gge_h00_indistinguishable_tvd.csv":
+            "6bec53521efa5f056b99545a87b723d29354cbcc67d68f2f49498952a0166026",
+        "gge_h00_mixture_marginal.csv":
+            "a491d0edfcf9a2c30e49a5b82df0b808678a58d2474aee45aeeed4a0bbb5a42e",
+        "gge_h00_mixture_tvd.csv":
+            "7f46bf5e538ac34d741ad8eb034f9e17777f3d2fdb0a6a3663863efcfe341a02",
+        "gge_h01_distinguishable_marginal.csv":
+            "a6c0306aa66ffe67cb3eaab6dcdbfc2fc1a8e8804769022f0911ecab0f0fc4a9",
+        "gge_h01_distinguishable_tvd.csv":
+            "0ad8be00dc2532534dfc0ef08abd04abfc06bfb3e2e783161f49487de468e102",
+        "gge_h01_indistinguishable_marginal.csv":
+            "c0d162fe96adfb56b597207d1e4b28b810bc8b2ae5df7cd175117375464af07a",
+        "gge_h01_indistinguishable_tvd.csv":
+            "d592e8fa9de830bca6fa04ac14dcffece5dffe6f49f3c3a87258349e966c8990",
+        "gge_h01_mixture_marginal.csv":
+            "1299e108156a7148b5e3df1c271bece8ddc750540faefdd3960371140b43e17e",
+        "gge_h01_mixture_tvd.csv":
+            "2aa3af31dc270b5c0f323f465c82d9d237cc3f452b8d3c5dfb2e2da7f5681de4",
+        "gge_reference.csv":
+            "fde9a2bdb3a425371ab15bd66734ea4f51deba57218b24b6b56e401afafac773",
+    }),
+}
+
+
+@pytest.mark.parametrize("case, fresh", [
+    *(pytest.param(case, False, id=case) for case in sorted(GOLDEN_GGE)),
+    *(pytest.param(case, True, id=f"{case}-dev-mode-cli") for case in sorted(GOLDEN_GGE))])
+def test_golden_gge_runs_keep_their_bytes(tmp_path, case, fresh):
+    """Each pinned gge run writes the same bytes in process and from a fresh CLI.
+
+    The fresh `python -X dev -W error -m photherm.cli` process must neither
+    warn nor write anything to stderr.
+    """
+    import hashlib
+
+    overrides, digests = GOLDEN_GGE[case]
+    cfg = write_config(tmp_path, **overrides)
+    args = ["gge", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if fresh:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "photherm.cli",
+                               *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+    else:
+        assert cli.main(args) == 0
+    run = next((tmp_path / "out").iterdir())
+    got = {name: hashlib.sha256(body).hexdigest() for name, body in read_tree(run).items()}
+    assert got == digests
+
+
 def test_a_source_visibility_list_sets_the_model(tmp_path):
     """With no model given, a source's visibility list sets distinguishability_mixture(source).
 

@@ -295,6 +295,10 @@ _INTEGER_ENTRY_POINTS = {
     "equilibration_trace": (lambda c: gge.equilibration_trace(
         hamiltonian.HamiltonianSpec(kind="hopping", modes=3), (c, 1, 0), [0.5]), 1),
     "hamiltonian_modes": (lambda c: hamiltonian.HamiltonianSpec(kind="hopping", modes=c), 3),
+    "prob_of": (lambda c: fock.FockDistribution(2, 3, [0.5, 0.5, 0, 0, 0, 0]).prob_of((c, 1, 0)),
+                1),
+    "revival_hits": (lambda c: certify.revival_hits(np.array([[1, 1, 0]]), (c, 1, 0)), 1),
+    "lambda_monte_carlo": (lambda c: certify.lambda_monte_carlo(3, 4, (c, 2), 10, 0), 1),
 }
 
 
@@ -696,3 +700,75 @@ def test_check_probs_clips_like_clip():
     for bad in ([0.5, 0.5 + 1e-8], [1.0 + 1e-8, -1e-8], [np.nan, 1.0], [[1.0]], []):
         with pytest.raises(ValueError):
             fock._check_probs(bad)
+
+
+def test_a_stacked_row_check_names_the_row_that_fails():
+    """_clipped checks every law of a stack: one bad row among good ones raises."""
+    good = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert fock._clipped(good[None]).tobytes() == good[None].tobytes()
+    for row, match in (([0.5, 0.5 + 1e-8], r"sum to .*1\.00000001\b"), ([1.0 + 1e-8, -1e-8], "negative"),
+                       ([np.nan, 1.0], "negative probability nan")):
+        with pytest.raises(ValueError, match=match):
+            fock._clipped(np.stack([good, [good[0], row]]))
+    assert fock._clipped(np.empty((3, 0, 4))).shape == (3, 0, 4)
+
+
+def _row_convolve(p, a, q, b, m):
+    """The per-row convolution: one np.outer and one np.bincount for one pair of laws."""
+    return np.bincount(fock._pair_rank(a, b, m), weights=np.outer(p, q).ravel(),
+                       minlength=math.comb(a + b + m - 1, a + b))
+
+
+@pytest.mark.parametrize("lead, rows_per_chunk", [
+    ((), None), ((7,), None), ((2, 7), None),
+    ((2, 7), 3), ((2, 7), 3.5), ((5,), 1), ((5,), 0.5),   # MAX_PATTERNS lowered to so many rows
+])
+def test_stacked_convolve_equals_the_per_row_bincount(lead, rows_per_chunk, monkeypatch):
+    """Every row of a stacked convolution equals the per-row bincount of its pair, bit for bit.
+
+    With MAX_PATTERNS lowered, the stack spans several chunks; a bound
+    below one row's pair products still takes one row at a time.
+    """
+    a, b, m = 2, 1, 4
+    rng = np.random.default_rng(11)
+    p = rng.random(lead + (math.comb(a + m - 1, a),))
+    q = rng.random(lead + (math.comb(b + m - 1, b),))
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(fock, "MAX_PATTERNS", int(rows_per_chunk * p.shape[-1] * q.shape[-1]))
+    got = fock._convolve(p, a, q, b, m)
+    want = np.array([_row_convolve(pr, a, qr, b, m) for pr, qr in
+                     zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))])
+    assert got.shape == lead + (math.comb(a + b + m - 1, a + b),)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_convolve_chunks_hold_at_most_max_patterns_pair_products(monkeypatch):
+    """A chunk takes as many rows as fit in MAX_PATTERNS pair products: 4, 4 and 2 of 10 rows."""
+    seen, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, w, *n: seen.append(w.size) or bincount(x, w, *n))
+    monkeypatch.setattr(fock, "MAX_PATTERNS", 4 * 9)   # 9 pairs: one photon on each side, 3 modes
+    p = np.full((10, 3), 1 / 3)
+    assert np.allclose(fock._convolve(p, 1, p, 1, 3).sum(axis=-1), 1.0)
+    assert seen == [36, 36, 18]
+
+
+def test_a_stacked_convolve_past_one_chunk_traces_one_chunk_of_pair_products(monkeypatch):
+    """40 rows of 2 + 2 photons on 8 modes, in chunks of 4 rows: the peak holds one chunk's pairs.
+
+    The pair products and their int64 bins take 16 bytes per pair, 83 KB
+    per chunk; the whole stack's would take 829 KB. The bound allows 128 KB
+    for numpy's casting buffers, which do not grow with the stack.
+    """
+    import tracemalloc
+
+    p = np.random.default_rng(5).random((40, 36))
+    rank = fock._pair_rank(2, 2, 8)
+    monkeypatch.setattr(fock, "MAX_PATTERNS", 4 * rank.size)
+    tracemalloc.start()
+    try:
+        got = fock._convolve(p, 2, p, 2, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = got.nbytes + 32 * fock.MAX_PATTERNS + (1 << 17)
+    assert peak < bound < 16 * len(p) * rank.size, peak

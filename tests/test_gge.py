@@ -171,3 +171,61 @@ def test_recurrence_time_equals_the_per_time_scan(kwargs):
     """The stacked coarse grid finds the same grid point, so the search returns the same float."""
     case = {"spec": RING, "input_occ": INPUT, **kwargs}
     assert gge.recurrence_time(**case) == seed_recurrence_time(**case)
+
+
+def test_stacked_marginals_of_every_model_equal_the_single_laws(monkeypatch):
+    """One _marginals call over all models: each (model, time) row is its single law's marginal.
+
+    The chunk bound is lowered to 3 times, so 8 times take three
+    evolutions, each shared by the four models.
+    """
+    times = [0.0, 0.3, 0.9, 1.2, 1.7, 2.2, 2.9, 3.6]
+    monkeypatch.setattr(fock, "MAX_PATTERNS", 3 * 20)   # 20 patterns: 3 photons on 4 modes
+    calls = counted_evolution(monkeypatch)
+    got = gge._marginals(RING, INPUT, times, MODELS)
+    assert calls == [3, 3, 2]
+    monkeypatch.undo()
+    assert got.shape == (len(MODELS), len(times), 4)
+    for model, rows in zip(MODELS, got):
+        for t, row in zip(times, rows):
+            want = gge.marginal(fock.output_distribution(hamiltonian.evolution(RING, t), INPUT,
+                                                         model), 0).probs
+            assert row.tobytes() == want.tobytes()
+
+
+def test_stacked_distances_equal_the_tvd_of_each_row():
+    """0.5 * sum |margs - ref| over the last axis of a stack equals gge.tvd row by row, bit for bit."""
+    rng = np.random.default_rng(2)
+    for n in range(1, 14):
+        ref = gge.gge_marginal(n, 8).probs
+        margs = rng.dirichlet(np.full(n + 1, 0.5), size=(3, 40))
+        dists = 0.5 * np.sum(np.abs(margs - ref), axis=-1)
+        for got, row in zip(dists.ravel().tolist(), margs.reshape(-1, n + 1)):
+            assert got == gge.tvd(row, ref)
+
+
+@pytest.mark.parametrize("shift, raises", [(-1e-12, None), (-1e-8, "negative"),
+                                           (1e-8, "sum to")])
+def test_stacked_marginals_are_checked_and_clipped_row_by_row(shift, raises, monkeypatch):
+    """A law whose mode-0 marginal dips below 0 or misses a sum of 1 is clipped, or raises.
+
+    The second of two times moves `shift` of its mass onto a pattern with
+    no photon in mode 0; within PROB_SUM_TOL that bin reads +0.0.
+    """
+    laws = fock._laws
+    empty = int(np.nonzero(fock._patterns(3, 4)[:, 0] == 0)[0][0])
+
+    def shifted(u, occ, model):
+        out = laws(u, occ, model)
+        out[1] = 0.0
+        out[1, 0] = 1.0 - min(shift, 0.0)
+        out[1, empty] = shift
+        return out
+
+    monkeypatch.setattr(fock, "_laws", shifted)
+    if raises:
+        with pytest.raises(ValueError, match=raises):
+            gge._marginals(RING, INPUT, [0.5, 1.0], [fock.MODEL_INDISTINGUISHABLE])
+        return
+    got = gge._marginals(RING, INPUT, [0.5, 1.0], [fock.MODEL_INDISTINGUISHABLE])[0, 1]
+    assert got[0] == 0.0 and not np.signbit(got).any()
