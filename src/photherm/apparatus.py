@@ -189,9 +189,7 @@ class DetectionModel:
     @classmethod
     def ideal(cls, m: int) -> "DetectionModel":
         """Lossless balanced multiplexing, no dark counts, blinding switched off."""
-        third = 1.0 / 3.0
-        return cls(weights=((third,) * 3,) * m, dark_count_prob=0.0,
-                   blinding_slope=0.0, blinding_intercept=1.0)
+        return cls.uniform(m, blinding_slope=0.0, blinding_intercept=1.0)
 
     @classmethod
     def uniform(cls, m: int, loss: float = 0.0, **kwargs) -> "DetectionModel":
@@ -448,12 +446,7 @@ def mesh_decompose(u: np.ndarray) -> MeshParams:
         else:
             for j in range(1, i + 1):
                 r, c = n + j - i - 1, j - 1
-                if abs(v[r - 1, c]) == 0.0:
-                    theta = 0.0 if abs(v[r, c]) == 0.0 else 0.5 * math.pi
-                    phi = 0.0
-                else:
-                    theta = math.atan2(abs(v[r, c]), abs(v[r - 1, c]))
-                    phi = (np.angle(-v[r, c]) - np.angle(v[r - 1, c])) % (2.0 * math.pi)
+                theta, phi = _null_angles(-v[r, c], v[r - 1, c])
                 v = _crossing(n, r - 1, theta, phi) @ v
                 left.append((r - 1, theta, phi))
     diag = np.diagonal(v).copy()

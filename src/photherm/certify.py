@@ -321,6 +321,15 @@ def _settings(u: np.ndarray, n: int, m: int) -> np.ndarray:
     return both.reshape(-1, m, m)
 
 
+def _checked_input(shots: int, m: int, input_occ) -> fock.ModeOccupation:
+    """shots checked >= 1, then input_occ on m modes, by default one photon in all but the last."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if input_occ is None:
+        input_occ = (1,) * (m - 1) + (0,)
+    return fock._check_occupation(input_occ, m, "input pattern")
+
+
 def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
                             shots: int, seed, app: apparatus.Apparatus | None = None,
                             input_occ=None) -> tuple[np.ndarray, np.ndarray]:
@@ -332,12 +341,8 @@ def collect_setting_samples(spec: hamiltonian.HamiltonianSpec, t: float, model,
     jittered and recomposed, and samples pass through source heralding
     and quasi photon-number detection; otherwise sampling is exact.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     m = spec.modes
-    if input_occ is None:
-        input_occ = (1,) * (m - 1) + (0,)
-    input_occ = fock._check_occupation(input_occ, m, "input pattern")
+    input_occ = _checked_input(shots, m, input_occ)
     settings = _settings(hamiltonian.evolution(spec, [t]), fock.total(input_occ), m)
     samples = _sample_settings(settings, model, shots, _generators([seed]), app, input_occ)
     return samples[0], samples[1]
@@ -403,12 +408,8 @@ def certify(spec: hamiltonian.HamiltonianSpec, t, model, shots: int, seed,
         raise ValueError(f"seed {seed!r} does not match the times: one time takes one seed, "
                          f"a sequence of {times.size} times a sequence of as many")
     seeds = list(seed) if times.ndim else [seed]
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     m = spec.modes
-    if input_occ is None:
-        input_occ = (1,) * (m - 1) + (0,)
-    input_occ = fock._check_occupation(input_occ, m, "input pattern")
+    input_occ = _checked_input(shots, m, input_occ)
     n = fock.total(input_occ)
     lambdas = lambda_coefficients(n, m)
     per = max(1, shots // CONVERGENCE_BATCHES)

@@ -39,7 +39,7 @@ and divides psi_n by sqrt(prod_j r_j!). Distinguishable photons take the
 same steps with |U[i, j_k]|^2 and no square root. A species partition is
 the pattern-space convolution of its species' indistinguishable laws,
 and a Mixture is the weighted sum of its components' laws. The cost is
-O(n m |basis|) array work in place of O(|basis| 2^n n) Python loops.
+O(n m |basis|) array work in place of one O(2^n n^2) permanent per pattern.
 
 The engine runs over a stack of unitaries (..., m, m) at once and gives
 one law per matrix, (..., size); a single (m, m) unitary is the stack of
@@ -48,11 +48,10 @@ there adds an exact 0. Adding an exact 0 never changes a sum that started
 at +0.0, so every row equals the law of its matrix alone, bit for bit.
 Callers that evaluate many unitaries (gge and certify over a list of
 times) keep a stack to at most MAX_PATTERNS law entries at a time. A
-species law convolves its species' stacks of laws in chunks of rows
-whose pair products stay within MAX_PATTERNS entries, one np.bincount
-per chunk, and gge reduces a chunk's laws to marginals with one
-np.bincount per model; both offset each row's bins by the row, so every
-row still equals its own law bit for bit.
+species law convolves its species' stacks of laws row by row, one
+np.bincount of each row's pair products, and gge reduces a chunk's laws
+to marginals with one np.bincount per model, whose bins it offsets by
+the row; either way every row still equals its own law bit for bit.
 
 The engine is a fold of one creation step, _create, over the input's
 photons in mode order, starting from the padded vacuum [1, 0], so its
@@ -129,38 +128,25 @@ def mode_assignment(occ: ModeOccupation) -> tuple[int, ...]:
 
 
 def permanent(a: np.ndarray) -> complex:
-    """Matrix permanent by Ryser's formula with Gray-code subset updates.
+    """Matrix permanent by Ryser's formula, summed over blocks of 4,096 column subsets.
 
-    O(2^n n) work; dimension is capped at 24 because the sum is exact
-    only while the 2^n loop stays affordable. The 0 x 0 permanent is 1.
+    perm(A) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} a_ij.
+    Each block is one product of its subsets' 0/1 membership rows with
+    A^T, so the work is O(2^n n^2) and the memory one block's. The
+    dimension is capped at 24. The 0 x 0 permanent is 1.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
     if n > PERMANENT_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds permanent capacity {PERMANENT_MAX_DIM}")
-    cols = [a[:, j] for j in range(n)]
-    sums = np.zeros(n, dtype=complex)
-    totalsum = 0.0 + 0.0j
-    gray_prev = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        bit = gray ^ gray_prev
-        j = bit.bit_length() - 1
-        if gray & bit:
-            sums = sums + cols[j]
-        else:
-            sums = sums - cols[j]
-        gray_prev = gray
-        term = sums.prod()
-        if (n - gray.bit_count()) % 2:
-            totalsum -= term
-        else:
-            totalsum += term
-    return complex(totalsum)
+    out = 0.0j
+    for lo in range(0, 1 << n, 4096):
+        members = (np.arange(lo, min(lo + 4096, 1 << n))[:, None] >> np.arange(n)) & 1
+        signs = np.where((n - members.sum(axis=1)) % 2, -1.0, 1.0)
+        out += signs @ (members @ a.T).prod(axis=1)
+    return complex(out)
 
 
 def submatrix(u: np.ndarray, input_occ, output_occ) -> np.ndarray:
@@ -362,23 +348,16 @@ def _pair_rank(a: int, b: int, m: int) -> np.ndarray:
 def _convolve(p: np.ndarray, a: int, q: np.ndarray, b: int, m: int) -> np.ndarray:
     """Law of s + t for independent s ~ p on level a and t ~ q on level b.
 
-    p and q may be equal stacks of laws (..., size). Each chunk of rows is
-    one np.bincount over the bins _pair_rank + size * row, weighted by
-    the rows' pair products p[:, :, None] * q[:, None, :]. A chunk takes
-    as many rows as keep its pair products within MAX_PATTERNS entries,
-    and at least one. Every pattern of level a + b is a pair sum, so a
-    row's bins reach each of its size slots. bincount adds each bin's
-    weights in input order, so every row equals the convolution of its
-    own pair alone, bit for bit.
+    p and q may be equal stacks of laws (..., size). Each row is one
+    np.bincount of _pair_rank weighted by the row's pair products
+    np.outer(p, q). Every pattern of level a + b is a pair sum, so the
+    bins reach each of its size slots.
     """
     size, rank = math.comb(a + b + m - 1, a + b), _pair_rank(a, b, m)
     out = np.empty(p.shape[:-1] + (size,))
-    p, q, rows = p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]), out.reshape(-1, size)
-    step = max(1, MAX_PATTERNS // rank.size)
-    for lo in range(0, len(p), step):
-        pairs = p[lo:lo + step, :, None] * q[lo:lo + step, None, :]
-        bins = rank + size * np.arange(len(pairs))[:, None]
-        rows[lo:lo + step] = np.bincount(bins.ravel(), pairs.ravel()).reshape(-1, size)
+    for row, x, y in zip(out.reshape(-1, size), p.reshape(-1, p.shape[-1]),
+                         q.reshape(-1, q.shape[-1])):
+        row[:] = np.bincount(rank, np.outer(x, y).ravel(), size)
     return out
 
 

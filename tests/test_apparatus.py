@@ -344,6 +344,41 @@ def test_mesh_balanced_splitter_single_crossing():
     assert abs(theta - math.pi / 4) < 1e-12
 
 
+def _pinned_mesh_unitaries():
+    """Haar unitaries, identities, permutations and embedded Fouriers on 2..12 modes.
+
+    The last three zero whole columns of the lower triangle, so both sweeps
+    reach every branch of the zero-denominator rule.
+    """
+    for m in range(2, 13):
+        for seed in range(5):
+            yield linalg.haar_random(m, (m, seed))
+        yield np.eye(m, dtype=complex)
+        for seed in range(3):
+            yield np.eye(m, dtype=complex)[np.random.default_rng((m, seed)).permutation(m)]
+        for n in range(2, m + 1):
+            yield linalg.fourier(n, m)
+
+
+def test_mesh_decomposition_keeps_its_bits():
+    """The crossings and phases of 165 pinned unitaries hash to a digest recorded beforehand.
+
+    Recorded before the left sweep took the right sweep's angle rule. Like
+    the pinned streams, it is tied to numpy's Generator and to the LAPACK
+    behind haar_random's QR.
+    """
+    import hashlib
+
+    digest = hashlib.sha256()
+    for u in _pinned_mesh_unitaries():
+        params = apparatus.mesh_decompose(u)
+        digest.update(np.array([c for c, _, _ in params.crossings], np.int64).tobytes())
+        digest.update(np.array([(t, p) for _, t, p in params.crossings], float).tobytes())
+        digest.update(np.array(params.phases, float).tobytes())
+    assert digest.hexdigest() == (
+        "6a3d68dcf1861473e83af61f2a2a2c650dd4da78d8a00c2acfe182ddd6b58713")
+
+
 def test_mesh_rejects_non_unitary():
     with pytest.raises(ValueError):
         apparatus.mesh_decompose(np.ones((3, 3)))

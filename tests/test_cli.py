@@ -912,6 +912,71 @@ def test_golden_gge_runs_keep_their_bytes(tmp_path, case, fresh):
     assert got == digests
 
 
+# sha256 of every file of two evolve runs, recorded before species laws were convolved one row
+# at a time: the benchmark's 6 photons on 12 long_range modes under the distinguishable model,
+# and a 4-mode run under the three-component mixture, whose 2 + 1 and 1 + 1 + 1 components are
+# convolutions of species laws.
+GOLDEN_EVOLVE = {
+    "bench-12-mode-distinguishable": ({
+        "hamiltonian": {"kind": "long_range", "modes": 12, "seed": 171795907},
+        "input": [1] * 6 + [0] * 6, "times": [0.852958], "model": "distinguishable",
+        "seed": 667369681}, {
+        "evolve_h_t000.csv":
+            "d96b23f45471f96120c3418aaedabe844cf442652fe0ddc937c2e5adfeda1941",
+        "evolve_h_t000.json":
+            "1526e49cd6afb30c26ee7ade642d6ba5b5ead87f91c262580e600555730f4b12",
+        "evolve_h_t000_exact.csv":
+            "05df5dad924fd710eec445e279f376a25c5fd8441d92d84d0dac05afbb04755e",
+    }),
+    "mixture-4-mode": ({
+        "hamiltonian": {"kind": "long_range", "modes": 4, "seed": 5},
+        "input": [1, 1, 1, 0], "times": [0.4, 1.3],
+        "model": {"mixture": [[0.82482, [[1, 1, 1, 0]]],
+                              [0.10718, [[1, 1, 0, 0], [0, 0, 1, 0]]],
+                              [0.068, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]]}}, {
+        "evolve_h_t000.csv":
+            "d2e4120b159b5f81b2f06f0d43d2c9f7972d4eba8a67f344d5af2c79fe2699e8",
+        "evolve_h_t000.json":
+            "2233434cad97665745685ddba572e3742e768b7204401e47b560018eb269a96e",
+        "evolve_h_t000_exact.csv":
+            "a11c9673a8b1722b9cdf7c0b1fb1e869e84b2ac330d8e48d540e3456fd2cb5dc",
+        "evolve_h_t001.csv":
+            "30eff48c56ec8633c54c523762d81e8a50a94b99765c999d7ee73dc327a43d72",
+        "evolve_h_t001.json":
+            "ee5b0de4bc08a8f4dbe9a1e380face29b10f310ef0ba22b8dcc9d80c607bd123",
+        "evolve_h_t001_exact.csv":
+            "3f8b1941a33fa04c97378bfd9bfd8cba163df57b14b418acfedc17fb7a652b96",
+    }),
+}
+
+
+@pytest.mark.parametrize("case, fresh", [
+    *(pytest.param(case, False, id=case) for case in sorted(GOLDEN_EVOLVE)),
+    *(pytest.param(case, True, id=f"{case}-dev-mode-cli") for case in sorted(GOLDEN_EVOLVE))])
+def test_golden_evolve_runs_keep_their_bytes(tmp_path, case, fresh):
+    """Each pinned evolve run writes the same bytes in process and from a fresh CLI.
+
+    The fresh `python -X dev -W error -m photherm.cli` process must neither
+    warn nor write anything to stderr.
+    """
+    import hashlib
+
+    overrides, digests = GOLDEN_EVOLVE[case]
+    cfg = write_config(tmp_path, **overrides)
+    args = ["evolve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if fresh:
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "photherm.cli",
+                               *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (0, "")
+    else:
+        assert cli.main(args) == 0
+    run = next((tmp_path / "out").iterdir())
+    got = {name: hashlib.sha256(body).hexdigest() for name, body in read_tree(run).items()}
+    assert got == digests
+
+
 def test_a_source_visibility_list_sets_the_model(tmp_path):
     """With no model given, a source's visibility list sets distinguishability_mixture(source).
 

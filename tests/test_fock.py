@@ -151,7 +151,7 @@ def test_permanent_matches_naive_sum():
 
 
 def test_permanent_row_scaling():
-    # multilinearity in rows is an algebraic identity Gray-code updates must keep
+    # multilinearity in rows is an algebraic identity the subset sums must keep
     rng = np.random.default_rng(18)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     b = a.copy()
@@ -162,6 +162,45 @@ def test_permanent_row_scaling():
 def test_permanent_dimension_cap():
     with pytest.raises(ValueError):
         fock.permanent(np.eye(fock.PERMANENT_MAX_DIM + 1))
+
+
+@pytest.mark.parametrize("n", [13, 18])
+def test_permanents_past_one_block_of_subsets_are_exact(n):
+    """2^n subsets span several blocks of 4,096; every block, the last one too, is summed.
+
+    Only the full column set adds a nonzero term for a permutation matrix
+    or a diagonal one, so both permanents come out exact: 1 and n!.
+    """
+    perm = np.eye(n)[np.random.default_rng(n).permutation(n)]
+    assert fock.permanent(perm) == 1.0
+    assert fock.permanent(np.diag(np.arange(1.0, n + 1))) == math.factorial(n)
+
+
+def test_permanent_matches_naive_sum_up_to_eight_modes():
+    """Complex matrices with entries of a unitary's size, n = 1..8, within 1e-12 of the n! sum."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        for _ in range(2):
+            a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2 * n)
+            assert abs(fock.permanent(a) - naive_permanent(a)) < 1e-12
+
+
+def test_permanent_of_eighteen_modes_traces_one_block_of_subsets():
+    """The 2^18 subsets are summed a block at a time: the peak stays under 8 MB.
+
+    A block's membership rows and row sums take about 40 bytes per subset
+    and column, 3.0 MB at n = 18; the whole sum at once would take 190 MB.
+    """
+    import tracemalloc
+
+    a = linalg.haar_random(18, 3)
+    tracemalloc.start()
+    try:
+        fock.permanent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
 
 
 def test_submatrix_repeats_rows_and_columns():
@@ -719,22 +758,13 @@ def _row_convolve(p, a, q, b, m):
                        minlength=math.comb(a + b + m - 1, a + b))
 
 
-@pytest.mark.parametrize("lead, rows_per_chunk", [
-    ((), None), ((7,), None), ((2, 7), None),
-    ((2, 7), 3), ((2, 7), 3.5), ((5,), 1), ((5,), 0.5),   # MAX_PATTERNS lowered to so many rows
-])
-def test_stacked_convolve_equals_the_per_row_bincount(lead, rows_per_chunk, monkeypatch):
-    """Every row of a stacked convolution equals the per-row bincount of its pair, bit for bit.
-
-    With MAX_PATTERNS lowered, the stack spans several chunks; a bound
-    below one row's pair products still takes one row at a time.
-    """
+@pytest.mark.parametrize("lead", [(), (7,), (2, 7)])
+def test_stacked_convolve_equals_the_per_row_bincount(lead):
+    """Every row of a stacked convolution equals the per-row bincount of its pair, bit for bit."""
     a, b, m = 2, 1, 4
     rng = np.random.default_rng(11)
     p = rng.random(lead + (math.comb(a + m - 1, a),))
     q = rng.random(lead + (math.comb(b + m - 1, b),))
-    if rows_per_chunk is not None:
-        monkeypatch.setattr(fock, "MAX_PATTERNS", int(rows_per_chunk * p.shape[-1] * q.shape[-1]))
     got = fock._convolve(p, a, q, b, m)
     want = np.array([_row_convolve(pr, a, qr, b, m) for pr, qr in
                      zip(p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1]))])
@@ -742,33 +772,22 @@ def test_stacked_convolve_equals_the_per_row_bincount(lead, rows_per_chunk, monk
     assert got.tobytes() == want.tobytes()
 
 
-def test_stacked_convolve_chunks_hold_at_most_max_patterns_pair_products(monkeypatch):
-    """A chunk takes as many rows as fit in MAX_PATTERNS pair products: 4, 4 and 2 of 10 rows."""
-    seen, bincount = [], np.bincount
-    monkeypatch.setattr(np, "bincount", lambda x, w, *n: seen.append(w.size) or bincount(x, w, *n))
-    monkeypatch.setattr(fock, "MAX_PATTERNS", 4 * 9)   # 9 pairs: one photon on each side, 3 modes
-    p = np.full((10, 3), 1 / 3)
-    assert np.allclose(fock._convolve(p, 1, p, 1, 3).sum(axis=-1), 1.0)
-    assert seen == [36, 36, 18]
+def test_a_stacked_convolve_past_one_chunk_traces_one_chunk_of_pair_products():
+    """40 rows of 2 + 2 photons on 8 modes, one row per chunk: the peak holds one row's pairs.
 
-
-def test_a_stacked_convolve_past_one_chunk_traces_one_chunk_of_pair_products(monkeypatch):
-    """40 rows of 2 + 2 photons on 8 modes, in chunks of 4 rows: the peak holds one chunk's pairs.
-
-    The pair products and their int64 bins take 16 bytes per pair, 83 KB
-    per chunk; the whole stack's would take 829 KB. The bound allows 128 KB
+    One row's pair products and their bincount take 16 bytes per pair,
+    21 KB; the whole stack's would take 829 KB. The bound allows 128 KB
     for numpy's casting buffers, which do not grow with the stack.
     """
     import tracemalloc
 
     p = np.random.default_rng(5).random((40, 36))
     rank = fock._pair_rank(2, 2, 8)
-    monkeypatch.setattr(fock, "MAX_PATTERNS", 4 * rank.size)
     tracemalloc.start()
     try:
         got = fock._convolve(p, 2, p, 2, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = got.nbytes + 32 * fock.MAX_PATTERNS + (1 << 17)
+    bound = got.nbytes + 16 * rank.size + (1 << 17)
     assert peak < bound < 16 * len(p) * rank.size, peak
