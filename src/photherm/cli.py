@@ -27,8 +27,8 @@ are written by the parent alone. The files are byte-identical whatever the
 core count.
 
 Exit codes: 0 success, 1 config validation error (including an evolve or
-gge config with a non-trivial apparatus block, which only certify uses)
-or a source whose acceptance is too low to collect the shots, 2 I/O
+gge config with a non-trivial apparatus block, which only certify uses,
+and a certify config without a certification block) or a source whose acceptance is too low to collect the shots, 2 I/O
 error or an evolve law that could not be computed or written, 3 selftest
 failure.
 """
@@ -81,6 +81,31 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _checked(path: str, fn, /, *args, **kw):
+    """fn(*args, **kw), with a ValueError it raises (a record's or library check's) as a
+    ConfigError at path."""
+    try:
+        return fn(*args, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _object(d, keys: tuple, path: str) -> dict:
+    """d, checked to be a JSON object that holds no key outside keys."""
+    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    _expect(not unknown, path, f"unknown keys {unknown}; expected some of {list(keys)}")
+    return d
+
+
+def _get(d: dict, key: str, path: str, check, default=None, required=False, **kw):
+    """check(d[key], path.key, **kw), or default where d has no key and it is not required."""
+    if key not in d:
+        _expect(not required, f"{path}.{key}", "missing required value")
+        return default
+    return check(d[key], f"{path}.{key}", **kw)
+
+
 def _number(v, path: str) -> float:
     """A JSON number as a finite float; bools, non-numbers and huge integers are rejected."""
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
@@ -93,28 +118,23 @@ def _number(v, path: str) -> float:
     return v
 
 
-def _get_number(d: dict, key: str, path: str, default=None, required=False):
-    if key not in d:
-        _expect(not required, f"{path}.{key}", "missing required value")
-        return default
-    return _number(d[key], f"{path}.{key}")
-
-
-def _get_int(d: dict, key: str, path: str, default=None, required=False, minimum=None):
-    if key not in d:
-        _expect(not required, f"{path}.{key}", "missing required value")
-        return default
-    v = d[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool),
-            f"{path}.{key}", f"expected an integer, got {v!r}")
-    if minimum is not None:
-        _expect(v >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {v}")
+def _integer(v, path: str, minimum=None) -> int:
+    _expect(isinstance(v, int) and not isinstance(v, bool), path, f"expected an integer, got {v!r}")
+    _expect(minimum is None or v >= minimum, path, f"must be >= {minimum}, got {v}")
     return v
 
 
-def _check_keys(d: dict, keys, path: str):
-    unknown = sorted(set(d) - set(keys))
-    _expect(not unknown, path, f"unknown keys {unknown}; expected some of {list(keys)}")
+def _fraction(v, path: str) -> float:
+    """A number in the open interval (0, 1)."""
+    v = _number(v, path)
+    _expect(0.0 < v < 1.0, path, f"must lie in (0, 1), got {v}")
+    return v
+
+
+def _entries(v, path: str, entry=_number) -> tuple:
+    """A non-empty JSON list, each entry through entry(x, path[i])."""
+    _expect(isinstance(v, list) and v, path, f"expected a non-empty list, got {v!r}")
+    return tuple(entry(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
 def _check_numbers(v, path: str, shape: tuple):
@@ -155,68 +175,57 @@ def _species_list(v, path: str) -> tuple:
 
 
 def _parse_model(v, path: str):
+    """A model name, or an object that holds exactly one of species and mixture."""
     if isinstance(v, str):
         _expect(v in (fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE),
                 path, f"unknown model name {v!r}")
         return v
-    if isinstance(v, dict) and "species" in v:
-        return _species_list(v["species"], f"{path}.species")
-    if isinstance(v, dict) and "mixture" in v:
-        _expect(isinstance(v["mixture"], list), f"{path}.mixture",
-                f"expected a list of [weight, species-list], got {v['mixture']!r}")
-        comps = []
-        for i, item in enumerate(v["mixture"]):
-            _expect(isinstance(item, list) and len(item) == 2,
-                    f"{path}.mixture[{i}]", "expected [weight, species-list]")
-            w, part = item
-            comps.append((_number(w, f"{path}.mixture[{i}][0]"),
-                          _species_list(part, f"{path}.mixture[{i}][1]")))
-        try:
-            return fock.Mixture(tuple(comps))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.mixture: {exc}") from None
-    raise ConfigError(f"{path}: expected a model name, species or mixture, got {v!r}")
+    _expect(isinstance(v, dict) and ("species" in v or "mixture" in v), path,
+            f"expected a model name, species or mixture, got {v!r}")
+    if "species" in v:
+        return _species_list(_object(v, ("species",), path)["species"], f"{path}.species")
+    mixture = _object(v, ("mixture",), path)["mixture"]
+    _expect(isinstance(mixture, list), f"{path}.mixture",
+            f"expected a list of [weight, species-list], got {mixture!r}")
+    comps = []
+    for i, item in enumerate(mixture):
+        _expect(isinstance(item, list) and len(item) == 2,
+                f"{path}.mixture[{i}]", "expected [weight, species-list]")
+        comps.append((_number(item[0], f"{path}.mixture[{i}][0]"),
+                      _species_list(item[1], f"{path}.mixture[{i}][1]")))
+    return _checked(f"{path}.mixture", fock.Mixture, tuple(comps))
 
 
 def _parse_hamiltonians(d, path: str) -> list[hamiltonian.HamiltonianSpec]:
-    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
-    _check_keys(d, ("kind", "modes", "coupling", "seed", "seeds", "periodic", "matrix"), path)
-    d = dict(d)
-    modes = _get_int(d, "modes", path, required=True)
+    _object(d, ("kind", "modes", "coupling", "seed", "seeds", "periodic", "matrix"), path)
+    modes = _get(d, "modes", path, _integer, required=True)
     _expect(modes * modes <= fock.MAX_PATTERNS, f"{path}.modes",
             f"{modes} modes give a unitary of {modes}^2 entries, more than the ceiling "
             f"of {fock.MAX_PATTERNS}")
-    if "coupling" in d:
-        # checked, not converted: an integer coupling keeps its resolved form and digest
-        _number(d["coupling"], f"{path}.coupling")
+    # checked, not converted: an integer coupling keeps its resolved form and digest
+    _get(d, "coupling", path, _number)
     if d.get("matrix") is not None:
         _check_numbers(d["matrix"], f"{path}.matrix", (modes, modes, 2))
-    seeds = d.pop("seeds", None)
-    if seeds is not None:
+    _expect("kind" in d, f"{path}.kind", "missing required value")
+    seeds = d.get("seeds")
+    if seeds is None:
+        seeds = [d.get("seed")]
+    else:
         _expect("seed" not in d, f"{path}.seeds", "give either seed or seeds, not both")
-        _expect(d.get("kind") == "long_range", f"{path}.seeds",
+        _expect(d["kind"] == "long_range", f"{path}.seeds",
                 "a seed list only makes sense for kind long_range")
         _expect(isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
                 f"{path}.seeds", f"expected a non-empty list of integers, got {seeds!r}")
-    else:
-        seeds = [d.get("seed")]
-    specs = []
-    for s in seeds:
-        try:
-            specs.append(hamiltonian.HamiltonianSpec.from_dict({**d, "seed": s}
-                                                               if s is not None else d))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    return specs
+    return [_checked(path, hamiltonian.HamiltonianSpec.from_dict, {**d, "seed": s})
+            for s in seeds]
 
 
 def _parse_source(d, path: str) -> apparatus.SourceModel:
     from . import apparatus
-    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     numbers = ("squeezing", "pump_power", "heralding_efficiency")
-    _check_keys(d, numbers + ("pairwise_visibilities",), path)
+    _object(d, numbers + ("pairwise_visibilities",), path)
     for key in numbers:
-        _get_number(d, key, path)
+        _get(d, key, path, _number)
     vis = d.get("pairwise_visibilities", [])
     _expect(isinstance(vis, list), f"{path}.pairwise_visibilities",
             f"expected a list of [[i, j], visibility], got {vis!r}")
@@ -232,42 +241,32 @@ def _parse_source(d, path: str) -> apparatus.SourceModel:
     _expect("pairwise_visibilities" not in d or pairs == [(0, 1), (0, 2), (1, 2)],
             f"{path}.pairwise_visibilities",
             f"expected the pairs (0, 1), (0, 2) and (1, 2) once each, got {pairs}")
-    try:
-        return apparatus.SourceModel(**d)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _checked(path, apparatus.SourceModel, **d)
 
 
 def _parse_detection(d, path: str) -> apparatus.DetectionModel:
     from . import apparatus
-    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
     numbers = ("dark_count_prob", "blinding_slope", "blinding_intercept")
-    _check_keys(d, ("weights",) + numbers, path)
-    _expect("weights" in d, f"{path}.weights", "missing required value")
-    _check_numbers(d["weights"], f"{path}.weights", (None, apparatus.CHANNELS_PER_MODE))
+    _object(d, ("weights",) + numbers, path)
+    _get(d, "weights", path, _check_numbers, required=True,
+         shape=(None, apparatus.CHANNELS_PER_MODE))
     for key in numbers:
-        _get_number(d, key, path)
-    try:
-        return apparatus.DetectionModel(**d)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        _get(d, key, path, _number)
+    return _checked(path, apparatus.DetectionModel, **d)
 
 
 def _parse_apparatus(d, path: str) -> apparatus.Apparatus:
     """The apparatus block; source and detection numbers are checked, not converted."""
     from . import apparatus
-    _expect(isinstance(d, dict), path, f"expected an object, got {d!r}")
-    _check_keys(d, ("source", "detection", "mesh_jitter"), path)
-    src = det = None
-    if d.get("source") is not None:
-        src = _parse_source(d["source"], f"{path}.source")
-    if d.get("detection") is not None:
-        det = _parse_detection(d["detection"], f"{path}.detection")
-    jitter = _get_number(d, "mesh_jitter", path, default=0.0)
+    _object(d, ("source", "detection", "mesh_jitter"), path)
+    parts = {key: parse(d[key], f"{path}.{key}")
+             for key, parse in (("source", _parse_source), ("detection", _parse_detection))
+             if d.get(key) is not None}
+    jitter = _get(d, "mesh_jitter", path, _number, default=0.0)
     # a Gaussian of width pi already spreads a crossing angle over the whole circle
     _expect(0.0 <= jitter <= math.pi, f"{path}.mesh_jitter",
             f"must lie in [0, pi], got {jitter}")
-    return apparatus.Apparatus(source=src, detection=det, mesh_jitter=jitter)
+    return apparatus.Apparatus(**parts, mesh_jitter=jitter)
 
 
 @record
@@ -303,17 +302,14 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ConfigError(f"config: invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "config", "top level must be an object")
-    _check_keys(raw, ("hamiltonian", "times", "input", "model", "shots", "seed", "apparatus",
-                      "certification"), "config")
+    _object(raw, ("hamiltonian", "times", "input", "model", "shots", "seed", "apparatus",
+                  "certification"), "config")
 
     specs = _parse_hamiltonians(raw.get("hamiltonian"), "config.hamiltonian")
     m = specs[0].modes
     _expect(all(s.modes == m for s in specs), "config.hamiltonian", "mode counts differ")
 
-    times_raw = raw.get("times", [0.0])
-    _expect(isinstance(times_raw, list) and times_raw, "config.times",
-            f"expected a non-empty list, got {times_raw!r}")
-    times = tuple(_number(t, f"config.times[{i}]") for i, t in enumerate(times_raw))
+    times = _get(raw, "times", "config", _entries, default=(0.0,))
     for spec in specs:
         bound = hamiltonian.eigenvalue_bound(spec)
         _expect(math.isfinite(bound), "config.hamiltonian",
@@ -323,24 +319,18 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
                     f"phase |t| * |H| = {abs(t) * bound:.3g} exceeds the ceiling of "
                     f"{MAX_PHASE:.0e}; exp(-iHt) would keep fewer than four digits")
 
-    if "input" in raw:
-        input_occ = _occupation(raw["input"], "config.input")
-        _expect(len(input_occ) == m, "config.input", f"expected {m} modes, got {len(input_occ)}")
-    else:
-        input_occ = (1,) * (m - 1) + (0,)
+    input_occ = _get(raw, "input", "config", _occupation, default=(1,) * (m - 1) + (0,))
+    _expect(len(input_occ) == m, "config.input", f"expected {m} modes, got {len(input_occ)}")
     n = sum(input_occ)
     _expect(_basis_size(n, m) <= fock.MAX_PATTERNS, "config.input",
             f"{n} photons in {m} modes give C({n + m - 1}, {n}) output patterns, "
             f"more than the ceiling of {fock.MAX_PATTERNS}")
 
-    model = _parse_model(raw.get("model", fock.MODEL_INDISTINGUISHABLE), "config.model")
-    try:
-        fock._resolve_model(model, input_occ, m)
-    except ValueError as exc:
-        raise ConfigError(f"config.model: {exc}") from None
-    shots = _get_int(raw, "shots", "config", default=1000, minimum=1)
+    model = _get(raw, "model", "config", _parse_model, default=fock.MODEL_INDISTINGUISHABLE)
+    _checked("config.model", fock._resolve_model, model, input_occ, m)
+    shots = _get(raw, "shots", "config", _integer, default=1000, minimum=1)
     _expect(shots <= MAX_SHOTS, "config.shots", f"must be <= {MAX_SHOTS}, got {shots}")
-    seed = _get_int(raw, "seed", "config", default=0, minimum=0)
+    seed = _get(raw, "seed", "config", _integer, default=0, minimum=0)
     if seed_override is not None:
         seed = int(seed_override)
         _expect(seed >= 0, "--seed", f"must be >= 0, got {seed}")
@@ -349,19 +339,14 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if raw.get("apparatus") is not None:
         from . import apparatus
         app = _parse_apparatus(raw["apparatus"], "config.apparatus")
-        det, n = app.detection, fock.total(input_occ)
+        det = app.detection
         _expect(app.is_trivial() or shots <= MAX_APPARATUS_SHOTS, "config.shots",
                 f"an apparatus run samples every shot; {shots} is more than the ceiling "
                 f"of {MAX_APPARATUS_SHOTS}")
         if app.source is not None:
-            try:
-                apparatus._check_source_input(input_occ)
-            except ValueError as exc:
-                raise ConfigError(f"config.input: {exc}") from None
-            try:
-                apparatus._useful_weights(app.source, n, apparatus._has_floor(det))
-            except ValueError as exc:
-                raise ConfigError(f"config.apparatus.source: {exc}") from None
+            _checked("config.input", apparatus._check_source_input, input_occ)
+            _checked("config.apparatus.source", apparatus._useful_weights, app.source, n,
+                     apparatus._has_floor(det))
             if "pairwise_visibilities" in raw["apparatus"]["source"]:
                 _expect("model" not in raw, "config.model", "the source's "
                         "pairwise_visibilities set the model; give one or the other")
@@ -379,30 +364,17 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     grid = DEFAULT_EPSILON_GRID
     if raw.get("certification") is not None:
         from . import certify
-        cert = raw["certification"]
-        _expect(isinstance(cert, dict), "config.certification",
-                f"expected an object, got {cert!r}")
-        _check_keys(cert, ("eps1", "eps2", "split", "epsilon_grid"), "config.certification")
-        n = fock.total(input_occ)
+        at = "config.certification"
+        cert = _object(raw["certification"], ("eps1", "eps2", "split", "epsilon_grid"), at)
         top = min(certify.LAMBDA_MAX_PHOTONS, m)
         _expect(2 <= n <= top, "config.input",
                 f"certification needs 2..{top} photons on {m} modes, got {n}")
-        eps1 = _get_number(cert, "eps1", "config.certification", required=True)
-        eps2 = _get_number(cert, "eps2", "config.certification", required=True)
-        for name, eps in (("eps1", eps1), ("eps2", eps2)):
-            _expect(0.0 < eps < 1.0, f"config.certification.{name}",
-                    f"must lie in (0, 1), got {eps}")
-        split = _get_int(cert, "split", "config.certification", default=1, minimum=1)
-        _expect(split < m, "config.certification.split",
-                f"bipartition must leave modes on both sides of {m}")
-        grid_raw = cert.get("epsilon_grid", list(DEFAULT_EPSILON_GRID))
-        _expect(isinstance(grid_raw, list) and grid_raw, "config.certification.epsilon_grid",
-                f"expected a non-empty list, got {grid_raw!r}")
-        grid = tuple(_number(e, f"config.certification.epsilon_grid[{i}]")
-                     for i, e in enumerate(grid_raw))
-        for i, e in enumerate(grid):
-            _expect(0.0 < e < 1.0, f"config.certification.epsilon_grid[{i}]",
-                    f"must lie in (0, 1), got {e}")
+        eps1 = _get(cert, "eps1", at, _fraction, required=True)
+        eps2 = _get(cert, "eps2", at, _fraction, required=True)
+        split = _get(cert, "split", at, _integer, default=1, minimum=1)
+        _expect(split < m, f"{at}.split", f"bipartition must leave modes on both sides of {m}")
+        grid = _get(cert, "epsilon_grid", at, _entries, default=DEFAULT_EPSILON_GRID,
+                    entry=_fraction)
 
     if eps1 is not None or any(s.kind == "long_range" for s in specs):
         # the command seeds generators or draws a Haar unitary: load numpy.random with the config
@@ -611,9 +583,8 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
     """Certification records per time step plus the batch convergence trace.
 
     One certify call per Hamiltonian runs all its time steps, each with its own derived seed.
+    main refuses a config without a certification block before any directory is made.
     """
-    if cfg.eps1 is None:
-        raise ConfigError("config.certification: required for the certify command")
     from . import certify  # loaded by load_config along with the certification block
     preamble = _csv_preamble(cfg)
     for si, spec in enumerate(cfg.specs):
@@ -682,6 +653,8 @@ def main(argv=None) -> int:
         _expect(args.command == "certify" or cfg.app is None or cfg.app.is_trivial(),
                 "config.apparatus", f"{args.command} computes the laws of the ideal chip; a "
                 "source, detection model or mesh jitter is used only by certify")
+        _expect(args.command != "certify" or cfg.eps1 is not None, "config.certification",
+                "required for the certify command")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -619,8 +619,10 @@ def test_config_rejects_integer_literal_past_the_digit_limit(tmp_path, capsys):
 
 def test_certify_requires_certification_block(tmp_path, capsys):
     cfg = write_config(tmp_path, certification=None)
-    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
     assert "certification" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_and_renames_run(tmp_path):
@@ -1091,12 +1093,21 @@ def test_certify_rejects_meaningless_detection_and_seeds(tmp_path, capsys, overr
     {"certification": {"eps1": 0.9, "eps2": 0.9, "foo": 1}},
     {"hamiltonian": {"kind": "hopping", "modes": 4, "foo": 1}},
     {"foo": 1},
+    {"input": RING_INPUT, "model": {"species": [RING_INPUT], "foo": 1}},
+    {"input": RING_INPUT, "model": {"mixture": [[1.0, [RING_INPUT]]], "foo": 1}},
+    {"input": RING_INPUT, "model": {"species": [RING_INPUT], "mixture": [[1.0, [RING_INPUT]]]}},
 ])
 def test_unknown_source_and_detection_keys_are_named(tmp_path, capsys, overrides):
-    """An unknown key in any config block is named, not ignored."""
+    """An unknown key in any config block is named, not ignored.
+
+    A model object holds exactly one of species or mixture, so a mixture
+    given along with species is named as well.
+    """
     cfg = write_config(tmp_path, **overrides)
     assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "unknown keys ['foo']" in capsys.readouterr().err
+    model = overrides.get("model", {})
+    unknown = "mixture" if "species" in model and "mixture" in model else "foo"
+    assert f"unknown keys ['{unknown}']" in capsys.readouterr().err
 
 
 def test_apparatus_runs_have_a_shot_ceiling(tmp_path, capsys):
@@ -1229,6 +1240,7 @@ MALFORMED = [
      "config.apparatus.source.pairwise_visibilities"),
     (_source_field("pairwise_visibilities", [[[0, 1], 0.9], [[0, 2], 0.8], [[1, 2], 0.8]]),
      "config.model"),
+    ({"hamiltonian": {"modes": 4}}, "config.hamiltonian.kind"),
 ]
 
 
@@ -1290,6 +1302,37 @@ def _mutate(cfg: dict, path: tuple, action: str, junk: int) -> dict:
     except (KeyError, IndexError, TypeError):
         pass  # an earlier mutation removed or replaced this branch
     return cfg
+
+
+def _replaced_configs() -> list:
+    """Every distinct config text that one replace of a FUZZ_PATHS entry makes of either base."""
+    ideal = {k: v for k, v in FUZZ_BASE.items() if k != "apparatus"} | {"model": HARDWARE["model"]}
+    configs = {}
+    for base in (FUZZ_BASE, ideal):
+        for path in FUZZ_PATHS:
+            for junk in range(len(JUNK)):
+                configs.setdefault(json.dumps(_mutate(json.loads(json.dumps(base)), path,
+                                                      "replace", junk)))
+    return list(configs)
+
+
+# sha256 of the newline-joined outcomes below, recorded at a known-good commit; a change to
+# any config rule's order, message, default or resolved form changes it
+REPLACED_OUTCOMES = "9fba4e97027e166e97918465f3c0391f194cc599f273bba92af74392e33a1cb8"
+
+
+def test_every_replaced_config_keeps_its_load_outcome(tmp_path):
+    """Each of the 4,288 configs gives its recorded error line, or loads to its recorded digest."""
+    import hashlib
+    config, outcomes = tmp_path / "config.json", []
+    for text in _replaced_configs():
+        config.write_text(text)
+        try:
+            outcomes.append(f"OK {cli.load_config(config).digest()}")
+        except cli.ConfigError as exc:
+            outcomes.append(f"error: {exc}")
+    assert len(outcomes) == 4288
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == REPLACED_OUTCOMES
 
 
 @settings(max_examples=250, deadline=None)
