@@ -129,6 +129,8 @@ class SourceModel:
             raise ValueError(f"squeezing amplitude must lie in [0, 1), got {self.squeezing}")
         if self.pump_power < 0:
             raise ValueError(f"pump power must be >= 0, got {self.pump_power}")
+        if not math.isfinite(self.pump_power):
+            raise ValueError(f"pump power must be finite, got {self.pump_power}")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
             raise ValueError(f"heralding efficiency must lie in [0, 1], got {self.heralding_efficiency}")
         vis = tuple((tuple(int(i) for i in pair), float(v))
@@ -173,8 +175,13 @@ class DetectionModel:
                 raise ValueError(f"mode {mode} has a negative weight: {row}")
             if sum(row) > 1.0 + WEIGHT_SUM_TOL:
                 raise ValueError(f"mode {mode} weights sum to {sum(row)} > 1")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"mode {mode} has a weight that is not a number: {row}")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ValueError(f"dark count probability must lie in [0, 1), got {self.dark_count_prob}")
+        for name in ("blinding_slope", "blinding_intercept"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "weights", w)
 
     @property

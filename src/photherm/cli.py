@@ -22,9 +22,16 @@ of load_config keeps its own hashlib.
 
 evolve writes its laws with up to one process per usable core (the CPU
 affinity, so taskset restricts it): the parent and forked workers, each
-holding one law at a time. Laws of fewer than FORK_MIN_PATTERNS patterns
-are written by the parent alone. The files are byte-identical whatever the
-core count.
+holding one law at a time. The parent builds the basis, with every level
+and gather map the engine reads (fock._levels), before it forks, so the
+workers inherit it instead of each building it again. Laws of fewer than
+FORK_MIN_PATTERNS patterns are written by the parent alone. The files are
+byte-identical whatever the core count.
+
+Every CSV is written by _write_csv as text blocks of at most
+fock.CSV_BLOCK rows: a law's from FockDistribution.csv_blocks, the small
+gge and certify tables from _rows, each block one %-format of a row
+template, with no Python per row.
 
 Exit codes: 0 success, 1 config validation error (including an evolve or
 gge config with a non-trivial apparatus block, which only certify uses,
@@ -67,8 +74,9 @@ MAX_SHOTS = 2**63 - 1
 # double holds exp(-i w t) to fewer than four digits, and past 1e308 the phase overflows.
 MAX_PHASE = 1e12
 # Fewest patterns per law for which evolve forks law writers. On a 2-vCPU Xeon guest,
-# forking the loaded CLI, exiting the child and reaping it took 2.9-3.3 ms (median of 20),
-# the time to format about 2,800 CSV rows.
+# forking the loaded CLI, exiting the child and reaping it took 1.8-3.0 ms (median of 20),
+# the time FockDistribution.csv_blocks takes to format about 1,650-1,900 CSV rows. The
+# bound stays above that break-even.
 FORK_MIN_PATTERNS = 4096
 
 
@@ -441,24 +449,33 @@ def _csv_preamble(cfg: ExperimentConfig) -> list[str]:
     return [f"# config-digest: {cfg.digest()}", f"# config: {json.dumps(cfg.resolved, sort_keys=True)}"]
 
 
-def _write_csv(path: Path, preamble: list[str], header: str, rows):
-    """Write the preamble, the header and each row of an iterable of strings as lines.
+def _write_csv(path: Path, preamble: list[str], header: str, blocks):
+    """Write the preamble and the header as lines, then each str of blocks as it comes.
 
-    The rows are joined and written fock.CSV_BLOCK at a time, so a
-    generator of rows is never held whole.
+    Each block is finished CSV text, whole lines of at most fock.CSV_BLOCK
+    rows (see _rows and fock.FockDistribution.csv_blocks), so a file is
+    never held whole.
     """
-    rows = iter(rows)
-    block = [*preamble, header]
     with path.open("w") as fh:
-        while block:
-            block.append("")
-            fh.write("\n".join(block))
-            block = list(itertools.islice(rows, fock.CSV_BLOCK))
+        fh.write("\n".join([*preamble, header, ""]))
+        for block in blocks:
+            fh.write(block)
+
+
+def _rows(template: str, *columns):
+    """CSV text of the rows zip(*columns), one template % per fock.CSV_BLOCK rows.
+
+    template formats one row, newline included; columns are equal-length
+    lists, sliced block by block.
+    """
+    for lo in range(0, len(columns[0]), fock.CSV_BLOCK):
+        cells = tuple(itertools.chain.from_iterable(
+            zip(*(column[lo:lo + fock.CSV_BLOCK] for column in columns))))
+        yield (template * (len(cells) // len(columns))) % cells
 
 
 def _write_law(path: Path, preamble: list[str], law: fock.FockDistribution):
-    _write_csv(path, preamble, "pattern,probability",
-               (f"{p},{q!r}" for p, q in law.csv_rows()))
+    _write_csv(path, preamble, "pattern,probability", law.csv_blocks())
 
 
 def _usable_cores() -> int:
@@ -519,9 +536,10 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
     Each law is one job: compute it and write its CSV; with the
     indistinguishable model the law is its own reference, and the job also
     copies it to _exact.csv. Every JSON and every evolution (the only
-    LAPACK calls) come first; then the jobs are split over _fork_shares's
-    processes, one law in memory per process. A law that cannot be
-    computed or written fails the run as an OSError naming its CSV.
+    LAPACK calls) come first, then the basis's levels; then the jobs are
+    split over _fork_shares's processes, one law in memory per process. A
+    law that cannot be computed or written fails the run as an OSError
+    naming its CSV.
     """
     preamble = _csv_preamble(cfg)
     jobs = []
@@ -546,9 +564,10 @@ def cmd_evolve(cfg: ExperimentConfig, run: Path) -> None:
             except Exception as exc:
                 raise OSError(f"{names[0]}: {exc}") from exc
 
-    size = _basis_size(fock.total(cfg.input_occ), cfg.specs[0].modes)
-    _fork_shares(jobs, min(len(jobs), _usable_cores()) if size >= FORK_MIN_PATTERNS else 1,
-                 write)
+    n, m = fock.total(cfg.input_occ), cfg.specs[0].modes
+    fock._levels(n, m)   # every level and gather map, built once here for the forked writers
+    procs = min(len(jobs), _usable_cores()) if _basis_size(n, m) >= FORK_MIN_PATTERNS else 1
+    _fork_shares(jobs, procs, write)
 
 
 def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
@@ -562,7 +581,9 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
     ref = gge.gge_marginal(n, cfg.specs[0].modes).probs
     preamble = _csv_preamble(cfg)
     _write_csv(run / "gge_reference.csv", preamble, "k,probability",
-               (f"{k},{p!r}" for k, p in enumerate(ref.tolist())))
+               _rows("%d,%r\n", range(n + 1), ref.tolist()))
+    # the marginal CSVs' t and k columns, one row per time and count
+    ts, ks = np.repeat(cfg.times, n + 1).tolist(), list(range(n + 1)) * len(cfg.times)
     models: list = [fock.MODEL_INDISTINGUISHABLE, fock.MODEL_DISTINGUISHABLE]
     if not isinstance(cfg.model, str):
         models.append(cfg.model)
@@ -570,13 +591,12 @@ def cmd_gge(cfg: ExperimentConfig, run: Path) -> None:
         tag = _spec_tag(cfg, si)
         margs = gge._marginals(spec, cfg.input_occ, cfg.times, models)
         dists = 0.5 * np.sum(np.abs(margs - ref), axis=-1)
-        for model, marg, dist in zip(models, margs.tolist(), dists.tolist()):
+        for model, marg, dist in zip(models, margs, dists.tolist()):
             name = model if isinstance(model, str) else "mixture"
             _write_csv(run / f"gge_{tag}_{name}_marginal.csv", preamble, "t,k,probability",
-                       (f"{t!r},{k},{p!r}" for t, row in zip(cfg.times, marg)
-                        for k, p in enumerate(row)))
+                       _rows("%r,%d,%r\n", ts, ks, marg.ravel().tolist()))
             _write_csv(run / f"gge_{tag}_{name}_tvd.csv", preamble, "t,tvd",
-                       (f"{t!r},{d!r}" for t, d in zip(cfg.times, dist)))
+                       _rows("%r,%r\n", cfg.times, dist))
 
 
 def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
@@ -605,10 +625,11 @@ def cmd_certify(cfg: ExperimentConfig, run: Path) -> None:
                 "hamiltonian": spec.to_dict(), "t": t, "derived_seed": seed,
                 "result": res.to_dict(), "epsilon_grid": grid,
             }, cfg)
+            ks, p1, p2, f_lower = zip(*res.convergence)
             _write_csv(run / f"{stem}_convergence.csv", preamble,
                        "samples,inv_sqrt_samples,p1,p2,f_lower",
-                       (f"{k},{1.0 / math.sqrt(k)!r},{p1!r},{p2!r},{f_lower!r}"
-                        for k, p1, p2, f_lower in res.convergence))
+                       _rows("%d,%r,%r,%r,%r\n", ks, (1.0 / np.sqrt(ks)).tolist(), p1, p2,
+                             f_lower))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ it. The per-basis caches come from it by array work, with no Python loop
 over patterns. Each cached array is stored in the narrowest unsigned
 dtype of its largest value. A FockDistribution holds only n, m and its
 probability vector over that basis; readers of a law index the array
-instead of walking the basis pattern by pattern. Its CSV rows are
-labelled CSV_BLOCK patterns at a time, by gathering a byte table of the
-counts with a slice of the basis array, so no label of the whole basis
-is ever kept.
+instead of walking the basis pattern by pattern. Its CSV text is made
+CSV_BLOCK rows at a time (csv_blocks): a slice of the basis array gathers
+two byte tables of the counts, one for modes 0..m - 2 ending each cell
+in '|' and one for the last mode ending it in ',%r' and a newline, into
+the block's %-template, which one % of the block's probabilities fills.
+No label of the whole basis is ever kept.
 
 Transition laws, by definition:
   indistinguishable   P = |perm(M)|^2 / (prod_j r_j! s_j!)
@@ -464,24 +466,32 @@ class FockDistribution:
             return 0.0
         return float(self.probs[_rank(occ, self.n)[0]])
 
-    def csv_rows(self):
-        """(pattern, probability) rows; the pattern column joins counts with '|'.
+    def csv_blocks(self):
+        """The law's CSV lines, one str per CSV_BLOCK rows: the counts joined by '|', then
+        ',' and the probability's repr.
 
-        Yielded CSV_BLOCK rows at a time. A table holds each count 0..n in
-        ASCII, right-aligned to the width of n and followed by '|'. Taking
-        its rows by a block of the basis array lays out the block's labels
-        in row order; the last '|' of each row becomes a newline, and one
-        decode, one removal of the padding spaces and one split give them.
+        Two byte tables hold each count 0..n in ASCII, right-aligned to the
+        width of n: one with each cell followed by '|', for modes 0..m - 2,
+        and one with each cell followed by ',%r' and a newline, for the last
+        mode. Gathering both by a block of the basis array lays out the
+        block's labels in row order as a %-template, and one % of the
+        block's probabilities fills it, so no Python runs per row and each
+        value is the float's repr. Pad spaces (n >= 10) are dropped before
+        the %.
         """
         width = len(str(self.n))
-        table = np.frombuffer("".join(f"{c:>{width}}|" for c in range(self.n + 1)).encode("ascii"),
-                              dtype=np.uint8).reshape(self.n + 1, width + 1)
+        head, last = (np.frombuffer("".join(f"{c:>{width}}{end}" for c in range(self.n + 1))
+                                    .encode("ascii"), dtype=np.uint8).reshape(self.n + 1, -1)
+                      for end in ("|", ",%r\n"))
         patterns = _patterns(self.n, self.m)
         for lo in range(0, len(patterns), CSV_BLOCK):
-            cells = table.take(patterns[lo:lo + CSV_BLOCK], axis=0)
-            cells[:, -1, -1] = ord("\n")
-            labels = cells.tobytes().decode("ascii").replace(" ", "").split("\n")[:-1]
-            yield from zip(labels, self.probs[lo:lo + CSV_BLOCK].tolist())
+            block = patterns[lo:lo + CSV_BLOCK]
+            cells = np.concatenate([head.take(block[:, :-1], axis=0).reshape(len(block), -1),
+                                    last.take(block[:, -1], axis=0)], axis=1)
+            template = cells.tobytes().decode("ascii")
+            if width > 1:
+                template = template.replace(" ", "")
+            yield template % tuple(self.probs[lo:lo + CSV_BLOCK].tolist())
 
 
 def _resolve_model(model, input_occ: ModeOccupation, m: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,12 +103,22 @@ def eigenvalue_bound(spec: HamiltonianSpec) -> float:
         return float(np.abs(build(spec)).sum(axis=1).max())
 
 
+@lru_cache(maxsize=16)
+def _spectrum(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's eigenvalues and eigenvectors, read-only, computed once per spec."""
+    w, vecs = linalg._eigh_hermitian(build(spec))
+    w.flags.writeable = vecs.flags.writeable = False
+    return w, vecs
+
+
 def evolution(spec: HamiltonianSpec, t) -> np.ndarray:
     """Unitary exp(-i H t) for the specified Hamiltonian, or their stack over an array of times.
 
-    The generator is built and diagonalized once per call, whatever the
-    number of times; see linalg.expm_hermitian. For kind "long_range" the
-    t=1 evolution reproduces the seeded Haar unitary the generator was
-    extracted from.
+    The generator is built and diagonalized once per spec (_spectrum, cached
+    by the hashable record), whatever the number of calls or times, so a
+    search that evaluates one time per call diagonalizes once; each result
+    equals linalg.expm_hermitian(build(spec), t) bit for bit. For kind
+    "long_range" the t=1 evolution reproduces the seeded Haar unitary the
+    generator was extracted from.
     """
-    return linalg.expm_hermitian(build(spec), t)
+    return linalg._expm_eigh(*_spectrum(spec), t)

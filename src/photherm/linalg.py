@@ -44,10 +44,19 @@ def expm_hermitian(h: np.ndarray, t=1.0) -> np.ndarray:
     an array of times of shape S gives the stack S + (m, m), and each of
     its matrices equals the scalar-t result bit for bit.
     """
+    return _expm_eigh(*_eigh_hermitian(h), t)
+
+
+def _eigh_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors W of a Hermitian generator, h = W diag(w) W†."""
     h = _require_square(h, "generator")
     if not is_hermitian(h):
         raise ValueError("generator is not Hermitian within tolerance")
-    w, vecs = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def _expm_eigh(w: np.ndarray, vecs: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) from the eigendecomposition of h (see expm_hermitian)."""
     phases = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
     return (vecs * phases[..., None, :]) @ vecs.conj().T
 

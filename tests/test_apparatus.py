@@ -51,6 +51,24 @@ def test_detection_model_validation():
     assert apparatus.DetectionModel(**det.to_dict()) == det
 
 
+@pytest.mark.parametrize("make", [
+    lambda: apparatus.DetectionModel(weights=((math.nan, 0.0, 0.0),) * 3),
+    lambda: apparatus.DetectionModel(weights=((0.2, 0.2, 0.2), (0.1, math.nan, math.inf))),
+    lambda: apparatus.DetectionModel.uniform(3, blinding_slope=math.nan),
+    lambda: apparatus.DetectionModel.uniform(3, blinding_slope=math.inf),
+    lambda: apparatus.DetectionModel.uniform(3, blinding_intercept=math.nan),
+    lambda: apparatus.DetectionModel.uniform(3, blinding_intercept=-math.inf),
+    lambda: apparatus.SourceModel(pump_power=math.nan),
+    lambda: apparatus.SourceModel(pump_power=math.inf),
+], ids=["nan-weight", "nan-and-inf-weights", "nan-slope", "inf-slope", "nan-intercept",
+        "inf-intercept", "nan-pump", "inf-pump"])
+def test_records_reject_numbers_that_are_not_finite(make):
+    """A NaN weight would fire slot 0 for every photon (uniform >= nan is false), and a NaN or
+    infinite blinding line or pump power would clamp the survival factor to 0."""
+    with pytest.raises(ValueError, match="finite|not a number"):
+        make()
+
+
 def test_resolve_probability_closed_forms():
     det = apparatus.DetectionModel(weights=((0.5, 0.3, 0.15), (0.2, 0.2, 0.2),
                                             (1 / 3, 1 / 3, 1 / 3), (0.4, 0.3, 0.3)))

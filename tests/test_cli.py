@@ -440,14 +440,40 @@ def test_config_rejects_a_basis_past_the_pattern_ceiling(tmp_path, capsys):
 
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_write_csv_joins_every_block_size(tmp_path, monkeypatch, block):
-    """Rows given as a generator are written block by block, as one join of all lines."""
+    """Rows formatted by _rows, one block at a time, are written as one join of all lines."""
     monkeypatch.setattr(fock, "CSV_BLOCK", block)
     preamble = ["# a", "# b"]
     for count in (0, 1, block - 1, block, block + 1):
-        rows = [f"{k},{k / 3!r}" for k in range(count)]
-        cli._write_csv(tmp_path / "t.csv", preamble, "k,x", (row for row in rows))
-        want = "\n".join([*preamble, "k,x", *rows]) + "\n"
+        ks = list(range(count))
+        xs = [k / 3 for k in ks]
+        assert all(0 < text.count("\n") <= block for text in cli._rows("%d,%r\n", ks, xs))
+        cli._write_csv(tmp_path / "t.csv", preamble, "k,x", cli._rows("%d,%r\n", ks, xs))
+        want = "\n".join([*preamble, "k,x", *(f"{k},{x!r}" for k, x in zip(ks, xs))]) + "\n"
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
+
+def test_law_csv_is_the_per_row_join(tmp_path, monkeypatch):
+    """A law's CSV, at any block size, is the per-row join of its counts and float reprs.
+
+    The shapes take one- to three-digit counts (pad spaces where n >= 10),
+    one mode (no '|') and no photons; the laws hold 0.0, 1.0 and 5e-324.
+    """
+    preamble = ["# a", "# b"]
+    rng = np.random.default_rng(4)
+    for n, m in ((0, 1), (0, 3), (5, 1), (3, 4), (10, 2), (12, 3), (99, 3), (150, 2), (6, 12)):
+        basis = fock.enumerate_basis(n, m)
+        picks = rng.permutation(len(basis))[:2]
+        sharp = np.zeros(len(basis))
+        sharp[picks] = [1.0, 5e-324][:picks.size]
+        spread = rng.random(len(basis))
+        for probs in (sharp, spread / spread.sum()):
+            law = fock.FockDistribution(n, m, probs)
+            rows = [f"{'|'.join(map(str, occ))},{p!r}" for occ, p in zip(basis, law.probs.tolist())]
+            want = "\n".join([*preamble, "pattern,probability", *rows]) + "\n"
+            for block in (1, 2, 7, 256):
+                monkeypatch.setattr(fock, "CSV_BLOCK", block)
+                cli._write_law(tmp_path / "law.csv", preamble, law)
+                assert (tmp_path / "law.csv").read_bytes() == want.encode(), (n, m, block)
 
 
 def test_evolve_writes_the_indistinguishable_law_once(tmp_path):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,28 +103,6 @@ def test_one_photon_on_many_modes():
 def test_basis_rejects_negative_photons_and_empty_modes(n, m):
     with pytest.raises(ValueError):
         fock.enumerate_basis(n, m)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(0, 1), (1, 1), (3, 4), (10, 2), (10, 3), (12, 2), (4, 6),
-                        (100, 2), (150, 2), (9, 3), (99, 3)]),
-       st.integers(0, 2**32 - 1))
-@example((10, 2), 0)
-@example((10, 3), 0)
-@example((100, 2), 0)
-@example((150, 2), 0)
-@example((99, 3), 0)
-def test_csv_rows_match_joined_counts(shape, seed):
-    """Block-built labels give the rows of the per-row join at any block size, two- and
-    three-digit counts included."""
-    n, m = shape
-    basis = fock.enumerate_basis(n, m)
-    probs = np.random.default_rng(seed).random(len(basis))
-    dist = fock.FockDistribution(n, m, probs / probs.sum())
-    want = [("|".join(str(c) for c in occ), float(p)) for occ, p in zip(basis, dist.probs)]
-    for block in (1, 2, 7, fock.CSV_BLOCK):
-        with mock.patch.object(fock, "CSV_BLOCK", block):
-            assert list(dist.csv_rows()) == want
 
 
 def test_mode_assignment():
@@ -369,8 +346,6 @@ def test_distribution_helpers():
     assert dist.m == 2 and dist.n == 1
     assert dist.prob_of((0, 1)) == 0.75
     assert dist.prob_of((2, 0)) == 0.0
-    rows = list(dist.csv_rows())
-    assert rows[0] == ("1|0", 0.25)
     with pytest.raises(ValueError):
         fock.FockDistribution(1, 2, np.array([0.6, 0.6]))
     with pytest.raises(ValueError):

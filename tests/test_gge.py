@@ -189,6 +189,28 @@ def test_recurrence_time_equals_the_per_time_scan(kwargs):
         assert abs(got - full) < 1e-7
 
 
+def test_recurrence_time_diagonalizes_each_spec_once(monkeypatch):
+    """Every evolution of a recurrence search reuses its spec's one eigendecomposition.
+
+    The 5-mode long_range search takes over 50 evolutions; each equals
+    linalg.expm_hermitian of the freshly built generator bit for bit.
+    """
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    hamiltonian._spectrum.cache_clear()
+    evolutions = counted_evolution(monkeypatch)
+    long_range = hamiltonian.HamiltonianSpec(kind="long_range", modes=5, seed=3)
+    gge.recurrence_time(long_range, (1, 1, 1, 0, 0))
+    assert len(evolutions) > 50 and calls == [(5, 5)]
+    gge.recurrence_time(RING, INPUT)
+    gge.recurrence_time(long_range, (1, 1, 1, 0, 0))
+    assert calls == [(5, 5), (4, 4)]
+    for spec in (long_range, RING):
+        for t in (0.7, np.linspace(0.0, 2.0, 5)):
+            want = linalg.expm_hermitian(hamiltonian.build(spec), t)
+            assert np.array_equal(hamiltonian.evolution(spec, t), want)
+
+
 def test_stacked_marginals_of_every_model_equal_the_single_laws(monkeypatch):
     """One _marginals call over all models: each (model, time) row is its single law's marginal.
 
